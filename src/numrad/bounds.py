@@ -1,27 +1,30 @@
 """Numerical-radius upper-bound catalog.
 
-Every bound is an evaluable operation returning a BoundResult with the
+Every bound is one CATALOG entry, evaluated into a BoundResult holding the
 engine's w-power for the same input, the bound's right side, slack and a
-holds flag. Bounds whose right side contains a power of the bounded
-quantity itself ("implicit" bounds) come in two modes:
+holds flag. A right side sums products of engine terms (w(T), w(T^2), norms
+of |T|-power sums, ...) with coefficients in the free parameter lam. Bounds
+whose right side contains u, a power of the bounded quantity itself
+("implicit" bounds), come in two modes:
 
 * ``inequality-check``   - the literal statement, with the engine value
-  substituted on the right side;
+  substituted for u on the right side;
 * ``explicit-certificate`` - the implicit inequality u^2 <= a u + b resolved
   to u <= (a + sqrt(a^2 + 4b))/2, a bound usable without knowing u.
 
-Right sides are homographic in the free parameter lam: rhs(lam) =
-(P + Q lam)/(1 + lam), so their infimum over lam is min(P, Q) attained at a
-boundary; resolved certificates lose that structure and are minimized
-numerically. All engine terms (w(T), w(T^2), norms of |T|-power sums, ...)
-are computed once per matrix and shared across bounds, modes and lam values.
+Right sides are homographic in lam: rhs(lam) = (P + Q lam)/(1 + lam), so
+their infimum over lam is min(P, Q) attained at a boundary; resolved
+certificates lose that structure and are minimized numerically. All engine
+terms are computed once per matrix and shared across bounds, modes and lam
+values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -32,8 +35,8 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import adjoint, as_matrix, numerical_radius
-from .scalar_ineq import BoundParams
+from .linalg import PSDPower, adjoint, as_matrix, numerical_radius
+from .scalar_ineq import BoundParams, binomial_order
 
 RADIUS_TOL = 1e-10
 HOLDS_RTOL = 1e-8
@@ -41,15 +44,6 @@ CHAIN_RTOL = 1e-9
 
 MODE_INEQUALITY = "inequality-check"
 MODE_CERTIFICATE = "explicit-certificate"
-
-SINGLE_BOUNDS = ("op_norm", "kittaneh", "el_haddad", "abu_omar", "bhunia",
-                 "th3", "th4", "th5", "th6", "cor_bomi")
-PRODUCT_BOUNDS = ("dragomir", "al_dolat", "th2")
-ALL_BOUNDS = SINGLE_BOUNDS + PRODUCT_BOUNDS
-
-CHAIN_IDS = ("th2_dragomir", "th2_aldolat", "th3_elhaddad",
-             "th4_elhaddad", "th5_elhaddad", "bomi_elhaddad")
-PRODUCT_CHAINS = ("th2_dragomir", "th2_aldolat")
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,36 +138,45 @@ def _herm_norm(x: np.ndarray) -> float:
     return float(max(-ev[0], ev[-1]))
 
 
-class _Side:
-    """Spectral data of M*M (or M M* for the adjoint side), powering |M|^p."""
-
-    def __init__(self, gram: np.ndarray):
-        vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-        self.vals = np.maximum(vals, 0.0)
-        self.vecs = vecs
-        self._pows: dict[float, np.ndarray] = {}
-
-    def power(self, p: float) -> np.ndarray:
-        if p not in self._pows:
-            v = self.vecs
-            r = (v * self.vals ** (p / 2.0)) @ v.conj().T
-            self._pows[p] = (r + r.conj().T) / 2.0
-        return self._pows[p]
+def _where_finite(f, x: np.ndarray) -> float:
+    """f(x), or inf when x holds a value past the double range."""
+    return f(x) if np.isfinite(x).all() else math.inf
 
 
-class MatrixTerms:
-    """Engine quantities for one matrix, computed lazily and cached."""
+class _Terms:
+    """Engine quantities built from two power families A^p and B^p of PSD
+    matrices, computed lazily and cached."""
 
-    def __init__(self, t: np.ndarray):
-        self.t = t
-        self._plain = _Side(t.conj().T @ t)   # |T|
-        self._star = _Side(t @ t.conj().T)    # |T*|
+    def __init__(self, a_gram: np.ndarray, b_gram: np.ndarray):
+        self._a = PSDPower(a_gram)  # A^p = (a_gram)^(p/2)
+        self._b = PSDPower(b_gram)
         self._cache: dict = {}
 
     def _memo(self, key, fn):
         if key not in self._cache:
             self._cache[key] = fn()
         return self._cache[key]
+
+    def norm_sum(self, p_a: float, p_b: float | None = None) -> float:
+        """|| A^p_a + B^p_b ||, with p_b = p_a by default."""
+        p_b = p_a if p_b is None else p_b
+        return self._memo(("ns", p_a, p_b), lambda: _where_finite(
+            _herm_norm, self._a.power(p_a / 2.0) + self._b.power(p_b / 2.0)))
+
+    def w_cross(self, p_b: float, p_a: float | None = None) -> float:
+        """w(B^p_b A^p_a), with p_a = p_b by default."""
+        p_a = p_b if p_a is None else p_a
+        return self._memo(("wc", p_b, p_a), lambda: _where_finite(
+            lambda m: numerical_radius(m, RADIUS_TOL),
+            self._b.power(p_b / 2.0) @ self._a.power(p_a / 2.0)))
+
+
+class MatrixTerms(_Terms):
+    """Engine quantities for one matrix T, with A = |T| and B = |T*|."""
+
+    def __init__(self, t: np.ndarray):
+        super().__init__(t.conj().T @ t, t @ t.conj().T)
+        self.t = t
 
     @property
     def w(self) -> float:
@@ -181,298 +184,226 @@ class MatrixTerms:
 
     @property
     def op_norm(self) -> float:
-        return math.sqrt(float(self._plain.vals[-1]))
+        return math.sqrt(float(self._a.eigen.eigenvalues[-1]))
 
     @property
     def w_square(self) -> float:
         """w(T^2)."""
         return self._memo("w_sq", lambda: numerical_radius(self.t @ self.t, RADIUS_TOL))
 
-    def abs_pow(self, p: float) -> np.ndarray:
-        return self._plain.power(p)
 
-    def abs_star_pow(self, p: float) -> np.ndarray:
-        return self._star.power(p)
-
-    def norm_sum(self, p_plain: float, p_star: float) -> float:
-        """|| |T|^p_plain + |T*|^p_star ||."""
-        return self._memo(("ns", p_plain, p_star),
-                          lambda: _herm_norm(self.abs_pow(p_plain) + self.abs_star_pow(p_star)))
-
-    def w_cross(self, p_star: float, p_plain: float) -> float:
-        """w(|T*|^p_star |T|^p_plain)."""
-        return self._memo(("wc", p_star, p_plain),
-                          lambda: numerical_radius(self.abs_star_pow(p_star) @ self.abs_pow(p_plain),
-                                                   RADIUS_TOL))
-
-
-class PairTerms:
-    """Engine quantities for an ordered pair (T, S) entering product bounds."""
+class PairTerms(_Terms):
+    """Engine quantities for the pair (T, S) of a product bound: A = |T|, B = |S|."""
 
     def __init__(self, t: np.ndarray, s: np.ndarray):
+        super().__init__(t.conj().T @ t, s.conj().T @ s)
         self.t, self.s = t, s
-        self._t_side = _Side(t.conj().T @ t)  # |T|
-        self._s_side = _Side(s.conj().T @ s)  # |S|
-        self._cache: dict = {}
-
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     @property
     def w_prod(self) -> float:
         """w(T*S); equal to w(S*T) since w is adjoint-invariant."""
         return self._memo("wp", lambda: numerical_radius(adjoint(self.t) @ self.s, RADIUS_TOL))
 
-    def norm_sum(self, p: float) -> float:
-        """|| |T|^p + |S|^p ||."""
-        return self._memo(("ns", p),
-                          lambda: _herm_norm(self._t_side.power(p) + self._s_side.power(p)))
 
-    def w_cross(self, p: float) -> float:
-        """w(|S|^p |T|^p)."""
-        return self._memo(("wc", p),
-                          lambda: numerical_radius(self._s_side.power(p) @ self._t_side.power(p),
-                                                   RADIUS_TOL))
-
-
-@lru_cache(maxsize=64)
-def _terms_cached(key: bytes, dim: int) -> MatrixTerms:
-    a = np.frombuffer(key, dtype=np.complex128).reshape(dim, dim).copy()
-    return MatrixTerms(a)
-
-
-@lru_cache(maxsize=64)
-def _pair_cached(key_t: bytes, key_s: bytes, dim: int) -> PairTerms:
-    t = np.frombuffer(key_t, dtype=np.complex128).reshape(dim, dim).copy()
-    s = np.frombuffer(key_s, dtype=np.complex128).reshape(dim, dim).copy()
-    return PairTerms(t, s)
+@lru_cache(maxsize=128)
+def _terms_cached(cls, dim: int, *keys: bytes):
+    """A MatrixTerms or PairTerms object per distinct input, by its bytes."""
+    return cls(*(np.frombuffer(k, dtype=np.complex128).reshape(dim, dim).copy() for k in keys))
 
 
 def matrix_terms(t) -> MatrixTerms:
     a = as_matrix(t)
-    return _terms_cached(a.tobytes(), a.shape[0])
+    return _terms_cached(MatrixTerms, a.shape[0], a.tobytes())
 
 
 def pair_terms(t, s) -> PairTerms:
     a, b = as_matrix(t), as_matrix(s)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return _pair_cached(a.tobytes(), b.tobytes(), a.shape[0])
+    return _terms_cached(PairTerms, a.shape[0], a.tobytes(), b.tobytes())
+
+
+# --------------------------------------------------------------------------
+# The catalog
+
+LAM_POSITIVE = ">0"
+LAM_NONNEGATIVE = ">=0"
+
+# Marks u = base^(p/2) in a right side, base being w(T), or w(T*S) for a
+# product bound. A bound whose right side holds U is implicit.
+U = "u"
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """One catalog bound: base^p(params) <= rhs, where the right side is
+    sum_i c_i(lam) * (product of the engine terms in rhs[i]).
+
+    Each term is U or a function of (MatrixTerms or PairTerms, params) that
+    must not read lam, so its value is cached per matrix. Products and the sum
+    are evaluated left to right, which fixes the rounding of every value.
+    """
+
+    exponent: Callable[[BoundParams], float]
+    coefficients: Callable[[float, BoundParams], tuple[float, ...]]
+    rhs: tuple[tuple, ...]
+    lam: str | None = None  # None, LAM_POSITIVE or LAM_NONNEGATIVE
+    product: bool = False
+
+    @cached_property
+    def implicit(self) -> bool:
+        return any(U in prod for prod in self.rhs)
+
+    @cached_property
+    def modes(self) -> tuple[str, ...]:
+        return (MODE_INEQUALITY, MODE_CERTIFICATE) if self.implicit else (MODE_CERTIFICATE,)
+
+
+def _fixed(*c: float):
+    return lambda lam, params: c
+
+
+def _of_lam(coefficients):
+    return lambda lam, params: coefficients(lam)
+
+
+def _ns(p: float):
+    return lambda m, params: m.norm_sum(p, p)
+
+
+def _wc(p: float):
+    return lambda m, params: m.w_cross(p, p)
+
+
+def _w2(m, params):
+    return m.w_square
+
+
+def _binomial_sum(m, params):
+    n = int(params.n)
+    return sum(math.comb(2 * n, j) * m.norm_sum(2.0 * j, 2.0 * j) * m.w_square ** (2 * n - j)
+               for j in range(1, 2 * n))
+
+
+CATALOG: dict[str, BoundSpec] = {
+    "op_norm": BoundSpec(lambda p: 1.0, _fixed(1.0), ((lambda m, p: m.op_norm,),)),
+    "kittaneh": BoundSpec(lambda p: 1.0, _fixed(0.5), ((_ns(1.0),),)),
+    "el_haddad": BoundSpec(lambda p: 2.0 * p.r, _fixed(0.5),
+                           ((lambda m, p: m.norm_sum(2.0 * p.r, 2.0 * p.r),),)),
+    # The second absolute-value term enters squared, matching bhunia below;
+    # some statements drop that square.
+    "abu_omar": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((_ns(2.0),), (_w2,))),
+    "bhunia": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((_ns(2.0),), (_wc(1.0),))),
+    "th3": BoundSpec(lambda p: 2.0, _of_lam(th3_coefficients), (
+        (lambda m, p: m.norm_sum(4.0 * p.alpha, 4.0 * (1.0 - p.alpha)),),
+        (lambda m, p: m.w_cross(2.0 * (1.0 - p.alpha), 2.0 * p.alpha),),
+        (U, lambda m, p: m.norm_sum(2.0 * p.alpha, 2.0 * (1.0 - p.alpha))),
+    ), LAM_POSITIVE),
+    "th4": BoundSpec(lambda p: 4.0, _of_lam(th4_coefficients),
+                     ((_ns(4.0),), (_wc(2.0),), (_w2, _ns(2.0))), LAM_POSITIVE),
+    # u = w^2: u^2 <= a u + b
+    "th5": BoundSpec(lambda p: 4.0, _of_lam(th5_coefficients), (
+        (_ns(4.0),), (_wc(2.0),), (lambda m, p: m.w_square**2,), (_ns(2.0), _w2),
+        (U, _ns(2.0)), (U, _w2),
+    ), LAM_POSITIVE),
+    "th6": BoundSpec(lambda p: 4.0 * binomial_order(p.n),
+                     lambda lam, p: th6_coefficients(lam, p.n), (
+        (lambda m, p: m.norm_sum(4.0 * p.n, 4.0 * p.n),),
+        (lambda m, p: m.w_cross(2.0 * p.n, 2.0 * p.n),),
+        (lambda m, p: m.norm_sum(2.0 * p.n, 2.0 * p.n), lambda m, p: m.w_square ** p.n),
+        (_binomial_sum,),
+    ), LAM_POSITIVE),
+    "cor_bomi": BoundSpec(lambda p: 4.0, _of_lam(cor_bomi_coefficients),
+                          ((_ns(4.0),), (_ns(2.0), _w2)), LAM_POSITIVE),
+    "dragomir": BoundSpec(lambda p: float(p.r), _fixed(0.5),
+                          ((lambda m, p: m.norm_sum(2.0 * p.r),),), product=True),
+    "al_dolat": BoundSpec(lambda p: 2.0, _of_lam(al_dolat_coefficients),
+                          ((_ns(2.0), U), (_ns(4.0),)), LAM_NONNEGATIVE, product=True),
+    # u = w^r(T*S): u^2 <= a u + b
+    "th2": BoundSpec(lambda p: 2.0 * p.r, _of_lam(th2_coefficients), (
+        (U, lambda m, p: m.norm_sum(2.0 * p.r)),
+        (lambda m, p: m.norm_sum(4.0 * p.r),),
+        (lambda m, p: m.w_cross(2.0 * p.r),),
+    ), LAM_POSITIVE, product=True),
+}
+
+ALL_BOUNDS = tuple(CATALOG)
+PRODUCT_BOUNDS = tuple(name for name, b in CATALOG.items() if b.product)
+# The paper refines the bounds that take no lam > 0.
+CLASSICAL_BOUNDS = tuple(name for name, b in CATALOG.items() if b.lam != LAM_POSITIVE)
+
+
+def _spec(name: str) -> BoundSpec:
+    if name not in CATALOG:
+        raise UnknownBoundError(f"unknown bound {name!r}; catalog: {ALL_BOUNDS}")
+    return CATALOG[name]
+
+
+def bound_modes(name: str) -> tuple[str, ...]:
+    """Modes a catalog bound supports, inequality-check first."""
+    return _spec(name).modes
+
+
+def uses_lambda(name: str) -> bool:
+    return name in CATALOG and CATALOG[name].lam is not None
 
 
 # --------------------------------------------------------------------------
 # Mode evaluations
 
-@dataclass(frozen=True)
-class _ModeEval:
-    rhs: Callable[[float], float]
-    w_power: float
-    exponent: float
-    homographic: bool
+# rhs: lam -> right side; homographic: rhs(lam) = (P + Q lam)/(1 + lam)
+_ModeEval = namedtuple("_ModeEval", "rhs w_power exponent homographic")
 
 
-def _positive_lam(lam: float) -> float:
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
-    return lam
+def _combine(coefficients, prods, u: float | None, linear: bool | None = None) -> float:
+    """sum_i c_i * prod_i, left to right, with U read as u; if ``linear`` is
+    given, only over the products that hold U (True) or do not (False)."""
+    total = None
+    for c, prod in zip(coefficients, prods):
+        if linear is None or (U in prod) == linear:
+            for f in prod:
+                c = c * (u if f is U else f)
+            total = c if total is None else total + c
+    return total
 
 
-def _check_r(r: float) -> float:
-    if not (math.isfinite(r) and r >= 1):
-        raise ValueError(f"r must be >= 1, got {r}")
-    return float(r)
+def _mode_eval(bound: BoundSpec, terms, params: BoundParams, mode: str, p: float) -> _ModeEval:
+    """One mode of a bound, with its engine terms evaluated."""
+    base = terms.w_prod if bound.product else terms.w
+    prods = terms._memo((id(bound), params.r, params.n, params.alpha), lambda: [
+        [f if f is U else f(terms, params) for f in prod] for prod in bound.rhs])
+    if mode == MODE_INEQUALITY or not bound.implicit:
+        u = base ** (p / 2.0) if bound.implicit else None
+        return _ModeEval(lambda lam: _combine(bound.coefficients(lam, params), prods, u),
+                         base**p, p, True)
+
+    def rhs_cert(lam: float) -> float:
+        # u^2 <= a u + b: a sums the products holding U, read at u = 1; b the rest
+        c = bound.coefficients(lam, params)
+        a = _combine(c, prods, 1.0, linear=True)
+        b = _combine(c, prods, None, linear=False)
+        # a, b >= 0, so a + b is finite exactly when both are; otherwise the
+        # right side is reported as the non-finite a + b.
+        return resolve_implicit_quadratic(a, b) if math.isfinite(a + b) else a + b
+
+    return _ModeEval(rhs_cert, base ** (p / 2.0), p / 2.0, False)
 
 
-def _check_n(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if n > 15:
-        raise OverflowError("n > 15 not supported (binomial exactness cap)")
-    return int(n)
+def _terms_for(bound: BoundSpec, t, s):
+    return pair_terms(t, t if s is None else s) if bound.product else matrix_terms(t)
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(alpha)
-
-
-def _modes_for(name: str, t, s, params: BoundParams) -> dict[str, _ModeEval]:
-    """All evaluable modes of one catalog bound, with engine terms fixed."""
-    if name not in ALL_BOUNDS:
-        raise UnknownBoundError(f"unknown bound {name!r}; catalog: {ALL_BOUNDS}")
-
-    if name in PRODUCT_BOUNDS:
-        pt = pair_terms(t, t if s is None else s)
-        return _product_modes(name, pt, params)
-    mt = matrix_terms(t)
-    return _single_modes(name, mt, params)
-
-
-def _single_modes(name: str, mt: MatrixTerms, params: BoundParams) -> dict[str, _ModeEval]:
-    if name == "op_norm":
-        val = mt.op_norm
-        return {MODE_CERTIFICATE: _ModeEval(lambda lam: val, mt.w, 1.0, True)}
-
-    if name == "kittaneh":
-        val = 0.5 * mt.norm_sum(1.0, 1.0)
-        return {MODE_CERTIFICATE: _ModeEval(lambda lam: val, mt.w, 1.0, True)}
-
-    if name == "el_haddad":
-        r = _check_r(params.r)
-        val = 0.5 * mt.norm_sum(2.0 * r, 2.0 * r)
-        return {MODE_CERTIFICATE: _ModeEval(lambda lam: val, mt.w ** (2.0 * r), 2.0 * r, True)}
-
-    if name == "abu_omar":
-        # The second absolute-value term enters squared, matching the
-        # companion bound below; some statements drop that square.
-        val = 0.25 * mt.norm_sum(2.0, 2.0) + 0.5 * mt.w_square
-        return {MODE_CERTIFICATE: _ModeEval(lambda lam: val, mt.w**2, 2.0, True)}
-
-    if name == "bhunia":
-        val = 0.25 * mt.norm_sum(2.0, 2.0) + 0.5 * mt.w_cross(1.0, 1.0)
-        return {MODE_CERTIFICATE: _ModeEval(lambda lam: val, mt.w**2, 2.0, True)}
-
-    if name == "th3":
-        alpha = _check_alpha(params.alpha)
-        n4 = mt.norm_sum(4.0 * alpha, 4.0 * (1.0 - alpha))
-        wc = mt.w_cross(2.0 * (1.0 - alpha), 2.0 * alpha)
-        n2 = mt.norm_sum(2.0 * alpha, 2.0 * (1.0 - alpha))
-        w = mt.w
-
-        def rhs_ineq(lam: float) -> float:
-            c1, c2, c3 = th3_coefficients(lam)
-            return c1 * n4 + c2 * wc + c3 * w * n2
-
-        def rhs_cert(lam: float) -> float:
-            c1, c2, c3 = th3_coefficients(lam)
-            return resolve_implicit_quadratic(c3 * n2, c1 * n4 + c2 * wc)
-
-        return {
-            MODE_INEQUALITY: _ModeEval(rhs_ineq, w**2, 2.0, True),
-            MODE_CERTIFICATE: _ModeEval(rhs_cert, w, 1.0, False),
-        }
-
-    if name == "th4":
-        n4 = mt.norm_sum(4.0, 4.0)
-        wc = mt.w_cross(2.0, 2.0)
-        n2 = mt.norm_sum(2.0, 2.0)
-        w2t = mt.w_square
-
-        def rhs(lam: float) -> float:
-            c1, c2, c3 = th4_coefficients(lam)
-            return c1 * n4 + c2 * wc + c3 * w2t * n2
-
-        return {MODE_CERTIFICATE: _ModeEval(rhs, mt.w**4, 4.0, True)}
-
-    if name == "th5":
-        n4 = mt.norm_sum(4.0, 4.0)
-        wc = mt.w_cross(2.0, 2.0)
-        n2 = mt.norm_sum(2.0, 2.0)
-        w2t = mt.w_square
-        w = mt.w
-
-        def rhs_ineq(lam: float) -> float:
-            c = th5_coefficients(lam)
-            return (c[0] * n4 + c[1] * wc + c[2] * w2t**2 + c[3] * n2 * w2t
-                    + c[4] * w**2 * n2 + c[5] * w**2 * w2t)
-
-        def rhs_cert(lam: float) -> float:
-            # v = w^2: v^2 <= A + B v
-            c = th5_coefficients(lam)
-            a_const = c[0] * n4 + c[1] * wc + c[2] * w2t**2 + c[3] * n2 * w2t
-            b_lin = c[4] * n2 + c[5] * w2t
-            return resolve_implicit_quadratic(b_lin, a_const)
-
-        return {
-            MODE_INEQUALITY: _ModeEval(rhs_ineq, w**4, 4.0, True),
-            MODE_CERTIFICATE: _ModeEval(rhs_cert, w**2, 2.0, False),
-        }
-
-    if name == "th6":
-        n = _check_n(params.n)
-        n4n = mt.norm_sum(4.0 * n, 4.0 * n)
-        wcn = mt.w_cross(2.0 * n, 2.0 * n)
-        n2n = mt.norm_sum(2.0 * n, 2.0 * n)
-        w2t = mt.w_square
-        binom_sum = sum(
-            math.comb(2 * n, j) * mt.norm_sum(2.0 * j, 2.0 * j) * w2t ** (2 * n - j)
-            for j in range(1, 2 * n)
-        )
-
-        def rhs(lam: float) -> float:
-            c1, c2, c3, c4 = th6_coefficients(lam, n)
-            return c1 * n4n + c2 * wcn + c3 * n2n * w2t**n + c4 * binom_sum
-
-        return {MODE_CERTIFICATE: _ModeEval(rhs, mt.w ** (4.0 * n), 4.0 * n, True)}
-
-    if name == "cor_bomi":
-        n4 = mt.norm_sum(4.0, 4.0)
-        n2 = mt.norm_sum(2.0, 2.0)
-        w2t = mt.w_square
-
-        def rhs(lam: float) -> float:
-            c1, c2 = cor_bomi_coefficients(lam)
-            return c1 * n4 + c2 * n2 * w2t
-
-        return {MODE_CERTIFICATE: _ModeEval(rhs, mt.w**4, 4.0, True)}
-
-    raise UnknownBoundError(name)
-
-
-def _product_modes(name: str, pt: PairTerms, params: BoundParams) -> dict[str, _ModeEval]:
-    if name == "dragomir":
-        r = _check_r(params.r)
-        val = 0.5 * pt.norm_sum(2.0 * r)
-        return {MODE_CERTIFICATE: _ModeEval(lambda lam: val, pt.w_prod**r, r, True)}
-
-    if name == "al_dolat":
-        n2 = pt.norm_sum(2.0)
-        n4 = pt.norm_sum(4.0)
-        wp = pt.w_prod
-
-        def rhs_ineq(lam: float) -> float:
-            c1, c2 = al_dolat_coefficients(lam)
-            return c1 * n2 * wp + c2 * n4
-
-        def rhs_cert(lam: float) -> float:
-            c1, c2 = al_dolat_coefficients(lam)
-            return resolve_implicit_quadratic(c1 * n2, c2 * n4)
-
-        return {
-            MODE_INEQUALITY: _ModeEval(rhs_ineq, wp**2, 2.0, True),
-            MODE_CERTIFICATE: _ModeEval(rhs_cert, wp, 1.0, False),
-        }
-
-    if name == "th2":
-        r = _check_r(params.r)
-        k2 = pt.norm_sum(2.0 * r)
-        k4 = pt.norm_sum(4.0 * r)
-        wc = pt.w_cross(2.0 * r)
-        wp = pt.w_prod
-
-        def rhs_ineq(lam: float) -> float:
-            c1, c2, c3 = th2_coefficients(lam)
-            return c1 * wp**r * k2 + c2 * k4 + c3 * wc
-
-        def rhs_cert(lam: float) -> float:
-            # u = w^r(T*S): u^2 <= a u + b
-            c1, c2, c3 = th2_coefficients(lam)
-            return resolve_implicit_quadratic(c1 * k2, c2 * k4 + c3 * wc)
-
-        return {
-            MODE_INEQUALITY: _ModeEval(rhs_ineq, wp ** (2.0 * r), 2.0 * r, True),
-            MODE_CERTIFICATE: _ModeEval(rhs_cert, wp**r, r, False),
-        }
-
-    raise UnknownBoundError(name)
-
-
-def _result(name: str, params: BoundParams, ev: _ModeEval, lam: float, mode: str) -> BoundResult:
-    rhs = float(ev.rhs(lam))
+def _result(name: str, bound: BoundSpec, terms, params: BoundParams, mode: str,
+            p: float) -> BoundResult:
+    try:
+        ev = _mode_eval(bound, terms, params, mode, p)
+        rhs = float(ev.rhs(params.lam))
+        finite = math.isfinite(rhs) and math.isfinite(ev.w_power)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise OverflowError(f"bound {name!r} with n={params.n}: the right side or the "
+                            "w-power leaves the double range")
     slack = rhs - ev.w_power
     holds = slack >= -HOLDS_RTOL * max(1.0, rhs, ev.w_power)
     return BoundResult(bound_name=name, params=params, rhs_value=rhs,
@@ -480,44 +411,24 @@ def _result(name: str, params: BoundParams, ev: _ModeEval, lam: float, mode: str
                        slack=slack, holds=holds, mode=mode)
 
 
-def bound_modes(name: str) -> tuple[str, ...]:
-    """Modes a catalog bound supports, inequality-check first."""
-    if name in ("th2", "th3", "th5", "al_dolat"):
-        return (MODE_INEQUALITY, MODE_CERTIFICATE)
-    if name in ALL_BOUNDS:
-        return (MODE_CERTIFICATE,)
-    raise UnknownBoundError(name)
-
-
-def uses_lambda(name: str) -> bool:
-    return name in ("al_dolat", "th2", "th3", "th4", "th5", "th6", "cor_bomi")
-
-
 def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
                    mode: str | None = None) -> tuple[BoundResult, ...]:
     """Evaluate one catalog bound in the requested mode (or all its modes).
 
-    ``params.lam`` must be > 0 for the lam-parameterized bounds, except
-    al_dolat which admits lam = 0. Product bounds read ``s``; with s omitted
-    the matrix is paired with itself.
+    ``params.lam`` must be > 0 for the bounds declared LAM_POSITIVE; al_dolat
+    admits lam = 0. Product bounds read ``s``; with s omitted the matrix is
+    paired with itself.
     """
     params = params if params is not None else BoundParams(lam=1.0)
-    if name not in ALL_BOUNDS:
-        raise UnknownBoundError(f"unknown bound {name!r}; catalog: {ALL_BOUNDS}")
-    if uses_lambda(name):
-        if name == "al_dolat":
-            if not (math.isfinite(params.lam) and params.lam >= 0):
-                raise ValueError("al_dolat requires lam >= 0")
-        else:
-            _positive_lam(params.lam)
-    evs = _modes_for(name, t, s, params)
-    modes = (mode,) if mode is not None else bound_modes(name)
-    out = []
-    for m in modes:
-        if m not in evs:
-            raise ValueError(f"bound {name!r} has no mode {m!r}")
-        out.append(_result(name, params, evs[m], params.lam, m))
-    return tuple(out)
+    bound = _spec(name)
+    if bound.lam == LAM_POSITIVE and not params.lam > 0:
+        raise ValueError(f"lam must be finite and > 0, got {float(params.lam)}")
+    terms = _terms_for(bound, t, s)
+    p = bound.exponent(params)
+    if mode is not None and mode not in bound.modes:
+        raise ValueError(f"bound {name!r} has no mode {mode!r}")
+    modes = (mode,) if mode is not None else bound.modes
+    return tuple(_result(name, bound, terms, params, m, p) for m in modes)
 
 
 # --------------------------------------------------------------------------
@@ -526,17 +437,17 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
 def bound_classical(t, name: str, r: float = 1.0) -> BoundResult:
     """Classical single-matrix bounds: op_norm, kittaneh, el_haddad (uses r),
     abu_omar, bhunia."""
-    if name not in ("op_norm", "kittaneh", "el_haddad", "abu_omar", "bhunia"):
+    if name not in CLASSICAL_BOUNDS or name in PRODUCT_BOUNDS:
         raise UnknownBoundError(f"unknown classical bound {name!r}")
     return evaluate_bound(name, t, params=BoundParams(lam=1.0, r=r))[0]
 
 
 def bound_product_classical(t, s, name: str, r: float = 1.0, lam: float = 0.0) -> BoundResult:
-    """Classical product bounds: dragomir (uses r), al_dolat (uses lam >= 0)."""
-    if name not in ("dragomir", "al_dolat"):
+    """Classical product bounds: dragomir (uses r), al_dolat (uses lam >= 0),
+    in their first mode."""
+    if name not in CLASSICAL_BOUNDS or name not in PRODUCT_BOUNDS:
         raise UnknownBoundError(f"unknown classical product bound {name!r}")
-    return evaluate_bound(name, t, s, params=BoundParams(lam=lam, r=r),
-                          mode=MODE_INEQUALITY if name == "al_dolat" else None)[0]
+    return evaluate_bound(name, t, s, params=BoundParams(lam=lam, r=r))[0]
 
 
 def bound_th2(t, s, r: float, lam: float, mode: str = MODE_INEQUALITY) -> BoundResult:
@@ -592,17 +503,16 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     minimized by golden-section search over lam = exp(sigma), sigma in
     [-20, 20], tolerance 1e-9 in sigma. ``method`` can force either path.
     """
-    if name not in ALL_BOUNDS:
-        raise UnknownBoundError(f"unknown bound {name!r}; catalog: {ALL_BOUNDS}")
+    bound = _spec(name)
     if method not in ("auto", "closed-form", "golden-section"):
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-    evs = _modes_for(name, t, s, params)
-    if mode is None:
-        mode = MODE_INEQUALITY if MODE_INEQUALITY in evs else MODE_CERTIFICATE
-    if mode not in evs:
+    terms = _terms_for(bound, t, s)
+    p = bound.exponent(params)
+    mode = bound.modes[0] if mode is None else mode
+    if mode not in bound.modes:
         raise ValueError(f"bound {name!r} has no mode {mode!r}")
-    ev = evs[mode]
+    ev = _mode_eval(bound, terms, params, mode, p)
 
     use_closed = ev.homographic if method == "auto" else (method == "closed-form")
     if use_closed:
@@ -637,72 +547,47 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
 # --------------------------------------------------------------------------
 # Refinement chains
 
-def _chain(name: str, links: list[tuple[str, float]]) -> ChainResult:
-    holds = all(
-        links[i][1] <= links[i + 1][1]
-        + CHAIN_RTOL * max(1.0, abs(links[i][1]), abs(links[i + 1][1]))
-        for i in range(len(links) - 1)
-    )
-    return ChainResult(chain_name=name, links=tuple(links), holds=holds)
+# A chain: w-power <= refined bound (in mode) <= classical bound (in its
+# first mode), each bound read at its map of the chain's params.
+ChainSpec = namedtuple("ChainSpec", "refined mode refined_params classical classical_params")
+
+
+def _set(**fixed):
+    return lambda params: replace(params, **fixed)
+
+
+# th2_aldolat fixes r = 1 and th3_elhaddad alpha = 1/2, the values the
+# corollaries are stated for.
+CHAINS: dict[str, ChainSpec] = {
+    "th2_dragomir": ChainSpec("th2", MODE_INEQUALITY, lambda p: p,
+                              "dragomir", lambda p: replace(p, r=2.0 * p.r)),
+    "th2_aldolat": ChainSpec("th2", MODE_INEQUALITY, _set(r=1.0), "al_dolat", _set(r=1.0)),
+    "th3_elhaddad": ChainSpec("th3", MODE_INEQUALITY, _set(alpha=0.5), "el_haddad", _set(r=1.0)),
+    "th4_elhaddad": ChainSpec("th4", MODE_CERTIFICATE, lambda p: p, "el_haddad", _set(r=2.0)),
+    "th5_elhaddad": ChainSpec("th5", MODE_INEQUALITY, lambda p: p, "el_haddad", _set(r=2.0)),
+    "bomi_elhaddad": ChainSpec("cor_bomi", MODE_CERTIFICATE, lambda p: p, "el_haddad", _set(r=2.0)),
+}
+
+CHAIN_IDS = tuple(CHAINS)
+PRODUCT_CHAINS = tuple(c for c, ch in CHAINS.items() if CATALOG[ch.refined].product)
 
 
 def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     """One corollary chain: (w-power, refined bound, classical bound).
 
     Product chains (th2_dragomir, th2_aldolat) read ``s`` and pair the matrix
-    with itself when s is None. th2_aldolat fixes r = 1 and th3_elhaddad
-    fixes alpha = 1/2, the values the corollaries are stated for.
+    with itself when s is None.
     """
-    if chain_id not in CHAIN_IDS:
+    if chain_id not in CHAINS:
         raise UnknownChainError(f"unknown chain {chain_id!r}; catalog: {CHAIN_IDS}")
-    lam = _positive_lam(params.lam)
-
-    if chain_id in PRODUCT_CHAINS:
-        pt = pair_terms(t, t if s is None else s)
-        if chain_id == "th2_dragomir":
-            r = _check_r(params.r)
-            ev = _product_modes("th2", pt, params)[MODE_INEQUALITY]
-            return _chain(chain_id, [
-                ("w_power", pt.w_prod ** (2.0 * r)),
-                ("refined", float(ev.rhs(lam))),
-                ("classical", 0.5 * pt.norm_sum(4.0 * r)),
-            ])
-        # th2_aldolat: r = 1 by the corollary's statement
-        p1 = BoundParams(lam=lam, r=1.0)
-        th2_ev = _product_modes("th2", pt, p1)[MODE_INEQUALITY]
-        ald_ev = _product_modes("al_dolat", pt, p1)[MODE_INEQUALITY]
-        return _chain(chain_id, [
-            ("w_power", pt.w_prod**2),
-            ("refined", float(th2_ev.rhs(lam))),
-            ("classical", float(ald_ev.rhs(lam))),
-        ])
-
-    mt = matrix_terms(t)
-    if chain_id == "th3_elhaddad":
-        ev = _single_modes("th3", mt, BoundParams(lam=lam, alpha=0.5))[MODE_INEQUALITY]
-        return _chain(chain_id, [
-            ("w_power", mt.w**2),
-            ("refined", float(ev.rhs(lam))),
-            ("classical", 0.5 * mt.norm_sum(2.0, 2.0)),
-        ])
-    if chain_id == "th4_elhaddad":
-        ev = _single_modes("th4", mt, params)[MODE_CERTIFICATE]
-        return _chain(chain_id, [
-            ("w_power", mt.w**4),
-            ("refined", float(ev.rhs(lam))),
-            ("classical", 0.5 * mt.norm_sum(4.0, 4.0)),
-        ])
-    if chain_id == "th5_elhaddad":
-        ev = _single_modes("th5", mt, params)[MODE_INEQUALITY]
-        return _chain(chain_id, [
-            ("w_power", mt.w**4),
-            ("refined", float(ev.rhs(lam))),
-            ("classical", 0.5 * mt.norm_sum(4.0, 4.0)),
-        ])
-    # bomi_elhaddad
-    ev = _single_modes("cor_bomi", mt, params)[MODE_CERTIFICATE]
-    return _chain(chain_id, [
-        ("w_power", mt.w**4),
-        ("refined", float(ev.rhs(lam))),
-        ("classical", 0.5 * mt.norm_sum(4.0, 4.0)),
-    ])
+    ch = CHAINS[chain_id]
+    refined = evaluate_bound(ch.refined, t, s, ch.refined_params(params), mode=ch.mode)[0]
+    classical = evaluate_bound(ch.classical, t, s, ch.classical_params(params))[0]
+    links = (("w_power", refined.w_power_value), ("refined", refined.rhs_value),
+             ("classical", classical.rhs_value))
+    holds = all(
+        links[i][1] <= links[i + 1][1]
+        + CHAIN_RTOL * max(1.0, abs(links[i][1]), abs(links[i + 1][1]))
+        for i in range(len(links) - 1)
+    )
+    return ChainResult(chain_name=chain_id, links=links, holds=holds)

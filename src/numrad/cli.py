@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--alpha", type=float, default=0.5)
     p_verify.add_argument("--out", required=True)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--parallel", action="store_true")
 
     p_bound = sub.add_parser("bound", help="evaluate one bound on a matrix file")
     p_bound.add_argument("--matrix", required=True)
@@ -101,7 +100,7 @@ def _cmd_verify(args) -> int:
                             trials=args.trials, seed=args.seed)
     report = run_suite(config, bounds=args.bounds, chains=args.chains,
                        lambda_grid=args.lambda_grid, r=args.r, n=args.n,
-                       alpha=args.alpha, parallel=args.parallel)
+                       alpha=args.alpha)
     emit_report(report, args.format, args.out)
     print(f"{report.violations} violation(s) in {len(report.bound_rows)} bound rows "
           f"and {len(report.chain_rows)} chain rows -> {args.out}")

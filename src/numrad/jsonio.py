@@ -8,6 +8,7 @@ digits, enough for a double to round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -15,7 +16,9 @@ from .linalg import as_matrix, as_vector
 
 
 def fmt_float(x: float) -> str:
-    """Render a float with up to 17 significant digits."""
+    """Render a finite float with up to 17 significant digits (JSON has no NaN)."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot render non-finite float {x}")
     return format(float(x), ".17g")
 
 

@@ -124,39 +124,45 @@ def _clamped_psd_eigen(a: np.ndarray, herm_tol: float = 1e-10) -> EigenDecomposi
     return EigenDecomposition(np.maximum(vals, 0.0), dec.eigenvectors)
 
 
+class PSDPower:
+    """Spectral powers A^q, q >= 0, of one PSD Hermitian matrix A, from one
+    clamped eigendecomposition and cached per q. A^0 is the full identity,
+    clamped zeros included."""
+
+    def __init__(self, a: np.ndarray):
+        self.eigen = _clamped_psd_eigen(a)
+        self._pows: dict[float, np.ndarray] = {}
+
+    def power(self, q: float) -> np.ndarray:
+        if q < 0:
+            raise ValueError("exponent must be >= 0")
+        if q not in self._pows:
+            v = self.eigen.eigenvectors
+            if q == 0:
+                self._pows[q] = np.eye(v.shape[0], dtype=np.complex128)
+            else:
+                r = (v * self.eigen.eigenvalues ** q) @ v.conj().T
+                self._pows[q] = (r + r.conj().T) / 2.0
+        return self._pows[q]
+
+
 def abs_value(m) -> np.ndarray:
     """Positive-semidefinite square root of M*M (the matrix absolute value)."""
     return abs_power(m, 1.0)
 
 
 def abs_power(m, p: float) -> np.ndarray:
-    """|M|^p for p >= 0, from a single eigendecomposition of M*M."""
+    """|M|^p = (M*M)^(p/2) for p >= 0."""
     a = as_matrix(m)
-    if p < 0:
-        raise ValueError("exponent must be >= 0")
-    if p == 0:
-        return np.eye(a.shape[0], dtype=np.complex128)
-    dec = _clamped_psd_eigen(a.conj().T @ a)
-    v = dec.eigenvectors
-    r = (v * dec.eigenvalues ** (p / 2.0)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    return PSDPower(a.conj().T @ a).power(p / 2.0)
 
 
 def matrix_power_psd(a, p: float) -> np.ndarray:
     """Spectral power A^p of a PSD Hermitian matrix, p >= 0.
 
-    Negative-roundoff eigenvalues are clamped to 0 before powering. p = 0 maps
-    every eigenvalue (clamped zeros included) to 1, i.e. the full identity.
+    Negative-roundoff eigenvalues are clamped to 0 before powering.
     """
-    mat = as_matrix(a)
-    if p < 0:
-        raise ValueError("exponent must be >= 0")
-    if p == 0:
-        return np.eye(mat.shape[0], dtype=np.complex128)
-    dec = _clamped_psd_eigen(mat)
-    v = dec.eigenvectors
-    r = (v * dec.eigenvalues**p) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    return PSDPower(as_matrix(a)).power(p)
 
 
 def operator_norm(m) -> float:

@@ -76,6 +76,15 @@ def _require_positive(lam: float) -> float:
     return lam
 
 
+def binomial_order(n: int) -> int:
+    """n as an int, for the binomial-order forms; n > 15 is refused."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+    if n > 15:
+        raise OverflowError("n > 15 not supported (binomial exactness cap)")
+    return int(n)
+
+
 def _require_unit(e: np.ndarray) -> np.ndarray:
     if abs(np.linalg.norm(e) - 1.0) > 1e-12:
         raise NotUnitVectorError(f"|e| = {np.linalg.norm(e)} is not 1 within 1e-12")
@@ -164,11 +173,7 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
     Binomial coefficients are exact integers; n > 15 is refused.
     """
     lam = _require_positive(lam)
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if n > 15:
-        raise OverflowError("n > 15 not supported (binomial exactness cap)")
-    n = int(n)
+    n = binomial_order(n)
     x, y, e = as_vector(x), as_vector(y), as_vector(e)
     same_dim(x, y, e)
     _require_unit(e)

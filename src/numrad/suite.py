@@ -6,8 +6,7 @@ and collects the outcome per row. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
 Product bounds pair trial 2k with 2k+1; an odd trailing matrix is paired
-with itself. Rows are ordered by (trial, bound, lambda, mode), so parallel
-and serial execution produce identical reports.
+with itself. Rows are ordered by (trial, bound, lambda, mode).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import jsonio
@@ -108,7 +106,7 @@ def _bound_rows_for(trial: int, bound: str, t, s, lambda_grid, r, n, alpha) -> l
 
 def run_suite(config: EnsembleConfig, bounds=None, chains=None,
               lambda_grid=DEFAULT_LAMBDA_GRID, r: float = 1.0, n: int = 1,
-              alpha: float = 0.5, parallel: bool = False) -> SuiteReport:
+              alpha: float = 0.5) -> SuiteReport:
     """Evaluate the requested bounds and chains over one ensemble."""
     bounds = tuple(ALL_BOUNDS) if bounds is None else tuple(bounds)
     chains = tuple(CHAIN_IDS) if chains is None else tuple(chains)
@@ -121,53 +119,20 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     lambda_grid = tuple(float(x) for x in lambda_grid)
 
     matrices = generate_ensemble(config)
-    single_bounds = [b for b in bounds if b not in PRODUCT_BOUNDS]
-    product_bounds = [b for b in bounds if b in PRODUCT_BOUNDS]
-    single_chains = [c for c in chains if c not in PRODUCT_CHAINS]
-    product_chains = [c for c in chains if c in PRODUCT_CHAINS]
-    pairs = [(i, min(i + 1, config.trials - 1)) for i in range(0, config.trials, 2)]
     chain_params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-
-    def work_single(trial: int):
-        t = matrices[trial]
-        brows, crows = [], []
-        for b in single_bounds:
-            brows.extend(_bound_rows_for(trial, b, t, None, lambda_grid, r, n, alpha))
-        for c in single_chains:
-            crows.append(ChainRow(trial, c, refinement_chain(t, None, c, chain_params).holds))
-        return brows, crows
-
-    def work_pair(pair: tuple[int, int]):
-        i, j = pair
-        t, s = matrices[i], matrices[j]
-        brows, crows = [], []
-        for b in product_bounds:
-            brows.extend(_bound_rows_for(i, b, t, s, lambda_grid, r, n, alpha))
-        for c in product_chains:
-            crows.append(ChainRow(i, c, refinement_chain(t, s, c, chain_params).holds))
-        return brows, crows
-
-    units = []
-    if single_bounds or single_chains:
-        units.extend(("single", i) for i in range(config.trials))
-    if product_bounds or product_chains:
-        units.extend(("pair", p) for p in pairs)
-
-    def run_unit(unit):
-        kind, arg = unit
-        return work_single(arg) if kind == "single" else work_pair(arg)
-
-    if parallel and len(units) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run_unit, units))
-    else:
-        results = [run_unit(u) for u in units]
-
     bound_rows: list[BoundRow] = []
     chain_rows: list[ChainRow] = []
-    for brows, crows in results:
-        bound_rows.extend(brows)
-        chain_rows.extend(crows)
+    # Single-matrix work first, trial by trial, then the pairs (2k, 2k+1).
+    units = [(i, None, False) for i in range(config.trials)]
+    units += [(i, min(i + 1, config.trials - 1), True) for i in range(0, config.trials, 2)]
+    for i, j, product in units:
+        t, s = matrices[i], None if j is None else matrices[j]
+        for b in bounds:
+            if (b in PRODUCT_BOUNDS) == product:
+                bound_rows.extend(_bound_rows_for(i, b, t, s, lambda_grid, r, n, alpha))
+        for c in chains:
+            if (c in PRODUCT_CHAINS) == product:
+                chain_rows.append(ChainRow(i, c, refinement_chain(t, s, c, chain_params).holds))
     bound_rows.sort(key=lambda row: (row.trial, row.bound,
                                      float("-inf") if row.lam is None else row.lam,
                                      row.mode))

@@ -202,6 +202,12 @@ class TestTheoremBounds:
         with pytest.raises(OverflowError):
             bound_th6(J, 16, 1.0)
 
+    @pytest.mark.parametrize("scale", [2e5, 1e6])
+    def test_th6_non_finite_sides_raise(self, scale):
+        # n = 15: || |T|^60 + |T*|^60 || leaves the double range, and at 1e6 so does w^60
+        with pytest.raises(OverflowError, match="th6.*n=15"):
+            bound_th6(scale * J, 15, 1.0)
+
     def test_cor_bomi_jordan(self):
         res = bound_cor_bomi(J, 1.0)
         assert res.rhs_value == pytest.approx(3.0 / 16.0)
@@ -386,6 +392,35 @@ class TestChains:
             for lam in (0.3, 1.0, 5.0):
                 ch = refinement_chain(t, s, chain_id, BoundParams(lam=lam))
                 assert ch.holds, (chain_id, lam, ch.links)
+
+    @pytest.mark.parametrize("chain_id", CHAIN_IDS)
+    def test_links_are_the_declared_bounds(self, chain_id):
+        # (refined bound, mode, params), (classical bound, mode, params) as
+        # the corollaries state them, for params lam = 0.7, r = 1.5, alpha = 0.3
+        lam, r = 0.7, 1.5
+        declared = {
+            "th2_dragomir": (("th2", MODE_INEQUALITY, BoundParams(lam, r=r)),
+                             ("dragomir", MODE_CERTIFICATE, BoundParams(lam, r=2 * r))),
+            "th2_aldolat": (("th2", MODE_INEQUALITY, BoundParams(lam)),
+                            ("al_dolat", MODE_INEQUALITY, BoundParams(lam))),
+            "th3_elhaddad": (("th3", MODE_INEQUALITY, BoundParams(lam, alpha=0.5)),
+                             ("el_haddad", MODE_CERTIFICATE, BoundParams(lam))),
+            "th4_elhaddad": (("th4", MODE_CERTIFICATE, BoundParams(lam)),
+                             ("el_haddad", MODE_CERTIFICATE, BoundParams(lam, r=2.0))),
+            "th5_elhaddad": (("th5", MODE_INEQUALITY, BoundParams(lam)),
+                             ("el_haddad", MODE_CERTIFICATE, BoundParams(lam, r=2.0))),
+            "bomi_elhaddad": (("cor_bomi", MODE_CERTIFICATE, BoundParams(lam)),
+                              ("el_haddad", MODE_CERTIFICATE, BoundParams(lam, r=2.0))),
+        }
+        rng = np.random.default_rng(78)
+        t, s = ginibre(rng, 3), ginibre(rng, 3)
+        (rb, rm, rp), (cb, cm, cp) = declared[chain_id]
+        refined = evaluate_bound(rb, t, s, rp, mode=rm)[0]
+        classical = evaluate_bound(cb, t, s, cp, mode=cm)[0]
+        ch = refinement_chain(t, s, chain_id, BoundParams(lam, r=r, alpha=0.3))
+        assert dict(ch.links) == {"w_power": refined.w_power_value,
+                                  "refined": refined.rhs_value,
+                                  "classical": classical.rhs_value}
 
     def test_unknown_chain(self):
         with pytest.raises(UnknownChainError):

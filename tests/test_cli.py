@@ -136,6 +136,14 @@ def test_unknown_bound_exits_two(jordan_file, capsys):
     assert code == 2
 
 
+def test_bound_overflow_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    jsonio.save_matrix(1e6 * J, path)
+    code = cli.main(["bound", "--matrix", str(path), "--bound", "th6", "--n", "15"])
+    assert code == 2
+    assert "th6" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--ensemble", "not-an-ensemble", "--dim", "3",

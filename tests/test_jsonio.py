@@ -42,6 +42,14 @@ def test_fmt_float_17_digits():
     assert jsonio.fmt_float(0.5) == "0.5"
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_fmt_float_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        jsonio.fmt_float(x)
+    with pytest.raises(ValueError):
+        jsonio.dumps({"a": x})
+
+
 def test_dumps_is_valid_json_and_deterministic():
     obj = {"a": 1, "b": [0.1, True, None, "x"], "c": {"d": 1e-300}}
     text = jsonio.dumps(obj)

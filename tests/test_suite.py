@@ -86,13 +86,6 @@ def test_json_round_trip_and_determinism():
     assert report_from_json(text_a) == rep_a
 
 
-def test_parallel_equals_serial():
-    cfg = EnsembleConfig("ginibre", 3, 6, 11)
-    serial = run_suite(cfg, parallel=False)
-    parallel = run_suite(cfg, parallel=True)
-    assert report_to_json(serial) == report_to_json(parallel)
-
-
 def test_csv_shape(tmp_path):
     cfg = EnsembleConfig("gue", 3, 2, 3)
     rep = run_suite(cfg, bounds=["kittaneh", "th4"], chains=[], lambda_grid=(1.0, 2.0))
