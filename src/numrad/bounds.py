@@ -35,7 +35,7 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import PSDPower, adjoint, as_matrix, numerical_radius
+from .linalg import _INVPHI, PSDPower, abs_powers, adjoint, as_matrix, numerical_radius
 from .scalar_ineq import BoundParams, binomial_order
 
 RADIUS_TOL = 1e-10
@@ -44,8 +44,6 @@ CHAIN_RTOL = 1e-9
 
 MODE_INEQUALITY = "inequality-check"
 MODE_CERTIFICATE = "explicit-certificate"
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,11 @@ def _herm_norm(x: np.ndarray) -> float:
     return float(max(-ev[0], ev[-1]))
 
 
-def _where_finite(f, x: np.ndarray) -> float:
-    """f(x), or inf when x holds a value past the double range."""
+def _where_finite(f, build) -> float:
+    """f(build()), or inf when the built matrix holds a value past the double
+    range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = build()
     return f(x) if np.isfinite(x).all() else math.inf
 
 
@@ -147,9 +148,8 @@ class _Terms:
     """Engine quantities built from two power families A^p and B^p of PSD
     matrices, computed lazily and cached."""
 
-    def __init__(self, a_gram: np.ndarray, b_gram: np.ndarray):
-        self._a = PSDPower(a_gram)  # A^p = (a_gram)^(p/2)
-        self._b = PSDPower(b_gram)
+    def __init__(self, a: PSDPower, b: PSDPower):
+        self._a, self._b = a, b
         self._cache: dict = {}
 
     def _memo(self, key, fn):
@@ -161,21 +161,22 @@ class _Terms:
         """|| A^p_a + B^p_b ||, with p_b = p_a by default."""
         p_b = p_a if p_b is None else p_b
         return self._memo(("ns", p_a, p_b), lambda: _where_finite(
-            _herm_norm, self._a.power(p_a / 2.0) + self._b.power(p_b / 2.0)))
+            _herm_norm, lambda: self._a.power(p_a) + self._b.power(p_b)))
 
     def w_cross(self, p_b: float, p_a: float | None = None) -> float:
         """w(B^p_b A^p_a), with p_a = p_b by default."""
         p_a = p_b if p_a is None else p_a
         return self._memo(("wc", p_b, p_a), lambda: _where_finite(
             lambda m: numerical_radius(m, RADIUS_TOL),
-            self._b.power(p_b / 2.0) @ self._a.power(p_a / 2.0)))
+            lambda: self._b.power(p_b) @ self._a.power(p_a)))
 
 
 class MatrixTerms(_Terms):
-    """Engine quantities for one matrix T, with A = |T| and B = |T*|."""
+    """Engine quantities for one matrix T, with A = |T| and B = |T*| from one
+    SVD of T."""
 
     def __init__(self, t: np.ndarray):
-        super().__init__(t.conj().T @ t, t @ t.conj().T)
+        super().__init__(*abs_powers(t))
         self.t = t
 
     @property
@@ -184,7 +185,7 @@ class MatrixTerms(_Terms):
 
     @property
     def op_norm(self) -> float:
-        return math.sqrt(float(self._a.eigen.eigenvalues[-1]))
+        return float(self._a.values[0])  # sigma_1: SVD values descend
 
     @property
     def w_square(self) -> float:
@@ -196,7 +197,7 @@ class PairTerms(_Terms):
     """Engine quantities for the pair (T, S) of a product bound: A = |T|, B = |S|."""
 
     def __init__(self, t: np.ndarray, s: np.ndarray):
-        super().__init__(t.conj().T @ t, s.conj().T @ s)
+        super().__init__(abs_powers(t)[0], abs_powers(s)[0])
         self.t, self.s = t, s
 
     @property
@@ -420,10 +421,15 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
     paired with itself.
     """
     params = params if params is not None else BoundParams(lam=1.0)
-    bound = _spec(name)
+    return _evaluate(name, _terms_for(_spec(name), t, s), params, mode)
+
+
+def _evaluate(name: str, terms, params: BoundParams,
+              mode: str | None = None) -> tuple[BoundResult, ...]:
+    """evaluate_bound on the terms of validated input, of the bound's kind."""
+    bound = CATALOG[name]
     if bound.lam == LAM_POSITIVE and not params.lam > 0:
         raise ValueError(f"lam must be finite and > 0, got {float(params.lam)}")
-    terms = _terms_for(bound, t, s)
     p = bound.exponent(params)
     if mode is not None and mode not in bound.modes:
         raise ValueError(f"bound {name!r} has no mode {mode!r}")
@@ -581,8 +587,10 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     if chain_id not in CHAINS:
         raise UnknownChainError(f"unknown chain {chain_id!r}; catalog: {CHAIN_IDS}")
     ch = CHAINS[chain_id]
-    refined = evaluate_bound(ch.refined, t, s, ch.refined_params(params), mode=ch.mode)[0]
-    classical = evaluate_bound(ch.classical, t, s, ch.classical_params(params))[0]
+    # Both bounds of a chain are of one kind, single or product: one lookup.
+    terms = _terms_for(CATALOG[ch.refined], t, s)
+    refined = _evaluate(ch.refined, terms, ch.refined_params(params), ch.mode)[0]
+    classical = _evaluate(ch.classical, terms, ch.classical_params(params))[0]
     links = (("w_power", refined.w_power_value), ("refined", refined.rhs_value),
              ("classical", classical.rhs_value))
     holds = all(

@@ -108,42 +108,55 @@ def hermitian_eigen(m) -> EigenDecomposition:
     return dec
 
 
-def _clamped_psd_eigen(a: np.ndarray, herm_tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a PSD Hermitian matrix with roundoff clamped to 0.
-
-    Eigenvalues below -1e-8 * ||a|| signal genuine indefiniteness -> NotPSDError.
-    """
-    fro = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > herm_tol * max(1.0, fro):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    dec = hermitian_eigen((a + a.conj().T) / 2.0)
-    vals = dec.eigenvalues
-    norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vals[0] < -1e-8 * norm:
-        raise NotPSDError(f"eigenvalue {vals[0]} below -1e-8 * norm {norm}")
-    return EigenDecomposition(np.maximum(vals, 0.0), dec.eigenvectors)
-
-
 class PSDPower:
-    """Spectral powers A^q, q >= 0, of one PSD Hermitian matrix A, from one
-    clamped eigendecomposition and cached per q. A^0 is the full identity,
-    clamped zeros included."""
+    """Spectral powers V diag(s^q) V*, q >= 0, of the PSD matrix V diag(s) V*
+    given by orthonormal columns V and values s >= 0, cached per q. The power
+    of 0 is the full identity, zero values included."""
 
-    def __init__(self, a: np.ndarray):
-        self.eigen = _clamped_psd_eigen(a)
+    def __init__(self, vectors: np.ndarray, values: np.ndarray):
+        self.vectors = vectors
+        self.values = values
         self._pows: dict[float, np.ndarray] = {}
 
     def power(self, q: float) -> np.ndarray:
+        """The q-th power; entries past the double range come out inf or NaN."""
         if q < 0:
             raise ValueError("exponent must be >= 0")
         if q not in self._pows:
-            v = self.eigen.eigenvectors
+            v = self.vectors
             if q == 0:
                 self._pows[q] = np.eye(v.shape[0], dtype=np.complex128)
             else:
-                r = (v * self.eigen.eigenvalues ** q) @ v.conj().T
-                self._pows[q] = (r + r.conj().T) / 2.0
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r = (v * self.values ** q) @ v.conj().T
+                    self._pows[q] = (r + r.conj().T) / 2.0
         return self._pows[q]
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked SVD a = U diag(s) Vh, s descending.
+
+    Raises NoConvergenceError if the LAPACK solver fails or the reconstruction
+    residual exceeds 1e-10 relative to max(1, s_1); the residual is scaled
+    before its norm is taken, so inputs near the double range do not overflow.
+    """
+    try:
+        u, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"SVD failed: {exc}") from exc
+    if not np.isfinite(s[0]):
+        raise OverflowError("operator norm leaves the double range")
+    scale = max(1.0, float(s[0]))
+    if not np.linalg.norm((u * (s / scale)) @ vh - a / scale) <= 1e-10:
+        raise NoConvergenceError("SVD residual above 1e-10 relative")
+    return u, s, vh
+
+
+def abs_powers(m) -> tuple[PSDPower, PSDPower]:
+    """Powers of |M| and of |M*| from one SVD M = U S V*:
+    |M|^p = V S^p V* and |M*|^p = U S^p U*."""
+    u, s, vh = _svd(as_matrix(m))
+    return PSDPower(vh.conj().T, s), PSDPower(u, s)
 
 
 def abs_value(m) -> np.ndarray:
@@ -153,23 +166,30 @@ def abs_value(m) -> np.ndarray:
 
 def abs_power(m, p: float) -> np.ndarray:
     """|M|^p = (M*M)^(p/2) for p >= 0."""
-    a = as_matrix(m)
-    return PSDPower(a.conj().T @ a).power(p / 2.0)
+    return abs_powers(m)[0].power(p)
 
 
 def matrix_power_psd(a, p: float) -> np.ndarray:
     """Spectral power A^p of a PSD Hermitian matrix, p >= 0.
 
-    Negative-roundoff eigenvalues are clamped to 0 before powering.
+    A must be Hermitian within 1e-10 relative. Negative-roundoff eigenvalues
+    are clamped to 0 before powering; one below -1e-8 * ||A|| signals genuine
+    indefiniteness and raises NotPSDError.
     """
-    return PSDPower(as_matrix(a)).power(p)
+    a = as_matrix(a)
+    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(1.0, np.linalg.norm(a)):
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    dec = hermitian_eigen((a + a.conj().T) / 2.0)
+    vals = dec.eigenvalues
+    norm = float(np.max(np.abs(vals)))
+    if vals[0] < -1e-8 * norm:
+        raise NotPSDError(f"eigenvalue {vals[0]} below -1e-8 * norm {norm}")
+    return PSDPower(dec.eigenvectors, np.maximum(vals, 0.0)).power(p)
 
 
 def operator_norm(m) -> float:
-    """Largest singular value, sqrt(lambda_max(M*M))."""
-    a = as_matrix(m)
-    dec = _clamped_psd_eigen(a.conj().T @ a)
-    return float(np.sqrt(dec.eigenvalues[-1]))
+    """Largest singular value."""
+    return float(_svd(as_matrix(m))[1][0])
 
 
 def _theta_sweep_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotUnitVectorError, UnknownFunctionError
+from .errors import UnknownFunctionError
 from .linalg import (
-    abs_power,
+    abs_powers,
     as_matrix,
     as_vector,
     hermitian_eigen,
@@ -22,7 +22,7 @@ from .linalg import (
     operator_norm,
     same_dim,
 )
-from .scalar_ineq import InequalityRecord
+from .scalar_ineq import InequalityRecord, require_unit
 
 CONVEX_FUNCTIONS = {
     "square": np.square,
@@ -32,18 +32,12 @@ CONVEX_FUNCTIONS = {
 }
 
 
-def _require_unit(x: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"|x| = {np.linalg.norm(x)} is not 1 within 1e-12")
-    return x
-
-
 def mccarthy_check(t, x, r: float) -> InequalityRecord:
     """<Tx,x>^r <= <T^r x, x> for PSD T, unit x, r >= 1."""
     if r < 1:
         raise ValueError("r must be >= 1")
     t = as_matrix(t)
-    x = _require_unit(as_vector(x))
+    x = require_unit(as_vector(x))
     same_dim(t, x)
     t_pow = matrix_power_psd(t, r)  # validates PSD Hermitian
     q = max(0.0, np.real(inner(t @ x, x)))
@@ -71,8 +65,9 @@ def mixed_schwarz_check(t, x, y, alpha: float) -> InequalityRecord:
     x, y = as_vector(x), as_vector(y)
     same_dim(t, x, y)
     lhs = abs(inner(t @ x, y))
-    gx = abs_power(t, alpha) @ x
-    hy = abs_power(t.conj().T, 1.0 - alpha) @ y
+    abs_t, abs_t_adj = abs_powers(t)
+    gx = abs_t.power(alpha) @ x
+    hy = abs_t_adj.power(1.0 - alpha) @ y
     rhs = float(np.linalg.norm(gx) * np.linalg.norm(hy))
     return InequalityRecord.from_sides("mixed_schwarz", lhs, rhs)
 
@@ -86,7 +81,7 @@ def jensen_operator_check(t, x, h_id: str) -> InequalityRecord:
         raise UnknownFunctionError(f"unknown function {h_id!r}; choose from {sorted(CONVEX_FUNCTIONS)}")
     h = CONVEX_FUNCTIONS[h_id]
     t = as_matrix(t)
-    x = _require_unit(as_vector(x))
+    x = require_unit(as_vector(x))
     same_dim(t, x)
     dec = hermitian_eigen(t)  # raises NotHermitianError on bad input
     lhs = float(h(np.real(inner(t @ x, x))))

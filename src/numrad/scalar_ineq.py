@@ -85,10 +85,11 @@ def binomial_order(n: int) -> int:
     return int(n)
 
 
-def _require_unit(e: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"|e| = {np.linalg.norm(e)} is not 1 within 1e-12")
-    return e
+def require_unit(v: np.ndarray) -> np.ndarray:
+    """v, or NotUnitVectorError when its norm is not 1 within 1e-12."""
+    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        raise NotUnitVectorError(f"vector norm {np.linalg.norm(v)} is not 1 within 1e-12")
+    return v
 
 
 def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
@@ -124,7 +125,7 @@ def buzano(x, y, e) -> InequalityRecord:
     """|<x,e><e,y>| <= (|x||y| + |<x,y>|) / 2 for a unit vector e."""
     x, y, e = as_vector(x), as_vector(y), as_vector(e)
     same_dim(x, y, e)
-    _require_unit(e)
+    require_unit(e)
     lhs = abs(inner(x, e) * inner(e, y))
     rhs = 0.5 * (np.linalg.norm(x) * np.linalg.norm(y) + abs(inner(x, y)))
     return InequalityRecord.from_sides("buzano", lhs, float(rhs))
@@ -136,7 +137,7 @@ def buzano_refined(x, y, e, lam: float) -> InequalityRecord:
     lam = _require_positive(lam)
     x, y, e = as_vector(x), as_vector(y), as_vector(e)
     same_dim(x, y, e)
-    _require_unit(e)
+    require_unit(e)
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     ip = abs(inner(x, y))
     lhs = abs(inner(x, e) * inner(e, y)) ** 2
@@ -155,7 +156,7 @@ def buzano_refined_two(x, y, e, lam: float) -> InequalityRecord:
     lam = _require_positive(lam)
     x, y, e = as_vector(x), as_vector(y), as_vector(e)
     same_dim(x, y, e)
-    _require_unit(e)
+    require_unit(e)
     s = np.linalg.norm(x) * np.linalg.norm(y) + abs(inner(x, y))
     b = abs(inner(x, e) * inner(e, y))
     lhs = b**2
@@ -176,7 +177,7 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
     n = binomial_order(n)
     x, y, e = as_vector(x), as_vector(y), as_vector(e)
     same_dim(x, y, e)
-    _require_unit(e)
+    require_unit(e)
     nxny = float(np.linalg.norm(x) * np.linalg.norm(y))
     ip = abs(inner(x, y))
     lhs = abs(inner(x, e) * inner(e, y)) ** (2 * n)

@@ -111,6 +111,18 @@ class TestClassicalBounds:
         res = bound_classical(J, "op_norm")
         assert res.rhs_value == pytest.approx(1.0)
 
+    def test_kittaneh_rank_one_closed_form(self):
+        # T = xy*: |T| + |T*| = |x||y| (P_y + P_x) for the rank-one projections
+        # onto y and x, so ||T| + |T*||/2 = (|x||y| + |<x,y>|)/2
+        rng = np.random.default_rng(21)
+        for k in range(20):
+            n = 2 + k % 7
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            exact = 0.5 * (np.linalg.norm(x) * np.linalg.norm(y) + abs(np.vdot(y, x)))
+            rhs = bound_classical(np.outer(x, y.conj()), "kittaneh").rhs_value
+            assert rhs == pytest.approx(exact, rel=1e-12)
+
     def test_bhunia_jordan(self):
         # w(|J||J*|) = w(0) = 0
         res = bound_classical(J, "bhunia")
@@ -207,6 +219,19 @@ class TestTheoremBounds:
         # n = 15: || |T|^60 + |T*|^60 || leaves the double range, and at 1e6 so does w^60
         with pytest.raises(OverflowError, match="th6.*n=15"):
             bound_th6(scale * J, 15, 1.0)
+
+    def test_th6_large_finite_terms(self):
+        # The engine takes w(|T*|^30 |T|^30) of a matrix with entries near
+        # 1e190, whose Gram matrix is past the double range; the bound comes
+        # out finite or overflows by name.
+        rng = np.random.default_rng(1)
+        g = 1e3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        try:
+            res = evaluate_bound("th6", g, params=BoundParams(lam=1, n=15))
+        except OverflowError as exc:
+            assert "th6" in str(exc)
+        else:
+            assert all(np.isfinite([r.rhs_value, r.w_power_value]).all() for r in res)
 
     def test_cor_bomi_jordan(self):
         res = bound_cor_bomi(J, 1.0)

@@ -16,7 +16,7 @@ from numrad import (
     numerical_radius_oracle,
     operator_norm,
 )
-from numrad.linalg import abs_power, as_matrix, as_vector, inner
+from numrad.linalg import abs_power, abs_powers, as_matrix, as_vector, inner
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -101,6 +101,14 @@ class TestAbsValue:
             assert np.linalg.norm(r @ r - gram) <= 1e-9 * max(1, np.linalg.norm(gram))
             assert np.min(np.linalg.eigvalsh(r)) >= -1e-12
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_adjoint_powers_from_one_svd(self, p):
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 5):
+            m = ginibre(rng, n)
+            _, abs_adj = abs_powers(m)
+            assert abs_adj.power(p) == pytest.approx(abs_power(m.conj().T, p), abs=1e-12)
+
 
 class TestMatrixPowerPsd:
     def test_diagonal_square_root(self):
@@ -145,6 +153,10 @@ class TestOperatorNorm:
 
     def test_zero(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
+
+    def test_past_gram_range(self):
+        # M*M would hold 1e320, past the double range
+        assert operator_norm([[0, 1e160], [0, 0]]) == 1e160
 
 
 class TestNumericalRadius:
@@ -196,6 +208,11 @@ class TestNumericalRadius:
             assert numerical_radius(c * m) == pytest.approx(abs(c) * w, rel=1e-9)
         for phi in (0.4, 1.9, 5.1):
             assert numerical_radius(np.exp(1j * phi) * m) == pytest.approx(w, rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e150, 1e200])
+    def test_homogeneity_at_extreme_scale(self, c):
+        m = ginibre(np.random.default_rng(12), 4)
+        assert numerical_radius(c * m) == pytest.approx(c * numerical_radius(m), rel=1e-12)
 
     def test_dominates_spectral_radius_normal(self):
         # normal matrix with known spectrum: w >= spectral radius
