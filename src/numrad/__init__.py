@@ -42,6 +42,7 @@ from .linalg import (
     hermitian_eigen,
     matrix_power_psd,
     numerical_radius,
+    numerical_radius_enclosure,
     numerical_radius_oracle,
     operator_norm,
 )

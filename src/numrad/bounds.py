@@ -38,7 +38,6 @@ from .errors import (
 from .linalg import _INVPHI, PSDPower, abs_powers, adjoint, as_matrix, numerical_radius
 from .scalar_ineq import BoundParams, binomial_order
 
-RADIUS_TOL = 1e-10
 HOLDS_RTOL = 1e-8
 CHAIN_RTOL = 1e-9
 
@@ -167,8 +166,7 @@ class _Terms:
         """w(B^p_b A^p_a), with p_a = p_b by default."""
         p_a = p_b if p_a is None else p_a
         return self._memo(("wc", p_b, p_a), lambda: _where_finite(
-            lambda m: numerical_radius(m, RADIUS_TOL),
-            lambda: self._b.power(p_b) @ self._a.power(p_a)))
+            numerical_radius, lambda: self._b.power(p_b) @ self._a.power(p_a)))
 
 
 class MatrixTerms(_Terms):
@@ -181,7 +179,7 @@ class MatrixTerms(_Terms):
 
     @property
     def w(self) -> float:
-        return self._memo("w", lambda: numerical_radius(self.t, RADIUS_TOL))
+        return self._memo("w", lambda: numerical_radius(self.t))
 
     @property
     def op_norm(self) -> float:
@@ -190,7 +188,7 @@ class MatrixTerms(_Terms):
     @property
     def w_square(self) -> float:
         """w(T^2)."""
-        return self._memo("w_sq", lambda: numerical_radius(self.t @ self.t, RADIUS_TOL))
+        return self._memo("w_sq", lambda: numerical_radius(self.t @ self.t))
 
 
 class PairTerms(_Terms):
@@ -203,7 +201,7 @@ class PairTerms(_Terms):
     @property
     def w_prod(self) -> float:
         """w(T*S); equal to w(S*T) since w is adjoint-invariant."""
-        return self._memo("wp", lambda: numerical_radius(adjoint(self.t) @ self.s, RADIUS_TOL))
+        return self._memo("wp", lambda: numerical_radius(adjoint(self.t) @ self.s))
 
 
 @lru_cache(maxsize=128)

@@ -4,7 +4,8 @@ Subcommands:
   verify    run a batch suite over a random ensemble and write a report
   bound     evaluate one catalog bound on a matrix file
   optimize  minimize a bound's right side over the free parameter
-  radius    numerical radius of a matrix file, optionally with the oracle
+  radius    enclosure of the numerical radius of a matrix file, optionally
+            with the oracle
 
 Exit status: 0 on success with zero violations, 1 when violations were
 found, 2 on usage or I/O errors.
@@ -27,7 +28,7 @@ from .bounds import (
 )
 from .ensembles import ENSEMBLES, EnsembleConfig
 from .errors import InvalidConfigError, UnknownBoundError, UnknownChainError
-from .linalg import numerical_radius, numerical_radius_oracle
+from .linalg import DEFAULT_RADIUS_TOL, numerical_radius_enclosure, numerical_radius_oracle
 from .scalar_ineq import BoundParams
 from .suite import DEFAULT_LAMBDA_GRID, emit_report, run_suite
 
@@ -88,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rad = sub.add_parser("radius", help="numerical radius of a matrix file")
     p_rad.add_argument("--matrix", required=True)
-    p_rad.add_argument("--tol", type=float, default=1e-10)
+    p_rad.add_argument("--tol", type=float, default=DEFAULT_RADIUS_TOL,
+                       help="relative gap (upper - radius) / upper of the enclosure "
+                            f"(default: {DEFAULT_RADIUS_TOL:g})")
     p_rad.add_argument("--oracle-samples", dest="oracle_samples", type=int, default=None)
     p_rad.add_argument("--seed", type=int, default=0)
 
@@ -151,7 +154,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_radius(args) -> int:
     t = jsonio.load_matrix(args.matrix)
-    out = {"radius": numerical_radius(t, args.tol), "tol": args.tol}
+    lo, hi = numerical_radius_enclosure(t, args.tol)
+    out = {"radius": lo, "upper": hi, "tol": args.tol}
     if args.oracle_samples is not None:
         out["oracle"] = numerical_radius_oracle(t, args.oracle_samples, args.seed)
         out["oracle_samples"] = args.oracle_samples

@@ -38,12 +38,18 @@ def vector_to_dict(v) -> dict:
     }
 
 
-def matrix_from_dict(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if dim < 1 or len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
-    flat = [complex(re, im) for re, im in entries]
+def matrix_from_dict(obj) -> np.ndarray:
+    """The matrix of a ``{"dim": n, "entries": [[re, im], ...]}`` object;
+    ValueError for any other JSON value."""
+    try:
+        dim = int(obj["dim"])
+        entries = obj["entries"]
+        if dim < 1 or len(entries) != dim * dim:
+            raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
+        flat = [complex(re, im) for re, im in entries]
+    except (KeyError, TypeError) as exc:
+        msg = 'expected a matrix object {"dim": n, "entries": [[re, im], ...]}'
+        raise ValueError(msg) from exc
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(dim, dim))
 
 

@@ -2,17 +2,21 @@
 
 Everything works on square complex matrices held as ``numpy`` arrays of
 ``complex128``. The numerical radius w(M) = sup_{|x|=1} |<Mx, x>| is
-computed by sweeping the rotated Hermitian part
+enclosed through the rotated Hermitian part
 
     H(theta) = (e^{i theta} M + e^{-i theta} M*) / 2,
 
-whose largest eigenvalue, maximized over theta in [0, 2pi), equals w(M).
-A sampling oracle (random unit vectors plus projected-gradient ascent)
-provides an independent lower bound for cross-checking the sweep.
+whose largest eigenvalue, maximized over theta in [0, 2pi), equals w(M):
+each angle gives a support line of the numerical range W(M), and the
+polygon they cut out bounds w(M) from above (C. R. Johnson, SIAM J. Numer.
+Anal. 1978; F. Uhlig, Numer. Algorithms 2009). A sampling oracle (random
+unit vectors plus projected-gradient ascent) provides an independent lower
+bound for cross-checking the engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +28,9 @@ from .errors import (
     NotPSDError,
 )
 
-GRID_ANGLES = 720
-DEFAULT_RADIUS_TOL = 1e-10
+DEFAULT_RADIUS_TOL = 1e-10  # relative gap (hi - lo) / hi of the enclosure
+MAX_LIVE_CELLS = 4096  # a near-disc guard: generic input keeps a few dozen
+_START_CELLS = 16
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -47,6 +52,24 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("vector entries must be finite")
     return a
+
+
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a / 2^e, e) with 2^e the power of two just above the largest real or
+    imaginary part of a (e = 0 for zero). The scaling is exact, so norms of
+    the scaled matrix neither overflow nor lose digits."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
+def _pow2_unscaled(x: float, e: int, what: str = "numerical radius") -> float:
+    """x * 2^e, or OverflowError naming ``what`` when that leaves the double
+    range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise OverflowError(f"{what} leaves the double range") from None
 
 
 def same_dim(*arrays: np.ndarray) -> int:
@@ -88,24 +111,40 @@ def hermitian_eigen(m) -> EigenDecomposition:
 
     The input must be Hermitian within 1e-12 relative Frobenius error. Raises
     NoConvergenceError if the LAPACK solver fails or the reconstruction
-    residual exceeds 1e-10 relative.
+    residual exceeds 1e-10 relative, and OverflowError if an eigenvalue
+    leaves the double range.
     """
-    a = as_matrix(m)
-    fro = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > 1e-12 * max(1.0, fro):
+    b, e = _pow2_scaled(as_matrix(m))  # exact, so the checks are scale-free
+    if np.linalg.norm(b - b.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b)):
         raise NotHermitianError("matrix is not Hermitian within 1e-12 relative")
-    h = (a + a.conj().T) / 2.0
+    vals, vecs = _checked_eigh((b + b.conj().T) / 2.0)
+    return EigenDecomposition(eigenvalues=_pow2_unscaled_values(vals, e), eigenvectors=vecs)
+
+
+def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the exactly Hermitian h.
+
+    Raises NoConvergenceError if the LAPACK solver fails, or if the
+    reconstruction residual or the departure of the eigenvectors from
+    unitarity exceeds 1e-10 relative to max(1, ||h||).
+    """
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-    dec = EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
     scale = max(1.0, np.linalg.norm(h))
-    if np.linalg.norm(dec.reconstruct() - h) > 1e-10 * scale:
+    if np.linalg.norm(EigenDecomposition(vals, vecs).reconstruct() - h) > 1e-10 * scale:
         raise NoConvergenceError("eigendecomposition residual above 1e-10 relative")
-    if np.linalg.norm(vecs.conj().T @ vecs - np.eye(a.shape[0])) > 1e-10 * scale:
+    if np.linalg.norm(vecs.conj().T @ vecs - np.eye(h.shape[0])) > 1e-10 * scale:
         raise NoConvergenceError("eigenvector basis not unitary within 1e-10")
-    return dec
+    return vals, vecs
+
+
+def _pow2_unscaled_values(vals: np.ndarray, e: int) -> np.ndarray:
+    """Ascending eigenvalues vals times 2^e, or OverflowError past the double
+    range."""
+    _pow2_unscaled(max(-vals[0], vals[-1]), e, "an eigenvalue")
+    return np.ldexp(vals, e)
 
 
 class PSDPower:
@@ -176,15 +215,15 @@ def matrix_power_psd(a, p: float) -> np.ndarray:
     are clamped to 0 before powering; one below -1e-8 * ||A|| signals genuine
     indefiniteness and raises NotPSDError.
     """
-    a = as_matrix(a)
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(1.0, np.linalg.norm(a)):
+    b, e = _pow2_scaled(as_matrix(a))  # exact, so the checks are scale-free
+    if np.linalg.norm(b - b.conj().T) > 1e-10 * max(1.0, np.linalg.norm(b)):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    dec = hermitian_eigen((a + a.conj().T) / 2.0)
-    vals = dec.eigenvalues
+    vals, vecs = _checked_eigh((b + b.conj().T) / 2.0)
+    vals = _pow2_unscaled_values(vals, e)
     norm = float(np.max(np.abs(vals)))
     if vals[0] < -1e-8 * norm:
         raise NotPSDError(f"eigenvalue {vals[0]} below -1e-8 * norm {norm}")
-    return PSDPower(dec.eigenvectors, np.maximum(vals, 0.0)).power(p)
+    return PSDPower(vecs, np.maximum(vals, 0.0)).power(p)
 
 
 def operator_norm(m) -> float:
@@ -192,69 +231,86 @@ def operator_norm(m) -> float:
     return float(_svd(as_matrix(m))[1][0])
 
 
-def _theta_sweep_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max((e^{i theta} M + e^{-i theta} M*)/2) for a batch of angles."""
-    ph = np.exp(1j * thetas)
-    h = 0.5 * (ph[:, None, None] * m + np.conj(ph)[:, None, None] * m.conj().T)
+def _theta_sweep_values(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """lambda_max(H(theta)) for a batch of angles, where M = re + i im with re
+    and im Hermitian, so H(theta) = cos(theta) re - sin(theta) im."""
+    h = np.cos(thetas)[:, None, None] * re - np.sin(thetas)[:, None, None] * im
     return np.linalg.eigvalsh(h)[:, -1]
 
 
-def numerical_radius(m, tol: float = DEFAULT_RADIUS_TOL) -> float:
-    """Numerical radius by theta-sweep: grid of GRID_ANGLES angles, then
-    golden-section refinement of every grid cell that could hold the maximum.
+def _rotation_invariant(a: np.ndarray) -> bool:
+    """Whether levels k exist with k_i - k_j = 1 wherever a_ij != 0 (so the
+    diagonal is zero). Then D a D* = e^{i phi} a for D = diag(e^{i phi k}),
+    so W(a) is a disc about 0: Jordan blocks, weighted shifts."""
+    level: dict[int, int] = {}
+    for root in range(a.shape[0]):
+        if root in level:
+            continue
+        level[root], todo = 0, [root]
+        while todo:
+            i = todo.pop()
+            for j, k in ([(j, level[i] - 1) for j in np.flatnonzero(a[i]).tolist()]
+                         + [(j, level[i] + 1) for j in np.flatnonzero(a[:, i]).tolist()]):
+                if j not in level:
+                    level[j] = k
+                    todo.append(j)
+                elif level[j] != k:
+                    return False
+    return True
 
-    ``tol`` is the terminal theta-interval width of the refinement. Cells are
-    pruned with the Lipschitz bound |d/dtheta lambda_max(H(theta))| <= ||M||,
-    which keeps pruning sound.
+
+def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL) -> tuple[float, float]:
+    """Enclosure lo <= w(M) <= hi from the support-line polygon of W(M).
+
+    f(theta) = lambda_max(H(theta)) supports W(M) in the direction
+    e^{-i theta} and w(M) = max f, so lo is the largest f seen. On a cell
+    [t0, t1], W(M) lies in the wedge of the support lines at t0 and t1, so
+    f <= |v| there for their corner v if -arg v lies in the cell, else
+    f <= max(f0, f1). Cells bounded by lo (1 + tol) are dropped, the others
+    split at -arg v (clipped to their middle 80%), one batched eigvalsh per
+    round, until none is left: hi - lo <= tol hi. Past MAX_LIVE_CELLS live
+    cells (W(M) near a disc) the bounds reached are returned.
     """
-    a = as_matrix(m)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not np.any(a):
-        return 0.0
-    lip = operator_norm(a)  # |d/dtheta lambda_max(H(theta))| <= ||M||
+    b, e = _pow2_scaled(as_matrix(m))  # exact, so w(2^k M) = 2^k w(M)
+    if not np.any(b):
+        return 0.0, 0.0
+    re, im = (b + b.conj().T) / 2.0, (b - b.conj().T) / 2j
+    if not np.any(np.diagonal(b)) and _rotation_invariant(b):  # f is constant
+        w = _pow2_unscaled(float(_theta_sweep_values(re, im, np.zeros(1))[0]), e)
+        return w, w
+    t0 = np.arange(_START_CELLS) * (2.0 * np.pi / _START_CELLS)
+    t1 = t0 + 2.0 * np.pi / _START_CELLS
+    f0 = _theta_sweep_values(re, im, t0)
+    f1 = np.append(f0[1:], f0[0])
+    lo, hi = float(f0.max()), 0.0
+    while True:
+        d = t1 - t0
+        # e^{i t0} v = f0 + i (f0 cos d - f1) / sin d, so -arg v = t0 + peak;
+        # |v| = top / cos(min(peak, d - peak)) <= top / cos(d/2) if peak is in
+        # [0, d], which falls to top, ending the split, once cos rounds to 1.
+        peak = np.arctan2(f1 - f0 * np.cos(d), f0 * np.sin(d))
+        top = np.maximum(f0, f1)
+        bound = top / np.cos(np.maximum(np.minimum(peak, d - peak), 0.0))
+        live = bound > lo * (1.0 + tol)
+        hi = max(hi, float(bound.max(initial=0.0, where=~live)))
+        n_live = np.count_nonzero(live)
+        if n_live == 0 or n_live > MAX_LIVE_CELLS:
+            break
+        t0, t1, f0, f1, d, peak = (x[live] for x in (t0, t1, f0, f1, d, peak))
+        mid = t0 + np.clip(peak, 0.1 * d, 0.9 * d)
+        fm = _theta_sweep_values(re, im, mid)
+        lo = max(lo, float(fm.max()))
+        t0, t1 = np.concatenate((t0, mid)), np.concatenate((mid, t1))
+        f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
+    hi = max(hi, lo, float(bound.max(initial=0.0, where=live)))
+    return _pow2_unscaled(lo, e), _pow2_unscaled(hi, e)
 
-    step = 2.0 * np.pi / GRID_ANGLES
-    thetas = np.arange(GRID_ANGLES) * step
-    g = _theta_sweep_values(a, thetas)
-    best = float(np.max(g))
-    eps = 1e-15 * max(1.0, abs(best))
 
-    # Tent upper bound per cell [theta_k, theta_{k+1}]; refine only cells that
-    # could still beat the best grid value.
-    cell_ub = 0.5 * (g + np.roll(g, -1)) + 0.5 * lip * step
-    idx = np.nonzero(cell_ub >= best - eps)[0]
-
-    # Lockstep golden-section maximization over all candidate cells at once:
-    # every cell starts with the same width, so the iteration count is shared
-    # and each step needs a single batched eigvalsh. Cells whose remaining
-    # interval cannot top the running best are dropped as it rises.
-    lo = thetas[idx]
-    hi = lo + step
-    c = hi - (hi - lo) * _INVPHI
-    d = lo + (hi - lo) * _INVPHI
-    fc = _theta_sweep_values(a, c)
-    fd = _theta_sweep_values(a, d)
-    width = step
-    while width > tol and len(lo):
-        best = max(best, float(np.max(fc)), float(np.max(fd)))
-        keep = np.maximum(fc, fd) + 0.5 * lip * width >= best - eps
-        if not np.all(keep):
-            lo, hi, c, d, fc, fd = lo[keep], hi[keep], c[keep], d[keep], fc[keep], fd[keep]
-            if not len(lo):
-                break
-        take_left = fc > fd
-        lo = np.where(take_left, lo, c)
-        hi = np.where(take_left, d, hi)
-        c = hi - (hi - lo) * _INVPHI
-        d = lo + (hi - lo) * _INVPHI
-        probe = np.where(take_left, c, d)
-        fp = _theta_sweep_values(a, probe)
-        fc, fd = np.where(take_left, fp, fd), np.where(take_left, fc, fp)
-        width *= _INVPHI
-    if len(lo):
-        best = max(best, float(np.max(fc)), float(np.max(fd)))
-    return best
+def numerical_radius(m, tol: float = DEFAULT_RADIUS_TOL) -> float:
+    """w(M): the lower end of ``numerical_radius_enclosure(m, tol)``."""
+    return numerical_radius_enclosure(m, tol)[0]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -267,15 +323,16 @@ def numerical_radius_oracle(m, samples: int, seed: int) -> float:
 
     Takes the best of ``samples`` random unit vectors, each improved by
     projected-gradient ascent of |<Mx, x>| on the unit sphere (100-step cap,
-    backtracking step size). Never exceeds the sweep engine beyond roundoff.
+    backtracking step size). Never exceeds the upper end of the engine's
+    enclosure beyond roundoff.
 
     A given seed fixes the start vectors and so the result. Different seeds
     draw different start vectors, but their results may coincide once the
     ascent reaches the maximiser.
     """
-    a = as_matrix(m)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    a, e = _pow2_scaled(as_matrix(m))  # exact, so the ascent is scale-free
     n = a.shape[0]
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
@@ -308,4 +365,4 @@ def numerical_radius_oracle(m, samples: int, seed: int) -> float:
             if not improved:
                 break
             best = max(best, val)
-    return best
+    return _pow2_unscaled(best, e)

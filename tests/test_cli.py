@@ -23,6 +23,7 @@ def test_radius(jordan_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["radius"] == pytest.approx(0.5, abs=1e-8)
+    assert out["radius"] <= out["upper"] <= out["radius"] * (1 + out["tol"])
 
 
 def test_radius_with_oracle(jordan_file, capsys):
@@ -155,3 +156,10 @@ def test_malformed_matrix_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["radius", "--matrix", str(bad)]) == 2
+
+
+def test_matrix_file_not_an_object_exits_two(tmp_path, capsys):
+    bad = tmp_path / "rows.json"
+    bad.write_text("[[0, 200000], [0, 0]]")
+    assert cli.main(["radius", "--matrix", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

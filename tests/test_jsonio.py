@@ -35,6 +35,13 @@ def test_entry_count_validation():
         jsonio.vector_from_dict({"dim": 0, "entries": []})
 
 
+@pytest.mark.parametrize("obj", [[[0, 200000], [0, 0]], {"dim": 2}, {"entries": []}, 3,
+                                 {"dim": 1, "entries": 5}, {"dim": 1, "entries": [7]}])
+def test_matrix_from_dict_rejects_other_json(obj):
+    with pytest.raises(ValueError):
+        jsonio.matrix_from_dict(obj)
+
+
 def test_fmt_float_17_digits():
     third = 1.0 / 3.0
     assert jsonio.fmt_float(third) == "0.33333333333333331"

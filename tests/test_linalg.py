@@ -1,7 +1,11 @@
 """Matrix-core tests: adjoint, eigen, powers, norms, and the radius engine."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numrad.linalg as linalg
 from numrad import (
@@ -13,6 +17,7 @@ from numrad import (
     hermitian_eigen,
     matrix_power_psd,
     numerical_radius,
+    numerical_radius_enclosure,
     numerical_radius_oracle,
     operator_norm,
 )
@@ -23,6 +28,22 @@ J = np.array([[0, 1], [0, 0]], dtype=complex)
 
 def ginibre(rng, n):
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(ginibre(rng, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))[None, :]
+
+
+def overlap(a, b, rel=1e-12):
+    """Whether the enclosures a = (lo, hi) and b share a point, up to
+    roundoff of ``rel`` relative."""
+    return a[0] <= b[1] * (1 + rel) and b[0] <= a[1] * (1 + rel)
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+sizes = st.integers(min_value=1, max_value=6)
 
 
 class TestValidation:
@@ -80,6 +101,13 @@ class TestHermitianEigen:
         with pytest.raises(NotHermitianError):
             hermitian_eigen(J)
 
+    def test_extreme_scale(self):
+        dec = hermitian_eigen(1e160 * np.eye(2))
+        assert np.array_equal(dec.eigenvalues, [1e160, 1e160])
+        assert np.array_equal(dec.reconstruct(), 1e160 * np.eye(2))
+        with pytest.raises(NotHermitianError):
+            hermitian_eigen(1e160 * J)
+
 
 class TestAbsValue:
     def test_jordan_block(self):
@@ -134,6 +162,11 @@ class TestMatrixPowerPsd:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             matrix_power_psd(J, 2.0)
+
+    def test_extreme_scale(self):
+        assert matrix_power_psd(1e160 * np.eye(2), 0.5) == pytest.approx(1e80 * np.eye(2))
+        with pytest.raises(NotHermitianError):
+            matrix_power_psd(1e160 * J, 0.5)
 
     def test_abs_power_matches_power_of_abs(self):
         rng = np.random.default_rng(9)
@@ -232,6 +265,116 @@ class TestNumericalRadius:
         rho = np.max(np.abs(np.diagonal(m)))
         assert numerical_radius(m) >= rho - 1e-6 * max(1.0, operator_norm(m))
 
+    def test_largest_double_entry(self):
+        assert numerical_radius([[1.5e308, 0], [0, 0]]) == 1.5e308
+
+
+class TestEnclosure:
+    """numerical_radius_enclosure: lo <= w(M) <= hi."""
+
+    def test_gap_within_tol(self):
+        rng = np.random.default_rng(31)
+        for k in range(30):
+            m = ginibre(rng, 2 + k % 7)
+            for tol in (1e-10, 1e-4):
+                lo, hi = numerical_radius_enclosure(m, tol)
+                assert 0 < lo <= hi <= lo + tol * hi
+                assert numerical_radius(m, tol) == lo
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_shift_contains_cosine(self, n):
+        lo, hi = numerical_radius_enclosure(np.eye(n, k=1))
+        w = math.cos(math.pi / (n + 1))
+        assert lo <= w * (1 + 1e-15) and w <= hi * (1 + 1e-15)
+        assert hi - lo <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_weighted_shift_contains_spin(self, n):
+        # Weights sqrt(k (n - k)) make S the spin raising operator J_+ of
+        # spin j = (n - 1)/2, so Re S = J_x has spectrum -j..j and w(S) = j.
+        # A unitary copy of S has the same disc W(S) but no zero pattern.
+        s = np.diag(np.sqrt([k * (n - k) for k in range(1, n)]), k=1)
+        u = haar_unitary(np.random.default_rng(n), n)
+        j = (n - 1) / 2
+        for m in (s, 1j * s, u @ s @ u.conj().T):
+            lo, hi = numerical_radius_enclosure(m)
+            assert lo <= j * (1 + 1e-13) and j <= hi * (1 + 1e-13)
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 3.0])
+    def test_ellipse_contains_semi_major_axis(self, c):
+        # W of [[1, c], [0, -1]] is the elliptical disc with foci +-1 and
+        # minor axis c, centred at 0, so w = sqrt(4 + c^2) / 2; rotations
+        # put its maximum between the starting angles.
+        w = math.sqrt(4 + c * c) / 2
+        for phi in (0.1, 1.0, 2.5):
+            m = np.exp(1j * phi) * np.array([[1, c], [0, -1]])
+            lo, hi = numerical_radius_enclosure(m)
+            assert lo <= w * (1 + 1e-15) and w <= hi * (1 + 1e-15)
+            assert hi - lo <= 1e-10 * hi
+
+    def test_near_disc_contains_w(self):
+        # J_16 + 1e-15 G is not exactly circular, so the polygon cannot
+        # localize its maximum; it stops at MAX_LIVE_CELLS live cells.
+        g = ginibre(np.random.default_rng(16), 16)
+        m = np.eye(16, k=1) + 1e-15 * g
+        lo, hi = numerical_radius_enclosure(m)
+        dist = 1e-15 * operator_norm(g)  # |w(A) - w(B)| <= ||A - B||
+        w = math.cos(math.pi / 17)
+        assert lo - dist <= w <= hi + dist
+        assert hi - lo <= 1e-6 * hi
+
+    def test_tiny_tol_terminates(self):
+        m = ginibre(np.random.default_rng(17), 8)
+        lo, hi = numerical_radius_enclosure(m, 1e-300)
+        assert overlap((lo, hi), numerical_radius_enclosure(m))
+        assert hi - lo <= 1e-14 * hi
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes)
+    def test_unitary_similarity(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m, u = ginibre(rng, n), haar_unitary(rng, n)
+        assert overlap(numerical_radius_enclosure(m),
+                       numerical_radius_enclosure(u @ m @ u.conj().T))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes)
+    def test_adjoint(self, seed, n):
+        m = ginibre(np.random.default_rng(seed), n)
+        assert overlap(numerical_radius_enclosure(m), numerical_radius_enclosure(m.conj().T))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes, k=sizes)
+    def test_direct_sum(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        m, other = ginibre(rng, n), 2 * ginibre(rng, k)
+        both = np.zeros((n + k, n + k), dtype=complex)
+        both[:n, :n], both[n:, n:] = m, other
+        parts = [numerical_radius_enclosure(x) for x in (m, other)]
+        joint = (max(p[0] for p in parts), max(p[1] for p in parts))
+        assert overlap(numerical_radius_enclosure(both), joint)
+
+
+class TestEngineBatches:
+    """Deterministic cost guards: eigvalsh batches per engine call."""
+
+    def batches(self, monkeypatch, m):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(len(h)) or eigvalsh(h))
+        numerical_radius(m)
+        return sizes
+
+    def test_ginibre(self, monkeypatch):
+        assert len(self.batches(monkeypatch, ginibre(np.random.default_rng(0), 8))) <= 12
+
+    def test_hermitian_single_batch(self, monkeypatch):
+        g = ginibre(np.random.default_rng(0), 8)
+        assert len(self.batches(monkeypatch, g + g.conj().T)) == 1
+
+    def test_jordan_single_solve(self, monkeypatch):
+        assert self.batches(monkeypatch, np.eye(8, k=1)) == [1]
+
 
 class TestOracle:
     def test_identity_single_sample(self):
@@ -272,6 +415,10 @@ class TestOracle:
         # Distinct seeds may reach the same maximiser, so only their starts
         # are compared.
         assert not np.array_equal(start_a, start_c)
+
+    def test_extreme_scale(self):
+        assert numerical_radius_oracle([[0, 1e160], [0, 0]], 4, 1) == pytest.approx(5e159,
+                                                                                   rel=1e-12)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
