@@ -14,9 +14,10 @@ whose right side contains u, a power of the bounded quantity itself
 
 Right sides are homographic in lam: rhs(lam) = (P + Q lam)/(1 + lam), so
 their infimum over lam is min(P, Q) attained at a boundary; resolved
-certificates lose that structure and are minimized numerically. All engine
-terms are computed once per matrix and shared across bounds, modes and lam
-values.
+certificates lose that structure and are minimized numerically. Engine
+terms are keyed data, computed once for a stack of inputs (fill_terms), and
+evaluate_sides gives right sides over (inputs x lam): the suite calls it per
+config; evaluate_bound, refinement_chain and optimize_lambda for k = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import _INVPHI, PSDPower, abs_powers, adjoint, as_matrix, numerical_radius
+from .linalg import _INVPHI, PSDPower, _h, abs_powers, as_matrix, numerical_radius
 from .scalar_ineq import BoundParams, binomial_order
 
 HOLDS_RTOL = 1e-8
@@ -73,12 +74,15 @@ class LambdaOptimum:
     boundary: str  # "lambda->0" | "lambda->inf" | "flat" | "interior"
 
 
-def resolve_implicit_quadratic(a: float, b: float) -> float:
+def resolve_implicit_quadratic(a, b):
     """Positive root of u^2 = a u + b: every u with u^2 <= a u + b satisfies
-    u <= (a + sqrt(a^2 + 4b))/2. Monotone in both coefficients."""
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0:
+    u <= (a + sqrt(a^2 + 4b))/2. Monotone in both coefficients; elementwise
+    on arrays."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()) or (a < 0).any() or (b < 0).any():
         raise NegativeCoefficientError(f"coefficients must be finite and >= 0, got a={a} b={b}")
-    return 0.5 * (a + math.sqrt(a * a + 4.0 * b))
+    root = 0.5 * (a + np.sqrt(a * a + 4.0 * b))
+    return float(root) if root.ndim == 0 else root
 
 
 # --------------------------------------------------------------------------
@@ -128,98 +132,126 @@ def al_dolat_coefficients(lam: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Cached engine terms
+# Engine terms, keyed
 
-def _herm_norm(x: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
-    return float(max(-ev[0], ev[-1]))
+# A term key names a quantity of the families A^p, B^p of a term object (|T|
+# and |T*| for one matrix T, |T| and |S| for a pair): W, W2, WP, OP are w(T),
+# w(T^2), w(T*S), ||T||; ns(p_a, p_b) is ||A^p_a + B^p_b||, wc(p_b, p_a) is
+# w(B^p_b A^p_a), ("pow", key, e) a term to the power e and ("binom", n) the
+# sum over j < 2n of C(2n, j) ||A^2j + B^2j|| w(T^2)^(2n-j). An exponent may
+# be a function of BoundParams.
+W, W2, WP, OP = ("w",), ("w2",), ("wp",), ("op",)
 
 
-def _where_finite(f, build) -> float:
-    """f(build()), or inf when the built matrix holds a value past the double
-    range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = build()
-    return f(x) if np.isfinite(x).all() else math.inf
+def ns(p_a, p_b=None) -> tuple:
+    return ("ns", p_a, p_a if p_b is None else p_b)
+
+
+def wc(p_b, p_a=None) -> tuple:
+    return ("wc", p_b, p_b if p_a is None else p_a)
+
+
+def _resolve(key, params: BoundParams) -> tuple:
+    return tuple(x(params) if callable(x) else x for x in key)
+
+
+def _sources(key: tuple) -> list[tuple]:
+    """The engine terms (ns, w and wc keys) a term is computed from."""
+    if key[0] == "pow":
+        return [key[1]]
+    if key[0] == "binom":
+        return [ns(2.0 * j) for j in range(1, 2 * int(key[1]))] + [W2]
+    return [key]
+
+
+def _pow(x: np.ndarray, e) -> np.ndarray:
+    """x ** e per entry by libm's pow, as Python's float power takes it (numpy's
+    vectorized power differs in the last bit); inf past the double range."""
+    with np.errstate(over="ignore"):
+        return np.array([v ** e for v in x], dtype=np.float64)
 
 
 class _Terms:
-    """Engine quantities built from two power families A^p and B^p of PSD
-    matrices, computed lazily and cached."""
+    """Terms of a stack of k inputs; ``values`` holds the engine terms (ns,
+    w, wc keys) fill_terms has computed, one array of k values each."""
 
-    def __init__(self, a: PSDPower, b: PSDPower):
-        self._a, self._b = a, b
-        self._cache: dict = {}
+    def __init__(self, a: PSDPower, b: PSDPower, t: np.ndarray, s: np.ndarray | None = None):
+        self._a, self._b, self.t, self.s = a, b, t, s
+        self.values: dict[tuple, np.ndarray] = {}
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+    def __getitem__(self, key: tuple) -> np.ndarray:
+        """Any term, its engine terms computed on demand."""
+        if key[0] == "pow":
+            return _pow(self[key[1]], key[2])
+        if key[0] == "binom":
+            n = int(key[1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                return sum(math.comb(2 * n, j) * self[ns(2.0 * j)] * self["pow", W2, 2 * n - j]
+                           for j in range(1, 2 * n))
+        if key not in self.values:
+            fill_terms([(self, [key])])
+        return self.values[key]
 
-    def norm_sum(self, p_a: float, p_b: float | None = None) -> float:
-        """|| A^p_a + B^p_b ||, with p_b = p_a by default."""
-        p_b = p_a if p_b is None else p_b
-        return self._memo(("ns", p_a, p_b), lambda: _where_finite(
-            _herm_norm, lambda: self._a.power(p_a) + self._b.power(p_b)))
-
-    def w_cross(self, p_b: float, p_a: float | None = None) -> float:
-        """w(B^p_b A^p_a), with p_a = p_b by default."""
-        p_a = p_b if p_a is None else p_a
-        return self._memo(("wc", p_b, p_a), lambda: _where_finite(
-            numerical_radius, lambda: self._b.power(p_b) @ self._a.power(p_a)))
+    def _input(self, key: tuple) -> np.ndarray:
+        """The k matrices whose norm (Hermitian, ns) or w the term is."""
+        if key[0] == "ns":
+            x = self._a.power(key[1]) + self._b.power(key[2])
+            return (x + _h(x)) / 2.0
+        if key[0] == "wc":
+            return self._b.power(key[1]) @ self._a.power(key[2])
+        if key == W2:
+            return self.t @ self.t
+        return _h(self.t) @ self.s if key == WP else self.t
 
 
 class MatrixTerms(_Terms):
-    """Engine quantities for one matrix T, with A = |T| and B = |T*| from one
-    SVD of T."""
+    """Terms of a stack of matrices T: A = |T| and B = |T*| from one SVD."""
 
     def __init__(self, t: np.ndarray):
-        super().__init__(*abs_powers(t))
-        self.t = t
-
-    @property
-    def w(self) -> float:
-        return self._memo("w", lambda: numerical_radius(self.t))
-
-    @property
-    def op_norm(self) -> float:
-        return float(self._a.values[0])  # sigma_1: SVD values descend
-
-    @property
-    def w_square(self) -> float:
-        """w(T^2)."""
-        return self._memo("w_sq", lambda: numerical_radius(self.t @ self.t))
+        super().__init__(*abs_powers(t), t)
+        self.values[OP] = self._a.values[:, 0]  # sigma_1: SVD values descend
 
 
 class PairTerms(_Terms):
-    """Engine quantities for the pair (T, S) of a product bound: A = |T|, B = |S|."""
+    """Terms of a stack of pairs (T, S) of a product bound: A = |T|, B = |S|."""
 
     def __init__(self, t: np.ndarray, s: np.ndarray):
-        super().__init__(abs_powers(t)[0], abs_powers(s)[0])
-        self.t, self.s = t, s
-
-    @property
-    def w_prod(self) -> float:
-        """w(T*S); equal to w(S*T) since w is adjoint-invariant."""
-        return self._memo("wp", lambda: numerical_radius(adjoint(self.t) @ self.s))
+        super().__init__(abs_powers(t)[0], abs_powers(s)[0], t, s)
 
 
-@lru_cache(maxsize=128)
-def _terms_cached(cls, dim: int, *keys: bytes):
-    """A MatrixTerms or PairTerms object per distinct input, by its bytes."""
-    return cls(*(np.frombuffer(k, dtype=np.complex128).reshape(dim, dim).copy() for k in keys))
+def fill_terms(requests) -> None:
+    """Compute the engine terms [(terms, keys), ...] need: all norm sums in one
+    batched eigvalsh, all w in one engine call; inf past the double range."""
+    todo = [(terms, dict.fromkeys(src for key in keys for src in _sources(key)
+                                  if src not in terms.values)) for terms, keys in requests]
+    for kinds, compute in ((("ns",), _herm_norms), (("w", "w2", "wp", "wc"), numerical_radius)):
+        jobs = [(terms, key) for terms, keys in todo for key in keys if key[0] in kinds]
+        if jobs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = np.concatenate([terms._input(key) for terms, key in jobs])
+            finite = np.isfinite(x).all(axis=(1, 2))
+            out = np.full(len(x), math.inf)
+            out[finite] = compute(x[finite])
+            ends = np.cumsum([len(terms.t) for terms, _ in jobs])
+            for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
+                terms.values[key] = part
+
+
+def _herm_norms(h: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(h)[:, [0, -1]]).max(axis=1)  # h Hermitian
 
 
 def matrix_terms(t) -> MatrixTerms:
-    a = as_matrix(t)
-    return _terms_cached(MatrixTerms, a.shape[0], a.tobytes())
+    """Terms of one matrix (k = 1) or of a (k, n, n) stack."""
+    return MatrixTerms(as_matrix(t, stack=True))
 
 
 def pair_terms(t, s) -> PairTerms:
-    a, b = as_matrix(t), as_matrix(s)
+    """Terms of one pair (T, S) (k = 1) or of two (k, n, n) stacks."""
+    a, b = as_matrix(t, stack=True), as_matrix(s, stack=True)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return _terms_cached(PairTerms, a.shape[0], a.tobytes(), b.tobytes())
+    return PairTerms(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -236,11 +268,12 @@ U = "u"
 @dataclass(frozen=True)
 class BoundSpec:
     """One catalog bound: base^p(params) <= rhs, where the right side is
-    sum_i c_i(lam) * (product of the engine terms in rhs[i]).
+    sum_i c_i(lam) * (product of the terms in rhs[i]).
 
-    Each term is U or a function of (MatrixTerms or PairTerms, params) that
-    must not read lam, so its value is cached per matrix. Products and the sum
-    are evaluated left to right, which fixes the rounding of every value.
+    Each term is U or a term key whose exponents may be functions of
+    BoundParams but not of lam, so a config's terms are known before any is
+    evaluated. Products and the sum are evaluated left to right, which fixes
+    the rounding of every value.
     """
 
     exponent: Callable[[BoundParams], float]
@@ -257,6 +290,12 @@ class BoundSpec:
     def modes(self) -> tuple[str, ...]:
         return (MODE_INEQUALITY, MODE_CERTIFICATE) if self.implicit else (MODE_CERTIFICATE,)
 
+    def keys(self, params: BoundParams) -> list[tuple]:
+        """Every term the bound reads at params, its w-powers included."""
+        base, p = WP if self.product else W, self.exponent(params)
+        return [("pow", base, p), ("pow", base, p / 2.0)] + [
+            _resolve(f, params) for prod in self.rhs for f in prod if f is not U]
+
 
 def _fixed(*c: float):
     return lambda lam, params: c
@@ -266,63 +305,39 @@ def _of_lam(coefficients):
     return lambda lam, params: coefficients(lam)
 
 
-def _ns(p: float):
-    return lambda m, params: m.norm_sum(p, p)
-
-
-def _wc(p: float):
-    return lambda m, params: m.w_cross(p, p)
-
-
-def _w2(m, params):
-    return m.w_square
-
-
-def _binomial_sum(m, params):
-    n = int(params.n)
-    return sum(math.comb(2 * n, j) * m.norm_sum(2.0 * j, 2.0 * j) * m.w_square ** (2 * n - j)
-               for j in range(1, 2 * n))
-
-
 CATALOG: dict[str, BoundSpec] = {
-    "op_norm": BoundSpec(lambda p: 1.0, _fixed(1.0), ((lambda m, p: m.op_norm,),)),
-    "kittaneh": BoundSpec(lambda p: 1.0, _fixed(0.5), ((_ns(1.0),),)),
-    "el_haddad": BoundSpec(lambda p: 2.0 * p.r, _fixed(0.5),
-                           ((lambda m, p: m.norm_sum(2.0 * p.r, 2.0 * p.r),),)),
+    "op_norm": BoundSpec(lambda p: 1.0, _fixed(1.0), ((OP,),)),
+    "kittaneh": BoundSpec(lambda p: 1.0, _fixed(0.5), ((ns(1.0),),)),
+    "el_haddad": BoundSpec(lambda p: 2.0 * p.r, _fixed(0.5), ((ns(lambda p: 2.0 * p.r),),)),
     # The second absolute-value term enters squared, matching bhunia below;
     # some statements drop that square.
-    "abu_omar": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((_ns(2.0),), (_w2,))),
-    "bhunia": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((_ns(2.0),), (_wc(1.0),))),
+    "abu_omar": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((ns(2.0),), (W2,))),
+    "bhunia": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((ns(2.0),), (wc(1.0),))),
     "th3": BoundSpec(lambda p: 2.0, _of_lam(th3_coefficients), (
-        (lambda m, p: m.norm_sum(4.0 * p.alpha, 4.0 * (1.0 - p.alpha)),),
-        (lambda m, p: m.w_cross(2.0 * (1.0 - p.alpha), 2.0 * p.alpha),),
-        (U, lambda m, p: m.norm_sum(2.0 * p.alpha, 2.0 * (1.0 - p.alpha))),
+        (ns(lambda p: 4.0 * p.alpha, lambda p: 4.0 * (1.0 - p.alpha)),),
+        (wc(lambda p: 2.0 * (1.0 - p.alpha), lambda p: 2.0 * p.alpha),),
+        (U, ns(lambda p: 2.0 * p.alpha, lambda p: 2.0 * (1.0 - p.alpha))),
     ), LAM_POSITIVE),
     "th4": BoundSpec(lambda p: 4.0, _of_lam(th4_coefficients),
-                     ((_ns(4.0),), (_wc(2.0),), (_w2, _ns(2.0))), LAM_POSITIVE),
+                     ((ns(4.0),), (wc(2.0),), (W2, ns(2.0))), LAM_POSITIVE),
     # u = w^2: u^2 <= a u + b
     "th5": BoundSpec(lambda p: 4.0, _of_lam(th5_coefficients), (
-        (_ns(4.0),), (_wc(2.0),), (lambda m, p: m.w_square**2,), (_ns(2.0), _w2),
-        (U, _ns(2.0)), (U, _w2),
+        (ns(4.0),), (wc(2.0),), (("pow", W2, 2),), (ns(2.0), W2), (U, ns(2.0)), (U, W2),
     ), LAM_POSITIVE),
     "th6": BoundSpec(lambda p: 4.0 * binomial_order(p.n),
                      lambda lam, p: th6_coefficients(lam, p.n), (
-        (lambda m, p: m.norm_sum(4.0 * p.n, 4.0 * p.n),),
-        (lambda m, p: m.w_cross(2.0 * p.n, 2.0 * p.n),),
-        (lambda m, p: m.norm_sum(2.0 * p.n, 2.0 * p.n), lambda m, p: m.w_square ** p.n),
-        (_binomial_sum,),
+        (ns(lambda p: 4.0 * p.n),), (wc(lambda p: 2.0 * p.n),),
+        (ns(lambda p: 2.0 * p.n), ("pow", W2, lambda p: p.n)), (("binom", lambda p: p.n),),
     ), LAM_POSITIVE),
     "cor_bomi": BoundSpec(lambda p: 4.0, _of_lam(cor_bomi_coefficients),
-                          ((_ns(4.0),), (_ns(2.0), _w2)), LAM_POSITIVE),
-    "dragomir": BoundSpec(lambda p: float(p.r), _fixed(0.5),
-                          ((lambda m, p: m.norm_sum(2.0 * p.r),),), product=True),
+                          ((ns(4.0),), (ns(2.0), W2)), LAM_POSITIVE),
+    "dragomir": BoundSpec(lambda p: float(p.r), _fixed(0.5), ((ns(lambda p: 2.0 * p.r),),),
+                          product=True),
     "al_dolat": BoundSpec(lambda p: 2.0, _of_lam(al_dolat_coefficients),
-                          ((_ns(2.0), U), (_ns(4.0),)), LAM_NONNEGATIVE, product=True),
+                          ((ns(2.0), U), (ns(4.0),)), LAM_NONNEGATIVE, product=True),
     # u = w^r(T*S): u^2 <= a u + b
     "th2": BoundSpec(lambda p: 2.0 * p.r, _of_lam(th2_coefficients), (
-        (U, lambda m, p: m.norm_sum(2.0 * p.r)),
-        (lambda m, p: m.norm_sum(4.0 * p.r),),
-        (lambda m, p: m.w_cross(2.0 * p.r),),
+        (U, ns(lambda p: 2.0 * p.r)), (ns(lambda p: 4.0 * p.r),), (wc(lambda p: 2.0 * p.r),),
     ), LAM_POSITIVE, product=True),
 }
 
@@ -348,66 +363,69 @@ def uses_lambda(name: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Mode evaluations
+# Evaluation over a stack of inputs and a lam grid
 
-# rhs: lam -> right side; homographic: rhs(lam) = (P + Q lam)/(1 + lam)
-_ModeEval = namedtuple("_ModeEval", "rhs w_power exponent homographic")
+# One mode of a bound: w_power per input; rhs, slack, holds per (input, lam).
+Sides = namedtuple("Sides", "mode exponent w_power rhs slack holds")
 
 
-def _combine(coefficients, prods, u: float | None, linear: bool | None = None) -> float:
-    """sum_i c_i * prod_i, left to right, with U read as u; if ``linear`` is
-    given, only over the products that hold U (True) or do not (False)."""
+def _combine(bound: BoundSpec, terms: _Terms, params: BoundParams, coefficients, u,
+             linear: bool | None = None):
+    """sum_i c_i * prod_i over (inputs x lams), left to right, U read as u;
+    with ``linear``, only over the products that hold U (True) or not."""
     total = None
-    for c, prod in zip(coefficients, prods):
+    for c, prod in zip(coefficients, bound.rhs):
         if linear is None or (U in prod) == linear:
             for f in prod:
-                c = c * (u if f is U else f)
+                c = c * (u if f is U else terms[_resolve(f, params)][:, None])
             total = c if total is None else total + c
     return total
 
 
-def _mode_eval(bound: BoundSpec, terms, params: BoundParams, mode: str, p: float) -> _ModeEval:
-    """One mode of a bound, with its engine terms evaluated."""
-    base = terms.w_prod if bound.product else terms.w
-    prods = terms._memo((id(bound), params.r, params.n, params.alpha), lambda: [
-        [f if f is U else f(terms, params) for f in prod] for prod in bound.rhs])
-    if mode == MODE_INEQUALITY or not bound.implicit:
-        u = base ** (p / 2.0) if bound.implicit else None
-        return _ModeEval(lambda lam: _combine(bound.coefficients(lam, params), prods, u),
-                         base**p, p, True)
+def _sides(bound: BoundSpec, terms: _Terms, params: BoundParams, mode: str, lams) -> Sides:
+    """One mode of a bound over every input and lam: no checks."""
+    base, p = WP if bound.product else W, bound.exponent(params)
+    c = np.array([bound.coefficients(lam, params) for lam in lams]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == MODE_INEQUALITY or not bound.implicit:
+            u = terms["pow", base, p / 2.0][:, None] if bound.implicit else None
+            rhs = _combine(bound, terms, params, c, u)
+        else:  # u^2 <= a u + b: a sums the products holding U, read at u = 1
+            a = _combine(bound, terms, params, c, 1.0, linear=True)
+            b = _combine(bound, terms, params, c, None, linear=False)
+            # a, b >= 0, so a + b is finite exactly when both are; otherwise
+            # the right side is reported as the non-finite a + b.
+            rhs, p = a + b, p / 2.0
+            finite = np.isfinite(rhs)
+            rhs[finite] = resolve_implicit_quadratic(a[finite], b[finite])
+        w = terms["pow", base, p]
+        slack = rhs - w[:, None]
+        holds = slack >= -HOLDS_RTOL * np.maximum(np.maximum(1.0, rhs), w[:, None])
+    return Sides(mode, p, w, rhs, slack, holds)
 
-    def rhs_cert(lam: float) -> float:
-        # u^2 <= a u + b: a sums the products holding U, read at u = 1; b the rest
-        c = bound.coefficients(lam, params)
-        a = _combine(c, prods, 1.0, linear=True)
-        b = _combine(c, prods, None, linear=False)
-        # a, b >= 0, so a + b is finite exactly when both are; otherwise the
-        # right side is reported as the non-finite a + b.
-        return resolve_implicit_quadratic(a, b) if math.isfinite(a + b) else a + b
 
-    return _ModeEval(rhs_cert, base ** (p / 2.0), p / 2.0, False)
+def evaluate_sides(name: str, terms: _Terms, params: BoundParams, lams,
+                   mode: str | None = None) -> list[Sides]:
+    """A bound in the requested mode (or all its modes) over every input of
+    ``terms`` and lam. ValueError for a lam or mode the bound does not admit,
+    OverflowError when a right side or w-power leaves the double range."""
+    bound = CATALOG[name]
+    for lam in lams:  # replace validates lam >= 0
+        if not replace(params, lam=lam).lam > 0 and bound.lam == LAM_POSITIVE:
+            raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
+    fill_terms([(terms, bound.keys(params))])  # keys() refuses th6 with n > 15
+    if mode is not None and mode not in bound.modes:
+        raise ValueError(f"bound {name!r} has no mode {mode!r}")
+    out = [_sides(bound, terms, params, m, lams) for m in ((mode,) if mode else bound.modes)]
+    if not all(np.isfinite(x.slack).all() for x in out):  # rhs - w: finite iff both are
+        raise OverflowError(f"bound {name!r} with n={params.n}: the right side or the "
+                            "w-power leaves the double range")
+    return out
 
 
 def _terms_for(bound: BoundSpec, t, s):
-    return pair_terms(t, t if s is None else s) if bound.product else matrix_terms(t)
-
-
-def _result(name: str, bound: BoundSpec, terms, params: BoundParams, mode: str,
-            p: float) -> BoundResult:
-    try:
-        ev = _mode_eval(bound, terms, params, mode, p)
-        rhs = float(ev.rhs(params.lam))
-        finite = math.isfinite(rhs) and math.isfinite(ev.w_power)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise OverflowError(f"bound {name!r} with n={params.n}: the right side or the "
-                            "w-power leaves the double range")
-    slack = rhs - ev.w_power
-    holds = slack >= -HOLDS_RTOL * max(1.0, rhs, ev.w_power)
-    return BoundResult(bound_name=name, params=params, rhs_value=rhs,
-                       exponent_p=ev.exponent, w_power_value=ev.w_power,
-                       slack=slack, holds=holds, mode=mode)
+    t = as_matrix(t)  # the k = 1 calls take one matrix (or pair), not a stack
+    return pair_terms(t, t if s is None else as_matrix(s)) if bound.product else matrix_terms(t)
 
 
 def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
@@ -416,23 +434,13 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
 
     ``params.lam`` must be > 0 for the bounds declared LAM_POSITIVE; al_dolat
     admits lam = 0. Product bounds read ``s``; with s omitted the matrix is
-    paired with itself.
+    paired with itself. The k = 1 case of evaluate_sides.
     """
     params = params if params is not None else BoundParams(lam=1.0)
-    return _evaluate(name, _terms_for(_spec(name), t, s), params, mode)
-
-
-def _evaluate(name: str, terms, params: BoundParams,
-              mode: str | None = None) -> tuple[BoundResult, ...]:
-    """evaluate_bound on the terms of validated input, of the bound's kind."""
-    bound = CATALOG[name]
-    if bound.lam == LAM_POSITIVE and not params.lam > 0:
-        raise ValueError(f"lam must be finite and > 0, got {float(params.lam)}")
-    p = bound.exponent(params)
-    if mode is not None and mode not in bound.modes:
-        raise ValueError(f"bound {name!r} has no mode {mode!r}")
-    modes = (mode,) if mode is not None else bound.modes
-    return tuple(_result(name, bound, terms, params, m, p) for m in modes)
+    terms = _terms_for(_spec(name), t, s)
+    return tuple(BoundResult(name, params, float(x.rhs[0, 0]), x.exponent, float(x.w_power[0]),
+                             float(x.slack[0, 0]), bool(x.holds[0, 0]), x.mode)
+                 for x in evaluate_sides(name, terms, params, (params.lam,), mode))
 
 
 # --------------------------------------------------------------------------
@@ -512,18 +520,19 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     terms = _terms_for(bound, t, s)
-    p = bound.exponent(params)
     mode = bound.modes[0] if mode is None else mode
-    if mode not in bound.modes:
-        raise ValueError(f"bound {name!r} has no mode {mode!r}")
-    ev = _mode_eval(bound, terms, params, mode, p)
+    evaluate_sides(name, terms, params, (1.0,), mode)  # fills the terms, checks the mode
+    homographic = mode == MODE_INEQUALITY or not bound.implicit
 
-    use_closed = ev.homographic if method == "auto" else (method == "closed-form")
+    def rhs(lam: float) -> float:
+        return float(_sides(bound, terms, params, mode, (lam,)).rhs[0, 0])
+
+    use_closed = homographic if method == "auto" else (method == "closed-form")
     if use_closed:
-        if not ev.homographic:
+        if not homographic:
             raise ValueError(f"bound {name!r} mode {mode!r} rhs is not homographic")
-        p_lim = float(ev.rhs(0.0))
-        q_lim = 2.0 * float(ev.rhs(1.0)) - p_lim  # rhs(1)*(1+1) = P + Q
+        p_lim = rhs(0.0)
+        q_lim = 2.0 * rhs(1.0) - p_lim  # rhs(1)*(1+1) = P + Q
         scale = max(1.0, abs(p_lim), abs(q_lim))
         if abs(p_lim - q_lim) <= 1e-12 * scale:
             return LambdaOptimum(name, mode, p_lim, 1.0, "flat")
@@ -531,7 +540,7 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
             return LambdaOptimum(name, mode, p_lim, None, "lambda->0")
         return LambdaOptimum(name, mode, q_lim, None, "lambda->inf")
 
-    f = lambda sigma: float(ev.rhs(math.exp(sigma)))
+    f = lambda sigma: rhs(math.exp(sigma))
     lo, hi = -20.0, 20.0
     s_star, f_star = _golden_min(f, lo, hi, 1e-9)
     for edge in (lo, hi):
@@ -585,15 +594,24 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     if chain_id not in CHAINS:
         raise UnknownChainError(f"unknown chain {chain_id!r}; catalog: {CHAIN_IDS}")
     ch = CHAINS[chain_id]
-    # Both bounds of a chain are of one kind, single or product: one lookup.
-    terms = _terms_for(CATALOG[ch.refined], t, s)
-    refined = _evaluate(ch.refined, terms, ch.refined_params(params), ch.mode)[0]
-    classical = _evaluate(ch.classical, terms, ch.classical_params(params))[0]
-    links = (("w_power", refined.w_power_value), ("refined", refined.rhs_value),
-             ("classical", classical.rhs_value))
-    holds = all(
-        links[i][1] <= links[i + 1][1]
-        + CHAIN_RTOL * max(1.0, abs(links[i][1]), abs(links[i + 1][1]))
-        for i in range(len(links) - 1)
-    )
-    return ChainResult(chain_name=chain_id, links=links, holds=holds)
+    # Both bounds of a chain are of one kind, single or product.
+    links, holds = chain_links(ch, _terms_for(CATALOG[ch.refined], t, s), params)
+    return ChainResult(chain_name=chain_id, holds=bool(holds[0]),
+                       links=tuple((name, float(v[0])) for name, v in links))
+
+
+def chain_bounds(ch: ChainSpec, params: BoundParams) -> tuple[tuple[str, BoundParams], ...]:
+    return (ch.refined, ch.refined_params(params)), (ch.classical, ch.classical_params(params))
+
+
+def chain_links(ch: ChainSpec, terms: _Terms, params: BoundParams):
+    """The links (w-power, refined, classical) of a chain over the inputs of
+    ``terms``, and whether each input's links ascend within CHAIN_RTOL."""
+    (rb, rp), (cb, cp) = chain_bounds(ch, params)
+    refined = evaluate_sides(rb, terms, rp, (rp.lam,), ch.mode)[0]
+    classical = evaluate_sides(cb, terms, cp, (cp.lam,))[0]
+    links = (("w_power", refined.w_power), ("refined", refined.rhs[:, 0]),
+             ("classical", classical.rhs[:, 0]))
+    return links, np.logical_and.reduce([
+        a <= b + CHAIN_RTOL * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        for (_, a), (_, b) in zip(links, links[1:])])

@@ -30,7 +30,7 @@ from .ensembles import ENSEMBLES, EnsembleConfig
 from .errors import InvalidConfigError, UnknownBoundError, UnknownChainError
 from .linalg import DEFAULT_RADIUS_TOL, numerical_radius_enclosure, numerical_radius_oracle
 from .scalar_ineq import BoundParams
-from .suite import DEFAULT_LAMBDA_GRID, emit_report, run_suite
+from .suite import CSV_HEADER, DEFAULT_LAMBDA_GRID, emit_report, run_suite
 
 _MODES = {"inequality": MODE_INEQUALITY, "certificate": MODE_CERTIFICATE}
 
@@ -111,19 +111,11 @@ def _cmd_verify(args) -> int:
 
 
 def _result_dict(res) -> dict:
-    return {
-        "bound": res.bound_name,
-        "mode": res.mode,
-        "lambda": res.params.lam,
-        "r": res.params.r,
-        "n": res.params.n,
-        "alpha": res.params.alpha,
-        "exponent_p": res.exponent_p,
-        "w_power": res.w_power_value,
-        "rhs": res.rhs_value,
-        "slack": res.slack,
-        "holds": res.holds,
-    }
+    """A bound result under the report's column names."""
+    p = res.params
+    return dict(zip(CSV_HEADER[1:], (res.bound_name, res.mode, p.lam, p.r, p.n, p.alpha,
+                                     res.exponent_p, res.w_power_value, res.rhs_value,
+                                     res.slack, res.holds)))
 
 
 def _cmd_bound(args) -> int:

@@ -34,11 +34,14 @@ _START_CELLS = 16
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 matrix with finite entries."""
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex128 matrix with finite entries; with
+    ``stack``, to a (k, n, n) stack of them, where one matrix gives k = 1."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if stack and a.ndim == 2:
+        a = a[None]
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix{' stack' * stack}, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -54,13 +57,16 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """(a / 2^e, e) with 2^e the power of two just above the largest real or
-    imaginary part of a (e = 0 for zero). The scaling is exact, so norms of
-    the scaled matrix neither overflow nor lose digits."""
+    imaginary part of a (e = 0 for zero), per matrix of a stack. The scaling
+    is exact, so norms of the scaled matrix neither overflow nor lose digits."""
     parts = np.ascontiguousarray(a).view(np.float64)
-    e = math.frexp(float(np.abs(parts).max()))[1]
-    return np.ldexp(parts, -e).view(np.complex128), e
+    if parts.ndim == 2:  # one matrix: scalar steps, cheaper than the stacked ones
+        e = math.frexp(float(np.abs(parts).max()))[1]
+        return np.ldexp(parts, -e).view(np.complex128), e
+    e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+    return np.ldexp(parts, -e[:, None, None]).view(np.complex128), e
 
 
 def _pow2_unscaled(x: float, e: int, what: str = "numerical radius") -> float:
@@ -88,6 +94,11 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(m).conj().T
+
+
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -149,12 +160,11 @@ def _pow2_unscaled_values(vals: np.ndarray, e: int) -> np.ndarray:
 
 class PSDPower:
     """Spectral powers V diag(s^q) V*, q >= 0, of the PSD matrix V diag(s) V*
-    given by orthonormal columns V and values s >= 0, cached per q. The power
-    of 0 is the full identity, zero values included."""
+    (or a stack of them) given by orthonormal columns V and values s >= 0,
+    cached per q. The power of 0 is the full identity, zero values included."""
 
     def __init__(self, vectors: np.ndarray, values: np.ndarray):
-        self.vectors = vectors
-        self.values = values
+        self.vectors, self.values = vectors, values
         self._pows: dict[float, np.ndarray] = {}
 
     def power(self, q: float) -> np.ndarray:
@@ -164,38 +174,39 @@ class PSDPower:
         if q not in self._pows:
             v = self.vectors
             if q == 0:
-                self._pows[q] = np.eye(v.shape[0], dtype=np.complex128)
-            else:
+                self._pows[q] = np.eye(v.shape[-1], dtype=np.complex128) + np.zeros_like(v)
+            else:  # halves first: no overflow near the top of the double range
                 with np.errstate(over="ignore", invalid="ignore"):
-                    r = (v * self.values ** q) @ v.conj().T
-                    self._pows[q] = (r + r.conj().T) / 2.0
+                    r = (v * (self.values ** q)[..., None, :]) @ _h(v) / 2.0
+                    self._pows[q] = r + _h(r)
         return self._pows[q]
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked SVD a = U diag(s) Vh, s descending.
+    """Checked SVD a = U diag(s) Vh, s descending, of a matrix or a stack.
 
     Raises NoConvergenceError if the LAPACK solver fails or the reconstruction
-    residual exceeds 1e-10 relative to max(1, s_1); the residual is scaled
-    before its norm is taken, so inputs near the double range do not overflow.
+    residual exceeds 1e-10 relative to max(1, s_1) (for a stack, the norm of
+    all residuals relative to the largest s_1); the residual is scaled before
+    its norm is taken, so inputs near the double range do not overflow.
     """
     try:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    if not np.isfinite(s[0]):
+    scale = max(1.0, float(s[..., 0].max()))
+    if not math.isfinite(scale):
         raise OverflowError("operator norm leaves the double range")
-    scale = max(1.0, float(s[0]))
-    if not np.linalg.norm((u * (s / scale)) @ vh - a / scale) <= 1e-10:
+    if not np.linalg.norm((u * (s / scale)[..., None, :]) @ vh - a / scale) <= 1e-10:
         raise NoConvergenceError("SVD residual above 1e-10 relative")
     return u, s, vh
 
 
 def abs_powers(m) -> tuple[PSDPower, PSDPower]:
     """Powers of |M| and of |M*| from one SVD M = U S V*:
-    |M|^p = V S^p V* and |M*|^p = U S^p U*."""
-    u, s, vh = _svd(as_matrix(m))
-    return PSDPower(vh.conj().T, s), PSDPower(u, s)
+    |M|^p = V S^p V* and |M*|^p = U S^p U*, or stacks of them for a stack."""
+    u, s, vh = _svd(as_matrix(m, stack=np.ndim(m) == 3))
+    return PSDPower(_h(vh), s), PSDPower(u, s)
 
 
 def abs_value(m) -> np.ndarray:
@@ -231,10 +242,13 @@ def operator_norm(m) -> float:
     return float(_svd(as_matrix(m))[1][0])
 
 
-def _theta_sweep_values(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(H(theta)) for a batch of angles, where M = re + i im with re
-    and im Hermitian, so H(theta) = cos(theta) re - sin(theta) im."""
-    h = np.cos(thetas)[:, None, None] * re - np.sin(thetas)[:, None, None] * im
+def _sweep(re: np.ndarray, im: np.ndarray, owner: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """lambda_max(H(theta)) per cell, of the matrix M = re + i im of the stack
+    that ``owner`` names: re and im are Hermitian, H = cos(theta) re - sin(theta) im."""
+    h, x = re[owner], im[owner]  # in place from here: a stack holds many cells
+    h *= np.cos(thetas)[:, None, None]
+    x *= np.sin(thetas)[:, None, None]
+    h -= x
     return np.linalg.eigvalsh(h)[:, -1]
 
 
@@ -259,7 +273,7 @@ def _rotation_invariant(a: np.ndarray) -> bool:
     return True
 
 
-def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL) -> tuple[float, float]:
+def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     """Enclosure lo <= w(M) <= hi from the support-line polygon of W(M).
 
     f(theta) = lambda_max(H(theta)) supports W(M) in the direction
@@ -267,25 +281,31 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL) -> tuple[floa
     [t0, t1], W(M) lies in the wedge of the support lines at t0 and t1, so
     f <= |v| there for their corner v if -arg v lies in the cell, else
     f <= max(f0, f1). Cells bounded by lo (1 + tol) are dropped, the others
-    split at -arg v (clipped to their middle 80%), one batched eigvalsh per
-    round, until none is left: hi - lo <= tol hi. Past MAX_LIVE_CELLS live
-    cells (W(M) near a disc) the bounds reached are returned.
+    split at -arg v (clipped to their middle 80%) until none is left:
+    hi - lo <= tol hi. Past MAX_LIVE_CELLS live cells (W(M) near a disc) the
+    bounds reached are returned.
+
+    One matrix gives floats (OverflowError if w leaves the double range), a
+    (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
+    for all cells, each result bitwise the one its matrix gives alone.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    b, e = _pow2_scaled(as_matrix(m))  # exact, so w(2^k M) = 2^k w(M)
-    if not np.any(b):
-        return 0.0, 0.0
-    re, im = (b + b.conj().T) / 2.0, (b - b.conj().T) / 2j
-    if not np.any(np.diagonal(b)) and _rotation_invariant(b):  # f is constant
-        w = _pow2_unscaled(float(_theta_sweep_values(re, im, np.zeros(1))[0]), e)
-        return w, w
-    t0 = np.arange(_START_CELLS) * (2.0 * np.pi / _START_CELLS)
+    b, e = _pow2_scaled(as_matrix(m, stack=True))  # exact, so w(2^k M) = 2^k w(M)
+    re, im = (b + _h(b)) / 2.0, (b - _h(b)) / 2j
+    lo, hi = np.zeros(len(b)), np.zeros(len(b))
+    # _START_CELLS cells per matrix; if W(M) is a disc about 0, f is constant
+    # and the first gives lo = hi; a zero matrix needs none
+    disc = np.array([not np.diagonal(x).any() and _rotation_invariant(x) for x in b], dtype=bool)
+    owner, j = np.divmod(np.arange(len(b) * _START_CELLS), _START_CELLS)
+    cells = b.any(axis=(1, 2))[owner] & ((j == 0) | ~disc[owner])
+    owner, t0 = owner[cells], j[cells] * (2.0 * np.pi / _START_CELLS)
+    f0 = _sweep(re, im, owner, t0) if len(owner) else t0
+    np.maximum.at(lo, owner, f0)
+    owner, t0, f0 = (x[~disc[owner]] for x in (owner, t0, f0))
     t1 = t0 + 2.0 * np.pi / _START_CELLS
-    f0 = _theta_sweep_values(re, im, t0)
-    f1 = np.append(f0[1:], f0[0])
-    lo, hi = float(f0.max()), 0.0
-    while True:
+    f1 = np.roll(f0.reshape(-1, _START_CELLS), -1, axis=1).ravel()
+    while len(owner):
         d = t1 - t0
         # e^{i t0} v = f0 + i (f0 cos d - f1) / sin d, so -arg v = t0 + peak;
         # |v| = top / cos(min(peak, d - peak)) <= top / cos(d/2) if peak is in
@@ -293,22 +313,25 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL) -> tuple[floa
         peak = np.arctan2(f1 - f0 * np.cos(d), f0 * np.sin(d))
         top = np.maximum(f0, f1)
         bound = top / np.cos(np.maximum(np.minimum(peak, d - peak), 0.0))
-        live = bound > lo * (1.0 + tol)
-        hi = max(hi, float(bound.max(initial=0.0, where=~live)))
-        n_live = np.count_nonzero(live)
-        if n_live == 0 or n_live > MAX_LIVE_CELLS:
+        live = bound > lo[owner] * (1.0 + tol)
+        live &= (np.bincount(owner[live], minlength=len(b)) <= MAX_LIVE_CELLS)[owner]
+        np.maximum.at(hi, owner[~live], bound[~live])
+        owner, t0, t1, f0, f1, d, peak = (x[live] for x in (owner, t0, t1, f0, f1, d, peak))
+        if not len(owner):
             break
-        t0, t1, f0, f1, d, peak = (x[live] for x in (t0, t1, f0, f1, d, peak))
         mid = t0 + np.clip(peak, 0.1 * d, 0.9 * d)
-        fm = _theta_sweep_values(re, im, mid)
-        lo = max(lo, float(fm.max()))
+        fm = _sweep(re, im, owner, mid)
+        np.maximum.at(lo, owner, fm)
+        owner = np.concatenate((owner, owner))
         t0, t1 = np.concatenate((t0, mid)), np.concatenate((mid, t1))
         f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
-    hi = max(hi, lo, float(bound.max(initial=0.0, where=live)))
-    return _pow2_unscaled(lo, e), _pow2_unscaled(hi, e)
+    if np.ndim(m) == 2:
+        return _pow2_unscaled(lo[0], int(e[0])), _pow2_unscaled(max(hi[0], lo[0]), int(e[0]))
+    with np.errstate(over="ignore"):
+        return np.ldexp(lo, e), np.ldexp(np.maximum(hi, lo), e)
 
 
-def numerical_radius(m, tol: float = DEFAULT_RADIUS_TOL) -> float:
+def numerical_radius(m, tol: float = DEFAULT_RADIUS_TOL):
     """w(M): the lower end of ``numerical_radius_enclosure(m, tol)``."""
     return numerical_radius_enclosure(m, tol)[0]
 

@@ -35,6 +35,7 @@ class InequalityRecord:
 
     @classmethod
     def from_sides(cls, name: str, lhs: float, rhs: float, outer: float | None = None):
+        lhs, rhs, outer = float(lhs), float(rhs), None if outer is None else float(outer)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"{name}: non-finite sides lhs={lhs} rhs={rhs}")
         slack = rhs - lhs

@@ -28,10 +28,13 @@ from numrad import (
     resolve_implicit_quadratic,
 )
 from numrad.bounds import (
+    W,
+    W2,
     al_dolat_coefficients,
     bound_modes,
     cor_bomi_coefficients,
     matrix_terms,
+    ns,
     pair_terms,
     th2_coefficients,
     th3_coefficients,
@@ -39,6 +42,7 @@ from numrad.bounds import (
     th5_coefficients,
     th6_coefficients,
     uses_lambda,
+    wc,
 )
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -127,6 +131,15 @@ class TestClassicalBounds:
         # w(|J||J*|) = w(0) = 0
         res = bound_classical(J, "bhunia")
         assert res.rhs_value == pytest.approx(0.25)
+
+    def test_single_calls_refuse_stacks(self):
+        stack = np.array([J, J])
+        for call in (lambda: evaluate_bound("kittaneh", stack),
+                     lambda: evaluate_bound("th2", J, stack),
+                     lambda: refinement_chain(stack, None, "th4_elhaddad", BoundParams(1.0)),
+                     lambda: optimize_lambda("th4", stack)):
+            with pytest.raises(ValueError, match="square matrix"):
+                call()
 
     def test_unknown_name(self):
         with pytest.raises(UnknownBoundError):
@@ -295,20 +308,26 @@ class TestHomographicStructure:
         rng = np.random.default_rng(34)
         t = ginibre(rng, 4)
         s = ginibre(rng, 4)
-        mt = matrix_terms(t)
-        pt = pair_terms(t, s)
-        w, w2t = mt.w, mt.w_square
+        mt, pt = matrix_terms(t), pair_terms(t, s)
+
+        def m(key):
+            return float(mt[key][0])
+
+        def p(key):
+            return float(pt[key][0])
+
+        w2t = m(W2)
         q_limits = {
-            "th2": 0.25 * pt.norm_sum(4) + 0.5 * pt.w_cross(2),
-            "al_dolat": 0.5 * pt.norm_sum(4),
-            "th3": 0.25 * mt.norm_sum(2, 2) + 0.5 * mt.w_cross(1, 1),
-            "th4": (3 / 32) * mt.norm_sum(4, 4) + (3 / 16) * mt.w_cross(2, 2)
-                   + (5 / 16) * w2t * mt.norm_sum(2, 2),
-            "th5": (1 / 16) * mt.norm_sum(4, 4) + (1 / 8) * mt.w_cross(2, 2)
-                   + (1 / 4) * w2t**2 + (1 / 4) * mt.norm_sum(2, 2) * w2t,
-            "th6": (2 / 16) * mt.norm_sum(4, 4) + (2 / 8) * mt.w_cross(2, 2)
-                   + (1 / 8) * 2 * mt.norm_sum(2, 2) * w2t,
-            "cor_bomi": (2 / 8) * mt.norm_sum(4, 4) + (2 / 8) * mt.norm_sum(2, 2) * w2t,
+            "th2": 0.25 * p(ns(4.0)) + 0.5 * p(wc(2.0)),
+            "al_dolat": 0.5 * p(ns(4.0)),
+            "th3": 0.25 * m(ns(2.0)) + 0.5 * m(wc(1.0)),
+            "th4": (3 / 32) * m(ns(4.0)) + (3 / 16) * m(wc(2.0))
+                   + (5 / 16) * w2t * m(ns(2.0)),
+            "th5": (1 / 16) * m(ns(4.0)) + (1 / 8) * m(wc(2.0))
+                   + (1 / 4) * w2t**2 + (1 / 4) * m(ns(2.0)) * w2t,
+            "th6": (2 / 16) * m(ns(4.0)) + (2 / 8) * m(wc(2.0))
+                   + (1 / 8) * 2 * m(ns(2.0)) * w2t,
+            "cor_bomi": (2 / 8) * m(ns(4.0)) + (2 / 8) * m(ns(2.0)) * w2t,
         }
         for name, q_limit in q_limits.items():
             mode = bound_modes(name)[0]
@@ -380,7 +399,7 @@ class TestOptimizeLambda:
         rng = np.random.default_rng(67)
         t = ginibre(rng, 3)
         opt = optimize_lambda("th5", t, mode=MODE_CERTIFICATE)
-        w2 = matrix_terms(t).w ** 2
+        w2 = float(matrix_terms(t)[W][0]) ** 2
         assert opt.infimum >= w2 - 1e-8 * max(1.0, w2)  # still a valid bound on w^2
 
     def test_closed_form_refused_for_non_homographic(self):

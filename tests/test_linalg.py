@@ -165,6 +165,8 @@ class TestMatrixPowerPsd:
 
     def test_extreme_scale(self):
         assert matrix_power_psd(1e160 * np.eye(2), 0.5) == pytest.approx(1e80 * np.eye(2))
+        # near the top of the double range A^1 = A must not overflow
+        assert np.array_equal(matrix_power_psd(1.5e308 * np.eye(2), 1.0), 1.5e308 * np.eye(2))
         with pytest.raises(NotHermitianError):
             matrix_power_psd(1e160 * J, 0.5)
 
@@ -355,6 +357,49 @@ class TestEnclosure:
         assert overlap(numerical_radius_enclosure(both), joint)
 
 
+class TestStack:
+    """A (k, n, n) stack runs in lockstep; each matrix gets its own cap and
+    power-of-two scale, so its enclosure is bitwise the one it gets alone."""
+
+    @staticmethod
+    def padded(m, n=16):
+        out = np.zeros((n, n), dtype=complex)
+        out[:len(m), :len(m)] = m  # w(M + 0) = w(M)
+        return out
+
+    def test_mixed_stack_matches_single_calls(self):
+        rng = np.random.default_rng(20)
+        h = ginibre(rng, 16)
+        g8, g16 = ginibre(rng, 8), ginibre(np.random.default_rng(16), 16)
+        stack = np.array([
+            np.zeros((16, 16)),
+            self.padded(np.eye(5, k=1)),  # exact disc
+            h + h.conj().T,
+            self.padded(1e-200 * g8),
+            self.padded(1e200 * g8),
+            np.eye(16, k=1) + 1e-15 * g16,  # near-disc: stops at the cell cap
+        ])
+        lo, hi = numerical_radius_enclosure(stack)
+        for k, m in enumerate(stack):
+            assert (lo[k], hi[k]) == numerical_radius_enclosure(m), k
+        assert lo[0] == hi[0] == 0.0
+        assert lo[1] == hi[1] == pytest.approx(math.cos(math.pi / 6), rel=1e-14)
+        assert np.array_equal(numerical_radius(stack), lo)
+
+    def test_overflow_is_inf_in_a_stack(self):
+        big = np.array([[1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+        lo, hi = numerical_radius_enclosure(np.array([big, J]))
+        assert lo[0] == hi[0] == np.inf and lo[1] == 0.5
+        with pytest.raises(OverflowError, match="numerical radius"):
+            numerical_radius(big)
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="finite"):
+            numerical_radius(np.array([J, np.nan * J]))
+        with pytest.raises(ValueError, match="square"):
+            numerical_radius(np.zeros((2, 2, 3)))
+
+
 class TestEngineBatches:
     """Deterministic cost guards: eigvalsh batches per engine call."""
 
@@ -367,6 +412,13 @@ class TestEngineBatches:
 
     def test_ginibre(self, monkeypatch):
         assert len(self.batches(monkeypatch, ginibre(np.random.default_rng(0), 8))) <= 12
+
+    def test_stack_takes_the_batches_of_its_slowest_matrix(self, monkeypatch):
+        # alone these take 9 to 12 batches; other seeds have matrices taking 14
+        rng = np.random.default_rng(0)
+        stack = np.array([ginibre(rng, 8) for _ in range(10)])
+        alone = max(len(self.batches(monkeypatch, m)) for m in stack)
+        assert len(self.batches(monkeypatch, stack)) == alone <= 12
 
     def test_hermitian_single_batch(self, monkeypatch):
         g = ginibre(np.random.default_rng(0), 8)

@@ -273,3 +273,22 @@ def test_scale_covariance(vecs, lam, c_re, c_im, d_re, d_im):
     assert scaled.lhs == pytest.approx(base.lhs * factor, abs=1e-9 * scale)
     assert scaled.rhs == pytest.approx(base.rhs * factor, abs=1e-9 * scale)
     assert scaled.slack == pytest.approx(base.slack * factor, abs=1e-9 * scale)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda x, y, e: cs_refinement_gen(x, y, 0.7),
+    lambda x, y, e: cs_refinement_two(x, y, 0.7),
+    lambda x, y, e: buzano(x, y, e),
+    lambda x, y, e: buzano_refined(x, y, e, 0.7),
+    lambda x, y, e: buzano_refined_two(x, y, e, 0.7),
+    lambda x, y, e: buzano_power(x, y, e, 0.7, 2),
+    lambda x, y, e: young_amgm(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 0.3),
+], ids=["cs_refinement_gen", "cs_refinement_two", "buzano", "buzano_refined",
+        "buzano_refined_two", "buzano_power", "young_amgm"])
+def test_records_hold_python_scalars(evaluate):
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3)
+    rec = evaluate(x, y, _unit(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+    for side in (rec.lhs, rec.rhs, rec.slack) + (() if rec.outer is None else (rec.outer,)):
+        assert type(side) is float
+    assert rec.holds is True

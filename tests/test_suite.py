@@ -4,10 +4,21 @@ import csv
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from numrad import ENSEMBLES, EnsembleConfig, emit_report, run_suite
-from numrad.bounds import MODE_CERTIFICATE
+from numrad import ENSEMBLES, BoundParams, EnsembleConfig, bounds, emit_report, run_suite
+from numrad.bounds import (
+    ALL_BOUNDS,
+    CHAIN_IDS,
+    MODE_CERTIFICATE,
+    PRODUCT_BOUNDS,
+    PRODUCT_CHAINS,
+    evaluate_bound,
+    refinement_chain,
+    uses_lambda,
+)
+from numrad.ensembles import generate_ensemble
 from numrad.errors import UnknownBoundError, UnknownChainError
 from numrad.suite import (
     CSV_HEADER,
@@ -133,3 +144,54 @@ def test_emit_report_rejects_unknown_format(tmp_path):
     rep = run_suite(cfg, bounds=[], chains=[])
     with pytest.raises(ValueError):
         emit_report(rep, "xml", tmp_path / "rep.xml")
+
+
+@pytest.mark.parametrize("ensemble", ["ginibre", "jordan"])
+def test_rows_match_single_evaluations(ensemble):
+    # every row of the config-at-a-time suite is the k = 1 evaluation of its trial
+    cfg = EnsembleConfig(ensemble, 4, 5, 31)
+    grid, fixed = (100.0, 0.01, 1.0), {"r": 1.5, "n": 2, "alpha": 0.3}
+    rep = run_suite(cfg, lambda_grid=grid, **fixed)
+    mats = generate_ensemble(cfg)
+
+    def partner(name, i):
+        return mats[min(i + 1, cfg.trials - 1)] if name in PRODUCT_BOUNDS + PRODUCT_CHAINS else None
+
+    def trials(name):
+        return range(0, cfg.trials, 2) if partner(name, 0) is not None else range(cfg.trials)
+
+    expected = [(i, b, res.mode, lam, res.exponent_p, res.w_power_value, res.rhs_value,
+                 res.slack, res.holds)
+                for b in ALL_BOUNDS for i in trials(b)
+                for lam in (grid if uses_lambda(b) else (None,))
+                for res in evaluate_bound(b, mats[i], partner(b, i),
+                                          BoundParams(1.0 if lam is None else lam, **fixed))]
+    expected.sort(key=lambda row: (row[0], row[1], -np.inf if row[3] is None else row[3], row[2]))
+    assert [(row.trial, row.bound, row.mode, row.lam, row.exponent_p, row.w_power, row.rhs,
+             row.slack, row.holds) for row in rep.bound_rows] == expected
+    for row in rep.bound_rows:
+        assert {type(x) for x in (row.exponent_p, row.w_power, row.rhs, row.slack)} == {float}
+        assert type(row.holds) is bool and type(row.trial) is int
+    chains = sorted((i, c, refinement_chain(mats[i], partner(c, i), c,
+                                            BoundParams(1.0, **fixed)).holds)
+                    for c in CHAIN_IDS for i in trials(c))
+    assert [(row.trial, row.chain, row.holds) for row in rep.chain_rows] == chains
+    assert all(type(row.holds) is bool for row in rep.chain_rows)
+    for t in rep.tightness:  # a Python sum in row order, not numpy's pairwise one
+        key = (t.bound, t.mode)
+        rel = [row.rel_slack for row in rep.bound_rows if (row.bound, row.mode) == key]
+        assert (t.rows, t.mean_rel_slack, t.min_rel_slack) == (len(rel), sum(rel) / len(rel),
+                                                                min(rel))
+
+
+def test_a_config_takes_few_eigvalsh_batches(monkeypatch):
+    # per config, not per row: one engine call, so one batch per engine round,
+    # plus one for the norm sums (the row-at-a-time suite made 456 here)
+    calls, engine_calls = [], []
+    eigvalsh, radius = np.linalg.eigvalsh, bounds.numerical_radius
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(len(h)) or eigvalsh(h))
+    monkeypatch.setattr(bounds, "numerical_radius", lambda m: engine_calls.append(m) or radius(m))
+    rep = run_suite(EnsembleConfig("ginibre", 8, 10, 42))
+    assert rep.violations == 0 and len(rep.chain_rows) == 50
+    assert len(calls) <= 40
+    assert len(engine_calls) == 1 and len(engine_calls[0]) == 4 * 10 + 2 * 5  # w, w2, 2 wc; wp, wc
