@@ -231,7 +231,10 @@ def fill_terms(requests) -> None:
                 x = np.concatenate([terms._input(key) for terms, key in jobs])
             finite = np.isfinite(x).all(axis=(1, 2))
             out = np.full(len(x), math.inf)
-            out[finite] = compute(x[finite])
+            # once per distinct matrix, by its bytes (-0.0 != 0.0): results are per matrix
+            rows = x.reshape(-1, x.shape[1] * x.shape[2]).view(np.dtype((np.void, x.strides[0])))
+            _, first, inverse = np.unique(rows[finite, 0], return_index=True, return_inverse=True)
+            out[finite] = compute(x[finite][first])[inverse]
             ends = np.cumsum([len(terms.t) for terms, _ in jobs])
             for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
                 terms.values[key] = part

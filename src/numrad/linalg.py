@@ -42,19 +42,37 @@ def as_matrix(m, stack: bool = False) -> np.ndarray:
         a = a[None]
     if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix{' stack' * stack}, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if np.count_nonzero(np.isfinite(a)) != a.size:  # cheaper than .all() on small arrays
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _vectors(*vs) -> np.ndarray:
+    """The 1-d vectors vs, of one length (DimensionMismatchError otherwise), as
+    the rows of a (k, n) complex128 array with finite entries."""
+    try:
+        a = np.array(vs, dtype=np.complex128)
+    except ValueError:  # ragged
+        a = np.empty(0)
+    if a.ndim != 2 or a.shape[1] < 1:
+        shapes = {np.shape(v) for v in vs}
+        lengths_differ = all(len(shape) == 1 and shape[0] > 0 for shape in shapes)
+        raise (DimensionMismatchError if lengths_differ else ValueError)(
+            f"expected 1-d vectors of one length, got shapes {sorted(shapes)}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError("vector entries must be finite")
     return a
 
 
 def as_vector(v) -> np.ndarray:
     """Coerce to a 1-d complex128 vector with finite entries."""
-    a = np.asarray(v, dtype=np.complex128)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"expected a 1-d vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("vector entries must be finite")
-    return a
+    return _vectors(v)[0]
+
+
+def _fro(a: np.ndarray) -> np.floating:
+    """np.linalg.norm(a) of a complex array, by its formula: same bits, less overhead."""
+    x = a.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
@@ -63,7 +81,11 @@ def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     is exact, so norms of the scaled matrix neither overflow nor lose digits."""
     parts = np.ascontiguousarray(a).view(np.float64)
     if parts.ndim == 2:  # one matrix: scalar steps, cheaper than the stacked ones
-        e = math.frexp(float(np.abs(parts).max()))[1]
+        mags = np.abs(parts).ravel()
+        top = float(mags[mags.argmax()])  # argmax: cheaper than .max(), and NaN-propagating
+        if not math.isfinite(top):  # input is validated: an intermediate overflowed
+            raise OverflowError("matrix entries leave the double range")
+        e = math.frexp(top)[1]
         return np.ldexp(parts, -e).view(np.complex128), e
     e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
     return np.ldexp(parts, -e[:, None, None]).view(np.complex128), e
@@ -121,41 +143,42 @@ def hermitian_eigen(m) -> EigenDecomposition:
     """Full spectral decomposition of a Hermitian matrix.
 
     The input must be Hermitian within 1e-12 relative Frobenius error. Raises
-    NoConvergenceError if the LAPACK solver fails or the reconstruction
-    residual exceeds 1e-10 relative, and OverflowError if an eigenvalue
+    NoConvergenceError if the LAPACK solver fails or the residual or the
+    unitarity error exceeds 1e-10 relative, and OverflowError if an eigenvalue
     leaves the double range.
     """
-    b, e = _pow2_scaled(as_matrix(m))  # exact, so the checks are scale-free
-    if np.linalg.norm(b - b.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b)):
-        raise NotHermitianError("matrix is not Hermitian within 1e-12 relative")
-    vals, vecs = _checked_eigh((b + b.conj().T) / 2.0)
-    return EigenDecomposition(eigenvalues=_pow2_unscaled_values(vals, e), eigenvectors=vecs)
+    return EigenDecomposition(*_eigen(as_matrix(m)))
+
+
+def _eigen(a: np.ndarray, psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eigen of the validated a; with ``psd``, matrix_power_psd's checks."""
+    b, e = _pow2_scaled(a)  # exact, so the checks are scale-free
+    bh, htol = b.conj().T, 1e-10 if psd else 1e-12
+    gap = _fro(b - bh)  # the relative bound is at least htol: ||b|| only past it
+    if gap > htol and gap > htol * max(1.0, _fro(b)):
+        raise NotHermitianError(f"matrix is not Hermitian within {htol:g} relative")
+    vals, vecs = _checked_eigh((b + bh) / 2.0)
+    norm = _pow2_unscaled(max(-vals[0], vals[-1]), e, "an eigenvalue")  # they ascend
+    vals = np.ldexp(vals, e)
+    if psd and vals[0] < -1e-8 * norm:
+        raise NotPSDError(f"eigenvalue {vals[0]} below -1e-8 * norm {norm}")
+    return (np.maximum(vals, 0.0) if psd else vals), vecs
 
 
 def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of the exactly Hermitian h.
-
-    Raises NoConvergenceError if the LAPACK solver fails, or if the
-    reconstruction residual or the departure of the eigenvectors from
-    unitarity exceeds 1e-10 relative to max(1, ||h||).
-    """
+    """Ascending eigenvalues and eigenvectors of the exactly Hermitian h;
+    NoConvergenceError if LAPACK fails or the residual ||hV - V diag(vals)|| or
+    the unitarity error ||V*V - I|| exceeds 1e-10 relative to max(1, ||h||)."""
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-    scale = max(1.0, np.linalg.norm(h))
-    if np.linalg.norm(EigenDecomposition(vals, vecs).reconstruct() - h) > 1e-10 * scale:
-        raise NoConvergenceError("eigendecomposition residual above 1e-10 relative")
-    if np.linalg.norm(vecs.conj().T @ vecs - np.eye(h.shape[0])) > 1e-10 * scale:
-        raise NoConvergenceError("eigenvector basis not unitary within 1e-10")
+    gram = vecs.conj().T @ vecs
+    gram.ravel()[:: len(gram) + 1] -= 1.0  # V*V - I, in place
+    for err, what in ((_fro(h @ vecs - vecs * vals), "residual"), (_fro(gram), "unitarity error")):
+        if err > 1e-10 and err > 1e-10 * max(1.0, _fro(h)):  # ||h|| only past the smallest bound
+            raise NoConvergenceError(f"eigendecomposition {what} above 1e-10 relative")
     return vals, vecs
-
-
-def _pow2_unscaled_values(vals: np.ndarray, e: int) -> np.ndarray:
-    """Ascending eigenvalues vals times 2^e, or OverflowError past the double
-    range."""
-    _pow2_unscaled(max(-vals[0], vals[-1]), e, "an eigenvalue")
-    return np.ldexp(vals, e)
 
 
 class PSDPower:
@@ -168,7 +191,7 @@ class PSDPower:
         self._pows: dict[float, np.ndarray] = {}
 
     def power(self, q: float) -> np.ndarray:
-        """The q-th power; entries past the double range come out inf or NaN."""
+        """The q-th power; past the double range, inf or NaN entries (numpy warns)."""
         if q < 0:
             raise ValueError("exponent must be >= 0")
         if q not in self._pows:
@@ -176,9 +199,8 @@ class PSDPower:
             if q == 0:
                 self._pows[q] = np.eye(v.shape[-1], dtype=np.complex128) + np.zeros_like(v)
             else:  # halves first: no overflow near the top of the double range
-                with np.errstate(over="ignore", invalid="ignore"):
-                    r = (v * (self.values ** q)[..., None, :]) @ _h(v) / 2.0
-                    self._pows[q] = r + _h(r)
+                r = (v * (self.values ** q)[..., None, :]) @ _h(v) / 2.0
+                self._pows[q] = r + _h(r)
         return self._pows[q]
 
 
@@ -194,10 +216,10 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    scale = max(1.0, float(s[..., 0].max()))
+    scale = max(1.0, float(s.flat[s.argmax()]))  # s descends: the largest s_1
     if not math.isfinite(scale):
         raise OverflowError("operator norm leaves the double range")
-    if not np.linalg.norm((u * (s / scale)[..., None, :]) @ vh - a / scale) <= 1e-10:
+    if not _fro((u * (s / scale)[..., None, :]) @ vh - a / scale) <= 1e-10:
         raise NoConvergenceError("SVD residual above 1e-10 relative")
     return u, s, vh
 
@@ -216,7 +238,8 @@ def abs_value(m) -> np.ndarray:
 
 def abs_power(m, p: float) -> np.ndarray:
     """|M|^p = (M*M)^(p/2) for p >= 0."""
-    return abs_powers(m)[0].power(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return abs_powers(m)[0].power(p)
 
 
 def matrix_power_psd(a, p: float) -> np.ndarray:
@@ -226,15 +249,13 @@ def matrix_power_psd(a, p: float) -> np.ndarray:
     are clamped to 0 before powering; one below -1e-8 * ||A|| signals genuine
     indefiniteness and raises NotPSDError.
     """
-    b, e = _pow2_scaled(as_matrix(a))  # exact, so the checks are scale-free
-    if np.linalg.norm(b - b.conj().T) > 1e-10 * max(1.0, np.linalg.norm(b)):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    vals, vecs = _checked_eigh((b + b.conj().T) / 2.0)
-    vals = _pow2_unscaled_values(vals, e)
-    norm = float(np.max(np.abs(vals)))
-    if vals[0] < -1e-8 * norm:
-        raise NotPSDError(f"eigenvalue {vals[0]} below -1e-8 * norm {norm}")
-    return PSDPower(vecs, np.maximum(vals, 0.0)).power(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _psd_power(as_matrix(a), p)
+
+
+def _psd_power(a: np.ndarray, p: float) -> np.ndarray:
+    vals, vecs = _eigen(a, psd=True)
+    return PSDPower(vecs, vals).power(p)
 
 
 def operator_norm(m) -> float:

@@ -9,20 +9,13 @@ a small closed registry of convex functions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UnknownFunctionError
-from .linalg import (
-    abs_powers,
-    as_matrix,
-    as_vector,
-    hermitian_eigen,
-    inner,
-    matrix_power_psd,
-    operator_norm,
-    same_dim,
-)
-from .scalar_ineq import InequalityRecord, require_unit
+from .linalg import PSDPower, _eigen, _fro, _psd_power, _svd, _vectors, as_matrix, inner, same_dim
+from .scalar_ineq import InequalityRecord, require_exponent, require_unit
 
 CONVEX_FUNCTIONS = {
     "square": np.square,
@@ -34,27 +27,26 @@ CONVEX_FUNCTIONS = {
 
 def mccarthy_check(t, x, r: float) -> InequalityRecord:
     """<Tx,x>^r <= <T^r x, x> for PSD T, unit x, r >= 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    require_exponent(r)
     t = as_matrix(t)
-    x = require_unit(as_vector(x))
+    x = require_unit(_vectors(x)[0])
     same_dim(t, x)
-    t_pow = matrix_power_psd(t, r)  # validates PSD Hermitian
-    q = max(0.0, np.real(inner(t @ x, x)))
-    lhs = q**r
-    rhs = np.real(inner(t_pow @ x, x))
-    return InequalityRecord.from_sides("mccarthy", float(lhs), float(rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_pow = _psd_power(t, r)  # validates PSD Hermitian
+        q = np.float64(max(0.0, np.real(inner(t @ x, x))))  # numpy's **: inf, not a raise
+        return InequalityRecord.from_sides("mccarthy", q**r, np.real(inner(t_pow @ x, x)))
 
 
 def convex_norm_check(a, b, r: float) -> InequalityRecord:
     """||((A+B)/2)^r|| <= ||(A^r + B^r)/2|| for PSD A, B and r >= 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    require_exponent(r)
     a, b = as_matrix(a), as_matrix(b)
     same_dim(a, b)
-    lhs = operator_norm(matrix_power_psd((a + b) / 2.0, r))
-    rhs = operator_norm((matrix_power_psd(a, r) + matrix_power_psd(b, r)) / 2.0)
-    return InequalityRecord.from_sides("convex_norm", lhs, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pm, pa, pb = (_psd_power(m, r) for m in ((a + b) / 2.0, a, b))
+        sides = [_svd(p)[1][0] if np.isfinite(p).all() else math.inf  # inf: past the range
+                 for p in (pm, (pa + pb) / 2.0)]
+        return InequalityRecord.from_sides("convex_norm", *sides)
 
 
 def mixed_schwarz_check(t, x, y, alpha: float) -> InequalityRecord:
@@ -62,14 +54,14 @@ def mixed_schwarz_check(t, x, y, alpha: float) -> InequalityRecord:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     t = as_matrix(t)
-    x, y = as_vector(x), as_vector(y)
-    same_dim(t, x, y)
-    lhs = abs(inner(t @ x, y))
-    abs_t, abs_t_adj = abs_powers(t)
-    gx = abs_t.power(alpha) @ x
-    hy = abs_t_adj.power(1.0 - alpha) @ y
-    rhs = float(np.linalg.norm(gx) * np.linalg.norm(hy))
-    return InequalityRecord.from_sides("mixed_schwarz", lhs, rhs)
+    x, y = _vectors(x, y)
+    same_dim(t, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = abs(inner(t @ x, y))
+        u, s, vh = _svd(t)  # |T|^p = V S^p V*, |T*|^p = U S^p U*
+        gx = PSDPower(vh.conj().T, s).power(alpha) @ x
+        hy = PSDPower(u, s).power(1.0 - alpha) @ y
+        return InequalityRecord.from_sides("mixed_schwarz", lhs, _fro(gx) * _fro(hy))
 
 
 def jensen_operator_check(t, x, h_id: str) -> InequalityRecord:
@@ -81,11 +73,10 @@ def jensen_operator_check(t, x, h_id: str) -> InequalityRecord:
         raise UnknownFunctionError(f"unknown function {h_id!r}; choose from {sorted(CONVEX_FUNCTIONS)}")
     h = CONVEX_FUNCTIONS[h_id]
     t = as_matrix(t)
-    x = require_unit(as_vector(x))
+    x = require_unit(_vectors(x)[0])
     same_dim(t, x)
-    dec = hermitian_eigen(t)  # raises NotHermitianError on bad input
-    lhs = float(h(np.real(inner(t @ x, x))))
-    v = dec.eigenvectors
-    h_t = (v * h(dec.eigenvalues)) @ v.conj().T
-    rhs = float(np.real(inner(h_t @ x, x)))
-    return InequalityRecord.from_sides(f"jensen_{h_id}", lhs, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, v = _eigen(t)  # raises NotHermitianError on bad input
+        lhs = h(np.float64(np.real(inner(t @ x, x))))  # numpy's **: inf, not a raise
+        h_t = (v * h(vals)) @ v.conj().T
+        return InequalityRecord.from_sides(f"jensen_{h_id}", lhs, np.real(inner(h_t @ x, x)))

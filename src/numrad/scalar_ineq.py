@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitVectorError
-from .linalg import as_vector, inner, same_dim
+from .linalg import _fro, _vectors, inner
 
 HOLDS_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityRecord:
     """Evaluated lhs <= rhs instance. ``outer`` carries the loose end of a
     two-step chain when the statement provides one (rhs <= outer)."""
@@ -36,11 +36,11 @@ class InequalityRecord:
     @classmethod
     def from_sides(cls, name: str, lhs: float, rhs: float, outer: float | None = None):
         lhs, rhs, outer = float(lhs), float(rhs), None if outer is None else float(outer)
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise ValueError(f"{name}: non-finite sides lhs={lhs} rhs={rhs}")
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):  # from finite input: overflow
+            raise OverflowError(f"{name}: a side leaves the double range (lhs={lhs}, rhs={rhs})")
         slack = rhs - lhs
         holds = slack >= -HOLDS_RTOL * max(1.0, abs(lhs), abs(rhs))
-        return cls(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=holds, outer=outer)
+        return cls(name, lhs, rhs, slack, holds, outer)
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class BoundParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.r) and self.r >= 1):
-            raise ValueError(f"r must be >= 1, got {self.r}")
+        require_exponent(self.r)
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         if not 0 < self.alpha < 1:
@@ -77,6 +76,13 @@ def _require_positive(lam: float) -> float:
     return lam
 
 
+def require_exponent(r: float) -> float:
+    """r, or ValueError unless it is finite and >= 1."""
+    if not (math.isfinite(r) and r >= 1):
+        raise ValueError(f"r must be finite and >= 1, got {r}")
+    return r
+
+
 def binomial_order(n: int) -> int:
     """n as an int, for the binomial-order forms; n > 15 is refused."""
     if int(n) != n or n < 1:
@@ -88,8 +94,8 @@ def binomial_order(n: int) -> int:
 
 def require_unit(v: np.ndarray) -> np.ndarray:
     """v, or NotUnitVectorError when its norm is not 1 within 1e-12."""
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"vector norm {np.linalg.norm(v)} is not 1 within 1e-12")
+    if abs(_fro(v) - 1.0) > 1e-12:
+        raise NotUnitVectorError(f"vector norm {_fro(v)} is not 1 within 1e-12")
     return v
 
 
@@ -99,9 +105,8 @@ def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
     The right side never exceeds |x|^2 |y|^2, reported as ``outer``.
     """
     lam = _require_positive(lam)
-    x, y = as_vector(x), as_vector(y)
-    same_dim(x, y)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    x, y = _vectors(x, y)
+    nx, ny = _fro(x), _fro(y)
     ip = abs(inner(x, y))
     lhs = ip**2
     outer = (nx * ny) ** 2
@@ -112,9 +117,8 @@ def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
 def cs_refinement_two(x, y, lam: float) -> InequalityRecord:
     """|<x,y>|^2 <= lam/(2(1+lam)) |x|^2|y|^2 + (2+lam)/(2(1+lam)) |<x,y>| |x||y|."""
     lam = _require_positive(lam)
-    x, y = as_vector(x), as_vector(y)
-    same_dim(x, y)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    x, y = _vectors(x, y)
+    nx, ny = _fro(x), _fro(y)
     ip = abs(inner(x, y))
     lhs = ip**2
     outer = (nx * ny) ** 2
@@ -124,11 +128,10 @@ def cs_refinement_two(x, y, lam: float) -> InequalityRecord:
 
 def buzano(x, y, e) -> InequalityRecord:
     """|<x,e><e,y>| <= (|x||y| + |<x,y>|) / 2 for a unit vector e."""
-    x, y, e = as_vector(x), as_vector(y), as_vector(e)
-    same_dim(x, y, e)
+    x, y, e = _vectors(x, y, e)
     require_unit(e)
     lhs = abs(inner(x, e) * inner(e, y))
-    rhs = 0.5 * (np.linalg.norm(x) * np.linalg.norm(y) + abs(inner(x, y)))
+    rhs = 0.5 * (_fro(x) * _fro(y) + abs(inner(x, y)))
     return InequalityRecord.from_sides("buzano", lhs, float(rhs))
 
 
@@ -136,10 +139,9 @@ def buzano_refined(x, y, e, lam: float) -> InequalityRecord:
     """|<x,e><e,y>|^2 <= (2+3lam)/(8(1+lam)) |x|^2|y|^2
     + (6+5lam)/(8(1+lam)) |x||y| |<x,y>|."""
     lam = _require_positive(lam)
-    x, y, e = as_vector(x), as_vector(y), as_vector(e)
-    same_dim(x, y, e)
+    x, y, e = _vectors(x, y, e)
     require_unit(e)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    nx, ny = _fro(x), _fro(y)
     ip = abs(inner(x, y))
     lhs = abs(inner(x, e) * inner(e, y)) ** 2
     rhs = ((2.0 + 3.0 * lam) * (nx * ny) ** 2 + (6.0 + 5.0 * lam) * nx * ny * ip) / (
@@ -155,10 +157,9 @@ def buzano_refined_two(x, y, e, lam: float) -> InequalityRecord:
     The first term is the expanded square of |x||y| + |<x,y>|.
     """
     lam = _require_positive(lam)
-    x, y, e = as_vector(x), as_vector(y), as_vector(e)
-    same_dim(x, y, e)
+    x, y, e = _vectors(x, y, e)
     require_unit(e)
-    s = np.linalg.norm(x) * np.linalg.norm(y) + abs(inner(x, y))
+    s = _fro(x) * _fro(y) + abs(inner(x, y))
     b = abs(inner(x, e) * inner(e, y))
     lhs = b**2
     rhs = lam * s**2 / (4.0 * (1.0 + lam)) + b * s / (2.0 * (1.0 + lam))
@@ -176,10 +177,9 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
     """
     lam = _require_positive(lam)
     n = binomial_order(n)
-    x, y, e = as_vector(x), as_vector(y), as_vector(e)
-    same_dim(x, y, e)
+    x, y, e = _vectors(x, y, e)
     require_unit(e)
-    nxny = float(np.linalg.norm(x) * np.linalg.norm(y))
+    nxny = float(_fro(x) * _fro(y))
     ip = abs(inner(x, y))
     lhs = abs(inner(x, e) * inner(e, y)) ** (2 * n)
     inv4n = 0.25**n
@@ -197,8 +197,8 @@ def young_amgm(a: float, b: float, t: float) -> InequalityRecord:
     0^0 counts as 1 (so a^0 b = b), while a = b = 0 gives lhs 0.
     """
     a, b, t = float(a), float(b), float(t)
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be non-negative")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise ValueError("a and b must be finite and non-negative")
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     lhs = a**t * b ** (1.0 - t)  # Python: 0.0**0.0 == 1.0, 0.0**positive == 0.0

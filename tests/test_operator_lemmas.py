@@ -1,5 +1,7 @@
 """Operator-lemma predicates: frozen values, equality cases, seeded fuzz."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,25 @@ class TestJensen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             jensen_operator_check(J, HALF, "square")
+
+
+@pytest.mark.parametrize("name,call", [
+    ("mccarthy", lambda: mccarthy_check(1e200 * np.eye(2), np.array([1.0, 0.0]), 2.0)),
+    ("convex_norm", lambda: convex_norm_check(1e200 * np.eye(2), 1e200 * np.eye(2), 2.0)),
+    ("mixed_schwarz", lambda: mixed_schwarz_check(np.eye(2), 1e200 * HALF, 1e200 * HALF, 0.5)),
+    ("jensen_exp", lambda: jensen_operator_check(800.0 * np.eye(2), np.array([1.0, 0.0]), "exp")),
+    ("jensen_quartic", lambda: jensen_operator_check(1e100 * np.eye(2), HALF, "quartic")),
+])
+def test_side_past_double_range_names_the_predicate(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(OverflowError, match=f"^{name}: a side leaves the double range"):
+            call()
+
+
+def test_norm_past_double_range_names_its_cause():
+    with pytest.raises(OverflowError, match="operator norm leaves the double range"):
+        mixed_schwarz_check(np.full((2, 2), 1.5e308), HALF, HALF, 0.5)
 
 
 def test_seeded_fuzz_all_predicates():
