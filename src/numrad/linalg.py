@@ -357,9 +357,18 @@ def numerical_radius(m, tol: float = DEFAULT_RADIUS_TOL):
     return numerical_radius_enclosure(m, tol)[0]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+def _oracle_starts(rng: np.random.Generator, n: int, samples: int) -> np.ndarray:
+    """The oracle's unit start vectors as the columns of an (n, samples)
+    block: sample j draws n standard normal real parts, then n imaginary
+    parts, from rng."""
+    z = rng.standard_normal((samples, 2, n))
+    x = (z[:, 0] + 1j * z[:, 1]).T
+    return x / np.linalg.norm(x, axis=0)
+
+
+def _columns_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<y_j, x_j> = x_j* y_j for each column j of two (n, k) blocks."""
+    return np.einsum("ij,ij->j", x.conj(), y)
 
 
 def numerical_radius_oracle(m, samples: int, seed: int) -> float:
@@ -370,43 +379,64 @@ def numerical_radius_oracle(m, samples: int, seed: int) -> float:
     backtracking step size). Never exceeds the upper end of the engine's
     enclosure beyond roundoff.
 
+    The ascents run in lockstep as the columns of one (n, samples) block,
+    so a step costs one A* X and one A X_try product for all of them. A
+    column stops on its own: when its tangent falls to 1e-13 ||A||_F, or
+    when five halvings of the step 1/||A||_F all lower |<Ax, x>|.
+
     A given seed fixes the start vectors and so the result. Different seeds
     draw different start vectors, but their results may coincide once the
     ascent reaches the maximiser.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     a, e = _pow2_scaled(as_matrix(m))  # exact, so the ascent is scale-free
-    n = a.shape[0]
-    fro = float(np.linalg.norm(a))
+    fro = float(_fro(a))
     if fro == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    ah = _h(a)
+    eta0, tol2 = 1.0 / fro, (1e-13 * fro) ** 2
+    x = _oracle_starts(np.random.default_rng(seed), a.shape[0], samples)
+    ax = a @ x
+    q = _columns_inner(x, ax)
+    val = np.abs(q)
     best = 0.0
-    for _ in range(samples):
-        x = _unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        q = np.vdot(x, a @ x)
-        val = abs(q)
-        best = max(best, val)
-        eta0 = 1.0 / fro
-        for _ in range(100):
-            psi = np.angle(q) if q != 0 else 0.0
-            ph = np.exp(-1j * psi)
-            grad = 0.5 * (ph * (a @ x) + np.conj(ph) * (a.conj().T @ x))
-            tangent = grad - np.real(np.vdot(x, grad)) * x
-            if np.linalg.norm(tangent) <= 1e-13 * fro:
-                break
-            eta = eta0
-            improved = False
-            for _ in range(5):
-                x_try = _unit(x + eta * tangent)
-                q_try = np.vdot(x_try, a @ x_try)
-                if abs(q_try) >= val:
-                    x, q, val = x_try, q_try, abs(q_try)
-                    improved = True
+
+    def trial(eta):
+        """(x, Ax, <Ax, x>, |<Ax, x>|) at the step eta along t, per column."""
+        # x is a unit vector and t is orthogonal to it: |x + eta t|^2 = 1 + eta^2 |t|^2
+        x_try = (x + eta * t) / np.sqrt(1.0 + eta * eta * tn2)
+        ax_try = a @ x_try
+        q_try = _columns_inner(x_try, ax_try)
+        return x_try, ax_try, q_try, np.abs(q_try)
+
+    for _ in range(100):
+        ph = np.exp(-1j * np.angle(q))  # angle(0) = 0: the phase 1 at q = 0
+        g = 0.5 * (ph * ax + ph.conj() * (ah @ x))
+        t = g - val * x  # Re <g, x> = Re(ph q) = |q|: the radial part of the gradient
+        tn2 = _columns_inner(t, t).real
+        moving = tn2 > tol2
+        state = trial(eta0)
+        up = moving & (state[3] >= val)
+        if np.count_nonzero(up) < up.size:
+            # A column that rejects keeps its vector and tries up to four
+            # halvings; one that rejects them all, or has stopped moving,
+            # leaves the block.
+            state = [np.where(up, new, old) for new, old in zip(state, (x, ax, q, val))]
+            wait, eta = moving & ~up, eta0
+            for _ in range(4):
+                if not np.count_nonzero(wait):
                     break
                 eta /= 2.0
-            if not improved:
+                halved = trial(eta)
+                take = wait & (halved[3] >= val)
+                state = [np.where(take, new, old) for new, old in zip(halved, state)]
+                up |= take
+                wait &= ~take
+            best = max(best, float(state[3].max()))  # a column's value only rises
+            if not np.count_nonzero(up):
                 break
-            best = max(best, val)
+            state = [v[..., up] for v in state]
+        x, ax, q, val = state
+    best = max(best, float(val.max()))
     return _pow2_unscaled(best, e)

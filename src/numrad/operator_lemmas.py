@@ -42,11 +42,14 @@ def convex_norm_check(a, b, r: float) -> InequalityRecord:
     require_exponent(r)
     a, b = as_matrix(a), as_matrix(b)
     same_dim(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pm, pa, pb = (_psd_power(m, r) for m in ((a + b) / 2.0, a, b))
-        sides = [_svd(p)[1][0] if np.isfinite(p).all() else math.inf  # inf: past the range
-                 for p in (pm, (pa + pb) / 2.0)]
-        return InequalityRecord.from_sides("convex_norm", *sides)
+    try:  # means halve first: the mean of two doubles is a double
+        with np.errstate(over="ignore", invalid="ignore"):
+            pm, pa, pb = (_psd_power(m, r) for m in (a / 2.0 + b / 2.0, a, b))
+            sides = [_svd(p)[1][0] if np.isfinite(p).all() else math.inf  # inf: past the range
+                     for p in (pm, pa / 2.0 + pb / 2.0)]
+    except OverflowError as exc:  # an eigenvalue or a norm past the double range
+        raise OverflowError(f"convex_norm: {exc}") from None
+    return InequalityRecord.from_sides("convex_norm", *sides)
 
 
 def mixed_schwarz_check(t, x, y, alpha: float) -> InequalityRecord:

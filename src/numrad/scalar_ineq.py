@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitVectorError
-from .linalg import _fro, _vectors, inner
+from .linalg import _vectors, inner
 
 HOLDS_RTOL = 1e-10
 
@@ -92,11 +92,26 @@ def binomial_order(n: int) -> int:
     return int(n)
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| of a validated vector as a Python float. math.hypot scales its
+    arguments, so it overflows only where the norm does, and never warns."""
+    return math.hypot(*v.view(np.float64).tolist())
+
+
+def _overflow(name: str) -> OverflowError:
+    return OverflowError(f"{name}: a side leaves the double range")
+
+
 def require_unit(v: np.ndarray) -> np.ndarray:
     """v, or NotUnitVectorError when its norm is not 1 within 1e-12."""
-    if abs(_fro(v) - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"vector norm {_fro(v)} is not 1 within 1e-12")
+    if abs(_norm(v) - 1.0) > 1e-12:
+        raise NotUnitVectorError(f"vector norm {_norm(v)} is not 1 within 1e-12")
     return v
+
+
+# The evaluators compute their sides in Python floats, where a product past
+# the double range is inf and a power or a complex abs raises OverflowError;
+# either way the caller gets one OverflowError naming the evaluator.
 
 
 def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
@@ -106,11 +121,14 @@ def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
     """
     lam = _require_positive(lam)
     x, y = _vectors(x, y)
-    nx, ny = _fro(x), _fro(y)
-    ip = abs(inner(x, y))
-    lhs = ip**2
-    outer = (nx * ny) ** 2
-    rhs = (lam * outer + ip * nx * ny) / (1.0 + lam)
+    try:
+        nx, ny = _norm(x), _norm(y)
+        ip = abs(inner(x, y))
+        lhs = ip**2
+        outer = (nx * ny) ** 2
+        rhs = (lam * outer + ip * nx * ny) / (1.0 + lam)
+    except OverflowError:
+        raise _overflow("cs_refinement_gen") from None
     return InequalityRecord.from_sides("cs_refinement_gen", lhs, rhs, outer=outer)
 
 
@@ -118,11 +136,14 @@ def cs_refinement_two(x, y, lam: float) -> InequalityRecord:
     """|<x,y>|^2 <= lam/(2(1+lam)) |x|^2|y|^2 + (2+lam)/(2(1+lam)) |<x,y>| |x||y|."""
     lam = _require_positive(lam)
     x, y = _vectors(x, y)
-    nx, ny = _fro(x), _fro(y)
-    ip = abs(inner(x, y))
-    lhs = ip**2
-    outer = (nx * ny) ** 2
-    rhs = (lam * outer + (2.0 + lam) * ip * nx * ny) / (2.0 * (1.0 + lam))
+    try:
+        nx, ny = _norm(x), _norm(y)
+        ip = abs(inner(x, y))
+        lhs = ip**2
+        outer = (nx * ny) ** 2
+        rhs = (lam * outer + (2.0 + lam) * ip * nx * ny) / (2.0 * (1.0 + lam))
+    except OverflowError:
+        raise _overflow("cs_refinement_two") from None
     return InequalityRecord.from_sides("cs_refinement_two", lhs, rhs, outer=outer)
 
 
@@ -130,9 +151,12 @@ def buzano(x, y, e) -> InequalityRecord:
     """|<x,e><e,y>| <= (|x||y| + |<x,y>|) / 2 for a unit vector e."""
     x, y, e = _vectors(x, y, e)
     require_unit(e)
-    lhs = abs(inner(x, e) * inner(e, y))
-    rhs = 0.5 * (_fro(x) * _fro(y) + abs(inner(x, y)))
-    return InequalityRecord.from_sides("buzano", lhs, float(rhs))
+    try:
+        lhs = abs(inner(x, e) * inner(e, y))
+        rhs = 0.5 * (_norm(x) * _norm(y) + abs(inner(x, y)))
+    except OverflowError:
+        raise _overflow("buzano") from None
+    return InequalityRecord.from_sides("buzano", lhs, rhs)
 
 
 def buzano_refined(x, y, e, lam: float) -> InequalityRecord:
@@ -141,12 +165,15 @@ def buzano_refined(x, y, e, lam: float) -> InequalityRecord:
     lam = _require_positive(lam)
     x, y, e = _vectors(x, y, e)
     require_unit(e)
-    nx, ny = _fro(x), _fro(y)
-    ip = abs(inner(x, y))
-    lhs = abs(inner(x, e) * inner(e, y)) ** 2
-    rhs = ((2.0 + 3.0 * lam) * (nx * ny) ** 2 + (6.0 + 5.0 * lam) * nx * ny * ip) / (
-        8.0 * (1.0 + lam)
-    )
+    try:
+        nx, ny = _norm(x), _norm(y)
+        ip = abs(inner(x, y))
+        lhs = abs(inner(x, e) * inner(e, y)) ** 2
+        rhs = ((2.0 + 3.0 * lam) * (nx * ny) ** 2 + (6.0 + 5.0 * lam) * nx * ny * ip) / (
+            8.0 * (1.0 + lam)
+        )
+    except OverflowError:
+        raise _overflow("buzano_refined") from None
     return InequalityRecord.from_sides("buzano_refined", lhs, rhs)
 
 
@@ -159,10 +186,13 @@ def buzano_refined_two(x, y, e, lam: float) -> InequalityRecord:
     lam = _require_positive(lam)
     x, y, e = _vectors(x, y, e)
     require_unit(e)
-    s = _fro(x) * _fro(y) + abs(inner(x, y))
-    b = abs(inner(x, e) * inner(e, y))
-    lhs = b**2
-    rhs = lam * s**2 / (4.0 * (1.0 + lam)) + b * s / (2.0 * (1.0 + lam))
+    try:
+        s = _norm(x) * _norm(y) + abs(inner(x, y))
+        b = abs(inner(x, e) * inner(e, y))
+        lhs = b**2
+        rhs = lam * s**2 / (4.0 * (1.0 + lam)) + b * s / (2.0 * (1.0 + lam))
+    except OverflowError:
+        raise _overflow("buzano_refined_two") from None
     return InequalityRecord.from_sides("buzano_refined_two", lhs, rhs)
 
 
@@ -179,15 +209,18 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
     n = binomial_order(n)
     x, y, e = _vectors(x, y, e)
     require_unit(e)
-    nxny = float(_fro(x) * _fro(y))
-    ip = abs(inner(x, y))
-    lhs = abs(inner(x, e) * inner(e, y)) ** (2 * n)
-    inv4n = 0.25**n
-    rhs = inv4n * (1.0 + 2.0 * lam) / (1.0 + lam) * nxny ** (2 * n)
-    rhs += inv4n / (1.0 + lam) * nxny**n * ip**n
-    rhs += inv4n * sum(
-        math.comb(2 * n, j) * nxny**j * ip ** (2 * n - j) for j in range(1, 2 * n)
-    )
+    try:
+        nxny = _norm(x) * _norm(y)
+        ip = abs(inner(x, y))
+        lhs = abs(inner(x, e) * inner(e, y)) ** (2 * n)
+        inv4n = 0.25**n
+        rhs = inv4n * (1.0 + 2.0 * lam) / (1.0 + lam) * nxny ** (2 * n)
+        rhs += inv4n / (1.0 + lam) * nxny**n * ip**n
+        rhs += inv4n * sum(
+            math.comb(2 * n, j) * nxny**j * ip ** (2 * n - j) for j in range(1, 2 * n)
+        )
+    except OverflowError:
+        raise _overflow("buzano_power") from None
     return InequalityRecord.from_sides("buzano_power", lhs, rhs)
 
 

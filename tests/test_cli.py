@@ -132,6 +132,12 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_radius_zero_oracle_samples_exits_two(jordan_file, capsys):
+    code = cli.main(["radius", "--matrix", jordan_file, "--oracle-samples", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: samples must be ")
+
+
 def test_unknown_bound_exits_two(jordan_file, capsys):
     code = cli.main(["bound", "--matrix", jordan_file, "--bound", "bogus"])
     assert code == 2

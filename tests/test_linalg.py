@@ -428,6 +428,67 @@ class TestEngineBatches:
         assert self.batches(monkeypatch, np.eye(8, k=1)) == [1]
 
 
+def oracle_corpus_matrix(rng, kind, n):
+    """One matrix of the oracle's pinned corpus."""
+    g = ginibre(rng, n)
+    if kind == "ginibre":
+        return g
+    if kind == "gue":
+        return (g + g.conj().T) / 2
+    if kind == "normal":
+        u = haar_unitary(rng, n)
+        return (u * g[0]) @ u.conj().T
+    if kind == "rank_one":
+        return np.outer(g[0], g[1].conj())
+    if kind == "nilpotent":
+        return np.triu(g, 1)
+    return rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()) * np.eye(n, k=1)
+
+
+def sequential_oracle(m, samples, seed):
+    """The sampling oracle as one ascent per sample, one after another: the
+    loop that numerical_radius_oracle runs in lockstep, kept as its reference."""
+
+    def unit(v):
+        n = np.linalg.norm(v)
+        return v / n if n > 0 else v
+
+    a, e = linalg._pow2_scaled(as_matrix(m))
+    n = a.shape[0]
+    fro = float(np.linalg.norm(a))
+    if fro == 0.0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        x = unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        q = np.vdot(x, a @ x)
+        val = abs(q)
+        best = max(best, val)
+        eta0 = 1.0 / fro
+        for _ in range(100):
+            psi = np.angle(q) if q != 0 else 0.0
+            ph = np.exp(-1j * psi)
+            grad = 0.5 * (ph * (a @ x) + np.conj(ph) * (a.conj().T @ x))
+            tangent = grad - np.real(np.vdot(x, grad)) * x
+            if np.linalg.norm(tangent) <= 1e-13 * fro:
+                break
+            eta = eta0
+            improved = False
+            for _ in range(5):
+                x_try = unit(x + eta * tangent)
+                q_try = np.vdot(x_try, a @ x_try)
+                if abs(q_try) >= val:
+                    x, q, val = x_try, q_try, abs(q_try)
+                    improved = True
+                    break
+                eta /= 2.0
+            if not improved:
+                break
+            best = max(best, val)
+    return math.ldexp(best, e)
+
+
 class TestOracle:
     def test_identity_single_sample(self):
         assert numerical_radius_oracle(np.eye(3), 1, 123) == pytest.approx(1.0)
@@ -451,12 +512,12 @@ class TestOracle:
     def test_deterministic_per_seed(self, monkeypatch):
         rng = np.random.default_rng(22)
         m = ginibre(rng, 4)
-        unit = linalg._unit
+        starts = linalg._oracle_starts
 
         def run(seed):
-            # The first vector a call normalises is its first random start.
             seen = []
-            monkeypatch.setattr(linalg, "_unit", lambda v: seen.append(v.copy()) or unit(v))
+            monkeypatch.setattr(linalg, "_oracle_starts",
+                                lambda *args: seen.append(starts(*args)) or seen[-1])
             return numerical_radius_oracle(m, 16, seed), seen[0]
 
         a, start_a = run(5)
@@ -468,6 +529,23 @@ class TestOracle:
         # are compared.
         assert not np.array_equal(start_a, start_c)
 
+    def test_matches_sequential_ascent(self):
+        """The lockstep block runs each sample's ascent as the one-vector
+        loop of sequential_oracle does, from the same starts."""
+        rng = np.random.default_rng(23)
+        kinds = ("ginibre", "gue", "normal", "rank_one", "nilpotent", "jordan")
+        sizes = (2, 3, 5, 8, 16, 32)
+        for k in range(54):
+            kind, n = kinds[k % 6], sizes[k // 9]
+            m = oracle_corpus_matrix(rng, kind, n)
+            hi = numerical_radius_enclosure(m)[1]
+            for samples in (1, 4, 16):
+                seed = int(rng.integers(2**32))
+                got = numerical_radius_oracle(m, samples, seed)
+                want = sequential_oracle(m, samples, seed)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (kind, n, samples)
+                assert got <= hi + 1e-8 * max(1.0, operator_norm(m)), (kind, n, samples)
+
     def test_extreme_scale(self):
         assert numerical_radius_oracle([[0, 1e160], [0, 0]], 4, 1) == pytest.approx(5e159,
                                                                                    rel=1e-12)
@@ -475,6 +553,10 @@ class TestOracle:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             numerical_radius_oracle(J, 0, 1)
+
+    def test_rejects_fractional_samples(self):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            numerical_radius_oracle(J, 2.5, 1)
 
 
 class TestEigenFailureMapping:

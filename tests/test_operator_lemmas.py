@@ -143,6 +143,20 @@ def test_side_past_double_range_names_the_predicate(name, call):
             call()
 
 
+def test_convex_norm_mean_near_the_top_of_the_double_range():
+    a = 1.5e308 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = convex_norm_check(a, a, 1.0)
+    assert (rec.lhs, rec.rhs) == (1.5e308, 1.5e308)
+
+
+def test_convex_norm_eigenvalue_past_double_range_names_the_predicate():
+    a = np.full((2, 2), 1.5e308)  # PSD, entries finite, eigenvalue 3e308
+    with pytest.raises(OverflowError, match="^convex_norm: an eigenvalue leaves the double range"):
+        convex_norm_check(a, a, 1.0)
+
+
 def test_norm_past_double_range_names_its_cause():
     with pytest.raises(OverflowError, match="operator norm leaves the double range"):
         mixed_schwarz_check(np.full((2, 2), 1.5e308), HALF, HALF, 0.5)

@@ -7,6 +7,7 @@ and finiteness passes of a call, so none is repeated.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,3 +165,29 @@ def test_at_most_one_finiteness_pass_per_input(monkeypatch, fn):
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
     fn(*args)
     assert passes <= sum(isinstance(a, np.ndarray) for a in args)
+
+
+BIG = 1e200 * np.ones(2)  # finite, but its squares and products leave the double range
+E1 = np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("fn,args", [pytest.param(fn, args, id=fn.__name__) for fn, args in [
+    (cs_refinement_gen, (BIG, np.ones(2), 1.0)),
+    (cs_refinement_two, (BIG, np.ones(2), 1.0)),
+    (buzano, (BIG, BIG, E1)),
+    (buzano_refined, (BIG, np.ones(2), E1, 1.0)),
+    (buzano_refined_two, (BIG, np.ones(2), E1, 1.0)),
+    (buzano_power, (BIG, np.ones(2), E1, 1.0, 2)),
+]])
+def test_side_past_double_range_names_the_evaluator(fn, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(OverflowError, match=f"^{fn.__name__}: a side leaves the double range"):
+            fn(*args)
+
+
+def test_large_finite_vectors_with_double_sides_are_evaluated():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = cs_refinement_gen(1e160 * np.ones(2), 1e-160 * np.ones(2), 1.0)
+    assert (rec.lhs, rec.rhs, rec.outer) == pytest.approx((4.0, 4.0, 4.0), rel=1e-15)
