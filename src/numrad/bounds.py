@@ -16,8 +16,10 @@ Right sides are homographic in lam: rhs(lam) = (P + Q lam)/(1 + lam), so
 their infimum over lam is min(P, Q) attained at a boundary; resolved
 certificates lose that structure and are minimized numerically. Engine
 terms are keyed data, computed once for a stack of inputs (fill_terms), and
-evaluate_sides gives right sides over (inputs x lam): the suite calls it per
-config; evaluate_bound, refinement_chain and optimize_lambda for k = 1.
+evaluate_sides gives right sides over (inputs x lam): the suite checks its
+lam grid once (check_lambdas) and then evaluates each config's bounds and
+chains unchecked; evaluate_bound, refinement_chain and optimize_lambda call
+it for k = 1.
 """
 
 from __future__ import annotations
@@ -407,16 +409,33 @@ def _sides(bound: BoundSpec, terms: _Terms, params: BoundParams, mode: str, lams
     return Sides(mode, p, w, rhs, slack, holds)
 
 
+def check_lambdas(names, params: BoundParams, lams) -> None:
+    """ValueError unless every bound of ``names`` admits every lam of a
+    non-empty ``lams``: run_suite checks its grid once, evaluate_sides and
+    refinement_chain each call."""
+    if names and not len(lams):
+        raise ValueError(f"empty lambda grid for bound {names[0]!r}")
+    positive = any(CATALOG[b].lam == LAM_POSITIVE for b in names)
+    for lam in lams:  # replace validates lam >= 0
+        if not replace(params, lam=lam).lam > 0 and positive:
+            raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
+
+
 def evaluate_sides(name: str, terms: _Terms, params: BoundParams, lams,
                    mode: str | None = None) -> list[Sides]:
     """A bound in the requested mode (or all its modes) over every input of
     ``terms`` and lam. ValueError for a lam or mode the bound does not admit,
     OverflowError when a right side or w-power leaves the double range."""
+    check_lambdas((name,), params, lams)
+    fill_terms([(terms, CATALOG[name].keys(params))])  # keys() refuses th6 with n > 15
+    return _evaluate_sides(name, terms, params, lams, mode)
+
+
+def _evaluate_sides(name: str, terms: _Terms, params: BoundParams, lams,
+                    mode: str | None = None) -> list[Sides]:
+    """evaluate_sides for lams check_lambdas has passed; terms not yet
+    computed are computed one key at a time."""
     bound = CATALOG[name]
-    for lam in lams:  # replace validates lam >= 0
-        if not replace(params, lam=lam).lam > 0 and bound.lam == LAM_POSITIVE:
-            raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
-    fill_terms([(terms, bound.keys(params))])  # keys() refuses th6 with n > 15
     if mode is not None and mode not in bound.modes:
         raise ValueError(f"bound {name!r} has no mode {mode!r}")
     out = [_sides(bound, terms, params, m, lams) for m in ((mode,) if mode else bound.modes)]
@@ -598,7 +617,11 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
         raise UnknownChainError(f"unknown chain {chain_id!r}; catalog: {CHAIN_IDS}")
     ch = CHAINS[chain_id]
     # Both bounds of a chain are of one kind, single or product.
-    links, holds = chain_links(ch, _terms_for(CATALOG[ch.refined], t, s), params)
+    terms, reads = _terms_for(CATALOG[ch.refined], t, s), chain_bounds(ch, params)
+    for name, bp in reads:
+        check_lambdas((name,), bp, (bp.lam,))
+    fill_terms([(terms, [key for name, bp in reads for key in CATALOG[name].keys(bp)])])
+    links, holds = chain_links(ch, terms, params)
     return ChainResult(chain_name=chain_id, holds=bool(holds[0]),
                        links=tuple((name, float(v[0])) for name, v in links))
 
@@ -609,10 +632,11 @@ def chain_bounds(ch: ChainSpec, params: BoundParams) -> tuple[tuple[str, BoundPa
 
 def chain_links(ch: ChainSpec, terms: _Terms, params: BoundParams):
     """The links (w-power, refined, classical) of a chain over the inputs of
-    ``terms``, and whether each input's links ascend within CHAIN_RTOL."""
+    ``terms``, and whether each input's links ascend within CHAIN_RTOL; the
+    lam of both bounds' params as check_lambdas has passed it."""
     (rb, rp), (cb, cp) = chain_bounds(ch, params)
-    refined = evaluate_sides(rb, terms, rp, (rp.lam,), ch.mode)[0]
-    classical = evaluate_sides(cb, terms, cp, (cp.lam,))[0]
+    refined = _evaluate_sides(rb, terms, rp, (rp.lam,), ch.mode)[0]
+    classical = _evaluate_sides(cb, terms, cp, (cp.lam,))[0]
     links = (("w_power", refined.w_power), ("refined", refined.rhs[:, 0]),
              ("classical", classical.rhs[:, 0]))
     return links, np.logical_and.reduce([

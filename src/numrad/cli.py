@@ -14,6 +14,7 @@ found, 2 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +44,10 @@ def _csv_floats(text: str) -> list[float]:
     return [float(item) for item in _csv_list(text)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: its defaults
+    are immutable, so no call can change what the next one parses."""
     parser = argparse.ArgumentParser(prog="numrad", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--chains", type=_csv_list, default=None,
                           help=f"comma list from {','.join(CHAIN_IDS)} (default: all)")
     p_verify.add_argument("--lambda-grid", type=_csv_floats, dest="lambda_grid",
-                          default=list(DEFAULT_LAMBDA_GRID))
+                          default=DEFAULT_LAMBDA_GRID)
     p_verify.add_argument("--r", type=float, default=1.0)
     p_verify.add_argument("--n", type=int, default=1)
     p_verify.add_argument("--alpha", type=float, default=0.5)
@@ -157,8 +161,7 @@ def _cmd_radius(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "verify": _cmd_verify,
         "bound": _cmd_bound,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -20,6 +21,14 @@ def fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot render non-finite float {x}")
     return format(float(x), ".17g")
+
+
+def fmt_floats(values) -> list[str]:
+    """fmt_float of each value, the finiteness checked once for all."""
+    values = list(map(float, values))
+    if not all(map(math.isfinite, values)):
+        fmt_float(next(x for x in values if not math.isfinite(x)))  # raises
+    return list(map(float.__format__, values, repeat(".17g")))
 
 
 def matrix_to_dict(m) -> dict:
@@ -38,27 +47,32 @@ def vector_to_dict(v) -> dict:
     }
 
 
-def matrix_from_dict(obj) -> np.ndarray:
-    """The matrix of a ``{"dim": n, "entries": [[re, im], ...]}`` object;
-    ValueError for any other JSON value."""
+def _entries(obj, kind: str, size) -> tuple[int, np.ndarray]:
+    """dim and the size(dim) entries of a ``{"dim": n, "entries": [[re, im],
+    ...]}`` object; ValueError naming the kind for any other JSON value."""
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
-        if dim < 1 or len(entries) != dim * dim:
-            raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
+        if dim < 1 or len(entries) != size(dim):
+            raise ValueError(f"expected {size(dim)} entries for dim {dim}, got {len(entries)}")
         flat = [complex(re, im) for re, im in entries]
     except (KeyError, TypeError) as exc:
-        msg = 'expected a matrix object {"dim": n, "entries": [[re, im], ...]}'
+        msg = f'expected a {kind} object {{"dim": n, "entries": [[re, im], ...]}}'
         raise ValueError(msg) from exc
-    return as_matrix(np.array(flat, dtype=np.complex128).reshape(dim, dim))
+    return dim, np.array(flat, dtype=np.complex128)
 
 
-def vector_from_dict(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if dim < 1 or len(entries) != dim:
-        raise ValueError(f"expected {dim} entries, got {len(entries)}")
-    return as_vector(np.array([complex(re, im) for re, im in entries]))
+def matrix_from_dict(obj) -> np.ndarray:
+    """The matrix of a ``{"dim": n, "entries": [[re, im], ...]}`` object;
+    ValueError for any other JSON value."""
+    dim, flat = _entries(obj, "matrix", lambda dim: dim * dim)
+    return as_matrix(flat.reshape(dim, dim))
+
+
+def vector_from_dict(obj) -> np.ndarray:
+    """The vector of a ``{"dim": n, "entries": [[re, im], ...]}`` object;
+    ValueError for any other JSON value."""
+    return as_vector(_entries(obj, "vector", lambda dim: dim)[1])
 
 
 def load_matrix(path) -> np.ndarray:

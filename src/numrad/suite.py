@@ -6,7 +6,10 @@ and collects the outcome per row. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
 A config is evaluated at a time, as arrays over (trials x lambda), with one
-stacked engine call for every engine input of its trials and pairs.
+stacked engine call for every engine input of its trials and pairs. Its rows
+stay arrays until the report is built: one lexsort orders them, violations
+and tightness are counted from the columns, and the row tuples are made in
+bulk. The serializers format the rows column by column and join them once.
 
 Product bounds pair trial 2k with 2k+1; an odd trailing matrix is paired
 with itself. Rows are ordered by (trial, bound, lambda, mode).
@@ -14,9 +17,10 @@ with itself. Rows are ordered by (trial, bound, lambda, mode).
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +28,10 @@ from . import jsonio
 from .bounds import (
     CATALOG,
     CHAINS,
+    _evaluate_sides,
     chain_bounds,
     chain_links,
-    evaluate_sides,
+    check_lambdas,
     fill_terms,
     matrix_terms,
     pair_terms,
@@ -41,8 +46,7 @@ CSV_HEADER = ("trial", "bound", "mode", "lambda", "r", "n", "alpha",
               "exponent_p", "w_power", "rhs", "slack", "holds")
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     trial: int
     bound: str
     mode: str
@@ -61,15 +65,13 @@ class BoundRow:
         return self.slack / max(1.0, abs(self.rhs), abs(self.w_power))
 
 
-@dataclass(frozen=True)
-class ChainRow:
+class ChainRow(NamedTuple):
     trial: int
     chain: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class TightnessRow:
+class TightnessRow(NamedTuple):
     bound: str
     mode: str
     rows: int
@@ -105,9 +107,11 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
         if c not in CHAINS:
             raise UnknownChainError(f"unknown chain {c!r}; catalog: {tuple(CHAINS)}")
     lambda_grid = tuple(float(x) for x in lambda_grid)
+    params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
+    # chains read their bounds at params.lam = 1, so the grid is checked alone
+    check_lambdas([b for b in bounds if CATALOG[b].lam is not None], params, lambda_grid)
 
     matrices = np.array(generate_ensemble(config))
-    params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     pairs = np.arange(0, config.trials, 2)
     work, requests = [], []  # (row labels, bounds, chains, terms) per kind
     for product in (False, True):
@@ -116,79 +120,164 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
         if names or ids:
             terms = (pair_terms(matrices[pairs], matrices[np.minimum(pairs + 1, config.trials - 1)])
                      if product else matrix_terms(matrices))
-            labels = (pairs if product else np.arange(config.trials)).tolist()
-            work.append((labels, names, ids, terms))
+            work.append((pairs if product else np.arange(config.trials), names, ids, terms))
             reads = [(b, params) for b in names]
             reads += [read for c in ids for read in chain_bounds(CHAINS[c], params)]
             requests.append((terms, [key for b, bp in reads for key in CATALOG[b].keys(bp)]))
     fill_terms(requests)  # one engine call for the config
 
-    bound_rows, chain_rows = [], []
+    blocks, chain_blocks = [], []  # (labels, bound, lam-free, Sides); (labels, chain, holds)
     for labels, names, ids, terms in work:
         for b in names:
-            # a lambda-free bound gets one row; the grid drives the others
-            lams = (None,) if CATALOG[b].lam is None else lambda_grid
-            for sides in evaluate_sides(b, terms, params, [1.0 if x is None else x for x in lams]):
-                for i, w, *cells in zip(labels, sides.w_power.tolist(), sides.rhs.tolist(),
-                                        sides.slack.tolist(), sides.holds.tolist()):
-                    bound_rows += [BoundRow(i, b, sides.mode, lam, r, n, alpha, sides.exponent, w,
-                                            *cell) for lam, *cell in zip(lams, *cells)]
-        for c in ids:
-            holds = chain_links(CHAINS[c], terms, params)[1].tolist()
-            chain_rows += [ChainRow(i, c, h) for i, h in zip(labels, holds)]
-    bound_rows.sort(key=lambda row: (row.trial, row.bound,
-                                     float("-inf") if row.lam is None else row.lam, row.mode))
-    chain_rows.sort(key=lambda row: (row.trial, row.chain))
-
-    violations = sum(not row.holds for row in bound_rows) + sum(not row.holds for row in chain_rows)
-
-    groups: dict[tuple[str, str], list[float]] = {}
-    for row in bound_rows:
-        groups.setdefault((row.bound, row.mode), []).append(row.rel_slack)
-    tightness = [TightnessRow(bound, mode, len(rel), sum(rel) / len(rel), min(rel))
-                 for (bound, mode), rel in sorted(groups.items())]
-
+            free = CATALOG[b].lam is None  # one row, lam None; the grid drives the others
+            blocks += [(labels, b, free, sides) for sides in
+                       _evaluate_sides(b, terms, params, (1.0,) if free else lambda_grid)]
+        chain_blocks += [(labels, c, chain_links(CHAINS[c], terms, params)[1]) for c in ids]
+    bound_rows, tightness, bound_violations = _bound_rows(blocks, lambda_grid, r, n, alpha)
+    chain_rows, chain_violations = _chain_rows(chain_blocks)
+    violations = bound_violations + chain_violations
     return SuiteReport(config=config, bounds=bounds, chains=chains,
                        lambda_grid=lambda_grid, r=r, n=n, alpha=alpha,
-                       bound_rows=tuple(bound_rows), chain_rows=tuple(chain_rows),
-                       violations=violations, tightness=tuple(tightness))
+                       bound_rows=bound_rows, chain_rows=chain_rows,
+                       violations=violations, tightness=tightness)
+
+
+def _ranks(keys) -> dict:
+    """Each distinct key's place in sorted order, in that order."""
+    return {key: i for i, key in enumerate(sorted(set(keys)))}
+
+
+def _bound_rows(blocks, grid, r, n, alpha):
+    """The rows of (labels, bound, lam-free, Sides) blocks, in the order a
+    stable sort by (trial, bound, lam with None first, mode) gives them, the
+    tightness of each (bound, mode) over its rows in that order, and the
+    number of rows that do not hold."""
+    if not blocks:
+        return (), (), 0
+    # a block's rows are its (input, lam) cells, input-major; per row:
+    free = np.array([f for _, _, f, _ in blocks])
+    inputs, width = np.array([s.rhs.shape for *_, s in blocks]).T
+    sizes = inputs * width
+    block = np.repeat(np.arange(len(blocks)), sizes)  # its block
+    pos = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its cell there
+    row_input = np.repeat(np.cumsum(inputs) - inputs, sizes) + pos // width[block]  # of all inputs
+    lam = np.where(free[block], 0, pos % width[block] + 1)  # an index into (None, *grid)
+    trial = np.concatenate([labels for labels, *_ in blocks])[row_input]
+    bound_rank, mode_rank = _ranks(b for _, b, _, _ in blocks), _ranks(s.mode for *_, s in blocks)
+    order = np.lexsort((np.array([mode_rank[s.mode] for *_, s in blocks])[block],
+                        np.array([-np.inf, *grid])[lam],
+                        np.array([bound_rank[b] for _, b, _, _ in blocks])[block], trial))
+    block, lam, row_input = block[order], lam[order], row_input[order]
+    w = np.concatenate([s.w_power for *_, s in blocks])[row_input]
+    rhs, slack, holds = (np.concatenate([getattr(s, f) for *_, s in blocks], axis=None)[order]
+                         for f in ("rhs", "slack", "holds"))
+    per_block = np.array([(b, s.mode, s.exponent) for _, b, _, s in blocks], dtype=object)
+    rows = tuple(map(tuple.__new__, repeat(BoundRow), zip(
+        trial[order].tolist(), per_block[block, 0].tolist(), per_block[block, 1].tolist(),
+        np.array([None, *grid], dtype=object)[lam].tolist(), repeat(r), repeat(n),
+        repeat(alpha), per_block[block, 2].tolist(), w.tolist(), rhs.tolist(),
+        slack.tolist(), holds.tolist())))
+
+    # tightness: the rows' rel_slack grouped by (bound, mode), in row order;
+    # each mean is a Python sum over its group (numpy's pairwise sum rounds
+    # differently)
+    group_rank = _ranks((b, s.mode) for _, b, _, s in blocks)
+    group = np.array([group_rank[b, s.mode] for _, b, _, s in blocks])[block]
+    by_group = np.argsort(group, kind="stable")
+    rel = (slack / np.maximum(np.maximum(1.0, np.abs(rhs)), np.abs(w)))[by_group].tolist()
+    ends = np.cumsum(np.bincount(group, minlength=len(group_rank))).tolist()
+    tightness = tuple(TightnessRow(bound, mode, end - start, sum(rel[start:end]) / (end - start),
+                                   min(rel[start:end]))
+                      for (bound, mode), start, end in zip(group_rank, [0] + ends, ends))
+    return rows, tightness, int(np.count_nonzero(~holds))
+
+
+def _chain_rows(blocks):
+    """The rows of (labels, chain, holds) blocks, in the order a stable sort
+    by (trial, chain) gives them, and the number that do not hold."""
+    if not blocks:
+        return (), 0
+    rank = _ranks(c for _, c, _ in blocks)
+    trial = np.concatenate([labels for labels, _, _ in blocks])
+    chain = np.repeat([rank[c] for _, c, _ in blocks], [len(h) for *_, h in blocks])
+    holds = np.concatenate([h for *_, h in blocks])
+    order = np.lexsort((chain, trial))
+    rows = tuple(map(tuple.__new__, repeat(ChainRow), zip(
+        trial[order].tolist(), np.array(list(rank), dtype=object)[chain[order]].tolist(),
+        holds[order].tolist())))
+    return rows, int(np.count_nonzero(~holds))
 
 
 # --------------------------------------------------------------------------
 # Serialization
 
-def _bound_row_cells(rows, null: str, name, integer) -> list[tuple]:
-    """The CSV_HEADER cells of each bound row as text, every float through
-    jsonio.fmt_float (which refuses NaN and inf), repeated ones looked up."""
-    fmt, cached = jsonio.fmt_float, functools.lru_cache(maxsize=None)(jsonio.fmt_float)
-
-    def num(x):  # -0.0 == 0.0, but its text differs
-        return cached(x) if x else fmt(x)
-
-    return [(row.trial, name(row.bound), name(row.mode),
-             null if row.lam is None else num(row.lam), num(row.r), integer(row.n),
-             num(row.alpha), num(row.exponent_p), num(row.w_power), fmt(row.rhs),
-             fmt(row.slack), "true" if row.holds else "false") for row in rows]
+def _each_once(fmt, column) -> list[str]:
+    """fmt of each value of a column, each distinct value formatted once;
+    -0.0 == 0.0 share a key, but their text differs, so zeros go one by one."""
+    text = {x: fmt(x) for x in set(column)}
+    if 0 in text:
+        return [fmt(x) if x == 0 else text[x] for x in column]
+    return list(map(text.__getitem__, column))
 
 
-# One bound row of the JSON report; its keys are the CSV columns.
-_JSON_ROW = "{{" + ",".join(f'"{key}":{{}}' for key in CSV_HEADER) + "}}"
+def _columns(rows, fields) -> list[tuple]:
+    """The rows' values field by field."""
+    return list(zip(*rows)) or [()] * len(fields)
+
+
+def _bools(column) -> list[str]:
+    return ["true" if x else "false" for x in column]
+
+
+def _bound_row_cells(rows, null: str, name, integer) -> list[list[str]]:
+    """The CSV_HEADER columns of the bound rows as text, every float through
+    jsonio.fmt_float's rule (which refuses NaN and inf)."""
+    trial, bound, mode, lam, r, n, alpha, p, w, rhs, slack, holds = _columns(rows, CSV_HEADER)
+
+    def num(x):
+        return null if x is None else jsonio.fmt_float(x)
+
+    return [list(map(str, trial)), _each_once(name, bound), _each_once(name, mode),
+            _each_once(num, lam), _each_once(num, r), _each_once(integer, n),
+            _each_once(num, alpha), _each_once(num, p), _each_once(num, w),
+            jsonio.fmt_floats(rhs), jsonio.fmt_floats(slack), _bools(holds)]
+
+
+def _rows_text(seps, columns, end: str) -> str:
+    """Each row as sep_0 cell_0 sep_1 cell_1 ... end, the rows' cells given
+    as text columns, all in one join."""
+    count, width = len(columns[0]), 2 * len(columns) + 1
+    parts = [end] * (count * width)
+    for j, (sep, column) in enumerate(zip(seps, columns)):
+        parts[2 * j::width] = [sep] * count
+        parts[2 * j + 1::width] = column
+    return "".join(parts)
+
+
+def _json_objects(keys, columns) -> str:
+    """A JSON array of one object per row, its cells (JSON text) under keys."""
+    seps = [("," if j else "{") + json.dumps(key) + ":" for j, key in enumerate(keys)]
+    return "[" + _rows_text(seps, columns, "},")[:-1] + "]"
 
 
 def report_to_json(report: SuiteReport) -> str:
     """The report as JSON: the bytes jsonio.dumps gives for the full object,
-    with each bound row filled into one template."""
+    with each list of rows written column by column into one template."""
     request = {"bounds": list(report.bounds), "chains": list(report.chains),
                "lambda_grid": list(report.lambda_grid), "r": report.r, "n": report.n,
                "alpha": report.alpha}
     head = jsonio.dumps({"config": vars(report.config), "request": request})
-    tail = jsonio.dumps({"chain_rows": [vars(row) for row in report.chain_rows],
-                         "violations": report.violations,
-                         "tightness": [vars(row) for row in report.tightness]})
-    names = functools.lru_cache(maxsize=None)(json.dumps)
-    rows = ",".join(_JSON_ROW.format(*cells) for cells in _bound_row_cells(
-        report.bound_rows, "null", names, functools.lru_cache(maxsize=None)(jsonio.dumps)))
-    return f'{head[:-1]},"bound_rows":[{rows}],{tail[1:]}\n'
+    bound_rows = _json_objects(CSV_HEADER, _bound_row_cells(
+        report.bound_rows, "null", json.dumps, jsonio.dumps))
+    trial, chain, holds = _columns(report.chain_rows, ChainRow._fields)
+    chain_rows = _json_objects(ChainRow._fields, [
+        list(map(str, trial)), _each_once(json.dumps, chain), _bools(holds)])
+    bound, mode, count, mean, low = _columns(report.tightness, TightnessRow._fields)
+    tightness = _json_objects(TightnessRow._fields, [
+        _each_once(json.dumps, bound), _each_once(json.dumps, mode), list(map(str, count)),
+        jsonio.fmt_floats(mean), jsonio.fmt_floats(low)])
+    return (f'{head[:-1]},"bound_rows":{bound_rows},"chain_rows":{chain_rows},'
+            f'"violations":{jsonio.dumps(report.violations)},"tightness":{tightness}}}\n')
 
 
 def report_from_json(text: str) -> SuiteReport:
@@ -206,8 +295,9 @@ def report_from_json(text: str) -> SuiteReport:
 
 def report_to_csv(report: SuiteReport) -> str:
     """The bound rows as CSV (no cell needs quoting), one line per row."""
-    rows = [CSV_HEADER] + _bound_row_cells(report.bound_rows, "", str, str)
-    return "".join(",".join(map(str, cells)) + "\n" for cells in rows)
+    seps = ("",) + (",",) * (len(CSV_HEADER) - 1)
+    cells = _bound_row_cells(report.bound_rows, "", str, str)
+    return ",".join(CSV_HEADER) + "\n" + _rows_text(seps, cells, "\n")
 
 
 def emit_report(report: SuiteReport, format: str, path) -> None:

@@ -33,6 +33,7 @@ from numrad.bounds import (
     al_dolat_coefficients,
     bound_modes,
     cor_bomi_coefficients,
+    evaluate_sides,
     matrix_terms,
     ns,
     pair_terms,
@@ -186,6 +187,18 @@ class TestTheoremBounds:
     def test_th2_rejects_lambda_zero(self):
         with pytest.raises(ValueError):
             bound_th2(J, J, 1.0, 0.0)
+
+    @pytest.mark.parametrize("name,lams,message", [
+        ("th4", (1.0, 0.0), "lam must be finite and > 0, got 0.0"),
+        ("kittaneh", (-1.0,), "lam must be finite and >= 0, got -1.0"),
+        ("al_dolat", (0.0, float("inf")), "lam must be finite and >= 0, got inf"),
+        ("th2", (), "empty lambda grid for bound 'th2'"),
+    ])
+    def test_evaluate_sides_refuses_lambdas(self, name, lams, message):
+        terms = pair_terms(J, J) if name in ("th2", "al_dolat") else matrix_terms(J)
+        with pytest.raises(ValueError) as exc:
+            evaluate_sides(name, terms, BoundParams(1.0), lams)
+        assert str(exc.value) == message
 
     def test_th3_identity(self):
         res = bound_th3(I2, 0.5, 1.0)
@@ -412,6 +425,11 @@ class TestOptimizeLambda:
 
 
 class TestChains:
+    @pytest.mark.parametrize("chain_id", CHAIN_IDS)
+    def test_lambda_zero_refused_with_the_bound_message(self, chain_id):
+        with pytest.raises(ValueError, match=r"^lam must be finite and > 0, got 0\.0$"):
+            refinement_chain(J, None, chain_id, BoundParams(lam=0.0))
+
     def test_th2_dragomir_jordan_all_equal(self):
         ch = refinement_chain(J, J, "th2_dragomir", BoundParams(lam=1.0, r=1.0))
         values = [v for _, v in ch.links]

@@ -97,6 +97,31 @@ def test_verify_byte_identical_reruns(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # one parser serves every call of a process: a failed parse and the
+    # defaults it hands out leave the next call's report as it was
+    args = ["verify", "--ensemble", "normal", "--dim", "2", "--trials", "3", "--seed", "4",
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(args) == 0
+    first = ((tmp_path / "report.json").read_bytes(), capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--ensemble", "normal", "--lambda-grid", "1,x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert ((tmp_path / "report.json").read_bytes(), capsys.readouterr().out) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_verify_empty_lambda_grid_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code = cli.main(["verify", "--ensemble", "gue", "--dim", "2", "--trials", "2",
+                     "--seed", "0", "--lambda-grid", "", "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: empty lambda grid for bound ")
+    assert not out_path.exists()
+
+
 def test_verify_subset_csv(tmp_path):
     out_path = tmp_path / "report.csv"
     code = cli.main(["verify", "--ensemble", "jordan", "--dim", "2", "--trials", "2",

@@ -42,6 +42,13 @@ def test_matrix_from_dict_rejects_other_json(obj):
         jsonio.matrix_from_dict(obj)
 
 
+@pytest.mark.parametrize("obj", [[1, 2], "x", {"dim": 1, "entries": 5}, {"dim": 1},
+                                 {"dim": 1, "entries": [7]}, None])
+def test_vector_from_dict_rejects_other_json(obj):
+    with pytest.raises(ValueError, match="expected a vector object"):
+        jsonio.vector_from_dict(obj)
+
+
 def test_fmt_float_17_digits():
     third = 1.0 / 3.0
     assert jsonio.fmt_float(third) == "0.33333333333333331"

@@ -2,16 +2,27 @@
 
 import csv
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from numrad import ENSEMBLES, BoundParams, EnsembleConfig, bounds, emit_report, run_suite
+from numrad import (
+    ENSEMBLES,
+    BoundParams,
+    EnsembleConfig,
+    bounds,
+    emit_report,
+    jsonio,
+    run_suite,
+    suite,
+)
 from numrad.bounds import (
     ALL_BOUNDS,
     CHAIN_IDS,
     MODE_CERTIFICATE,
+    MODE_INEQUALITY,
     PRODUCT_BOUNDS,
     PRODUCT_CHAINS,
     evaluate_bound,
@@ -23,6 +34,8 @@ from numrad.errors import UnknownBoundError, UnknownChainError
 from numrad.suite import (
     CSV_HEADER,
     BoundRow,
+    ChainRow,
+    TightnessRow,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -129,6 +142,68 @@ def test_violation_renders_as_false():
     csv_text = report_to_csv(forged)
     assert csv_text.strip().splitlines()[1].endswith("false")
     assert report_from_json(report_to_json(forged)) == forged
+
+
+def test_empty_lambda_grid_refused_when_a_bound_takes_lambda():
+    cfg = EnsembleConfig("gue", 2, 2, 3)
+    with pytest.raises(ValueError, match="^empty lambda grid for bound 'th3'$"):
+        run_suite(cfg, bounds=["kittaneh", "th3"], chains=[], lambda_grid=())
+    with pytest.raises(ValueError, match="^empty lambda grid for bound 'al_dolat'$"):
+        run_suite(cfg, bounds=["al_dolat"], chains=[], lambda_grid=[])
+    rep = run_suite(cfg, bounds=["kittaneh"], lambda_grid=())  # the grid is not read
+    assert len(rep.bound_rows) == 2 and rep.chain_rows and rep.violations == 0
+
+
+def test_a_config_checks_its_lambda_grid_once(monkeypatch):
+    # the bound and chain evaluations of a config skip evaluate_sides' check
+    calls = []
+    for module in (bounds, suite):
+        def spy(names, *args, check=module.check_lambdas):
+            calls.append(list(names))
+            check(names, *args)
+        monkeypatch.setattr(module, "check_lambdas", spy)
+    rep = run_suite(EnsembleConfig("ginibre", 2, 3, 1))
+    assert rep.chain_rows and calls == [[b for b in ALL_BOUNDS if uses_lambda(b)]]
+
+
+def _forged_report():
+    # rows no catalog bound gives: signed zeros in one column, lam None, failures
+    rep = run_suite(EnsembleConfig("jordan", 2, 2, 0), bounds=["kittaneh", "al_dolat"],
+                    chains=["th4_elhaddad"], lambda_grid=(0.0, 1.0))
+    rows = (BoundRow(0, "al_dolat", MODE_INEQUALITY, -0.0, 1.0, 1, 0.5, 2.0, -0.0, 0.0, -0.0,
+                     False),
+            BoundRow(0, "al_dolat", MODE_CERTIFICATE, 0.0, 1.0, 1, 0.5, 1.0, 0.0, -0.0, 0.0,
+                     True),
+            BoundRow(1, "kittaneh", MODE_CERTIFICATE, None, 1.0, 1, 0.5, 1.0, 0.5, 0.4, -0.1,
+                     False))
+    return replace(rep, bound_rows=rows, chain_rows=(ChainRow(0, "th4_elhaddad", False),),
+                   tightness=(TightnessRow("al_dolat", MODE_INEQUALITY, 1, -0.0, 0.0),),
+                   violations=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: run_suite(EnsembleConfig("ginibre", 3, 4, 5), lambda_grid=(2.0, 0.01, 100.0, 0.5, 0.5)),
+    lambda: run_suite(EnsembleConfig("jordan", 3, 4, 8), r=1.5, n=2, alpha=0.3),
+    lambda: run_suite(EnsembleConfig("normal", 2, 5, 11), bounds=PRODUCT_BOUNDS + ("th3",)),
+    _forged_report,
+], ids=["duplicate-lambda", "r-n-alpha", "odd-trials-product", "forged"])
+def test_bulk_serializers_match_generic_json(make):
+    rep = make()
+    request = {"bounds": list(rep.bounds), "chains": list(rep.chains),
+               "lambda_grid": list(rep.lambda_grid), "r": rep.r, "n": rep.n,
+               "alpha": rep.alpha}
+    full = {"config": vars(rep.config), "request": request,
+            "bound_rows": [dict(zip(CSV_HEADER, row)) for row in rep.bound_rows],
+            "chain_rows": [row._asdict() for row in rep.chain_rows],
+            "violations": rep.violations,
+            "tightness": [row._asdict() for row in rep.tightness]}
+    text = report_to_json(rep)
+    assert text == jsonio.dumps(full) + "\n"
+    # each CSV cell is its JSON token, quotes dropped and null read as empty
+    tokens = json.loads(text, parse_float=str, parse_int=str)["bound_rows"]
+    cells = {None: "", True: "true", False: "false"}
+    expected = [list(CSV_HEADER)] + [[cells.get(v, v) for v in row.values()] for row in tokens]
+    assert list(csv.reader(io.StringIO(report_to_csv(rep)))) == expected
 
 
 def test_unknown_identifiers_rejected():
