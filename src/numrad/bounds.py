@@ -15,11 +15,11 @@ whose right side contains u, a power of the bounded quantity itself
 Right sides are homographic in lam: rhs(lam) = (P + Q lam)/(1 + lam), so
 their infimum over lam is min(P, Q) attained at a boundary; resolved
 certificates lose that structure and are minimized numerically. Engine
-terms are keyed data, computed once for a stack of inputs (fill_terms), and
-evaluate_sides gives right sides over (inputs x lam): the suite checks its
-lam grid once (check_lambdas) and then evaluates each config's bounds and
-chains unchecked; evaluate_bound, refinement_chain and optimize_lambda call
-it for k = 1.
+terms are keyed data, computed once for a stack of inputs (fill_terms).
+evaluate is the one evaluation path: it checks the lams of its reads (a
+bound at params over a lam tuple) once, fills their terms in one call and
+evaluates each distinct read once over (inputs x lam). The suite calls it
+per config, evaluate_bound, refinement_chain and optimize_lambda for k = 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import _INVPHI, PSDPower, _h, abs_powers, as_matrix, numerical_radius
+from .linalg import PSDPower, _h, abs_powers, as_matrix, numerical_radius
 from .scalar_ineq import BoundParams, binomial_order
 
 HOLDS_RTOL = 1e-8
@@ -409,32 +409,37 @@ def _sides(bound: BoundSpec, terms: _Terms, params: BoundParams, mode: str, lams
     return Sides(mode, p, w, rhs, slack, holds)
 
 
-def check_lambdas(names, params: BoundParams, lams) -> None:
-    """ValueError unless every bound of ``names`` admits every lam of a
-    non-empty ``lams``: run_suite checks its grid once, evaluate_sides and
-    refinement_chain each call."""
-    if names and not len(lams):
-        raise ValueError(f"empty lambda grid for bound {names[0]!r}")
-    positive = any(CATALOG[b].lam == LAM_POSITIVE for b in names)
-    for lam in lams:  # replace validates lam >= 0
-        if not replace(params, lam=lam).lam > 0 and positive:
-            raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
+# A read: one bound at one BoundParams over a tuple of lams, in one mode or
+# (mode None) in all its modes.
+Read = namedtuple("Read", "name params mode lams")
 
 
-def evaluate_sides(name: str, terms: _Terms, params: BoundParams, lams,
-                   mode: str | None = None) -> list[Sides]:
-    """A bound in the requested mode (or all its modes) over every input of
-    ``terms`` and lam. ValueError for a lam or mode the bound does not admit,
-    OverflowError when a right side or w-power leaves the double range."""
-    check_lambdas((name,), params, lams)
-    fill_terms([(terms, CATALOG[name].keys(params))])  # keys() refuses th6 with n > 15
-    return _evaluate_sides(name, terms, params, lams, mode)
+def _check_lambdas(reads) -> None:
+    """ValueError unless each read's bound admits all of its (non-empty) lams."""
+    positive = {}  # lams -> whether a bound reading them needs lam > 0
+    for name, _, _, lams in reads:
+        needs_positive = _spec(name).lam == LAM_POSITIVE
+        if not lams:
+            raise ValueError(f"empty lambda grid for bound {name!r}")
+        positive[lams] = positive.get(lams) or needs_positive
+    for lams, needs_positive in positive.items():
+        for lam in lams:  # BoundParams validates lam >= 0
+            if not BoundParams(lam=lam).lam > 0 and needs_positive:
+                raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
 
 
-def _evaluate_sides(name: str, terms: _Terms, params: BoundParams, lams,
-                    mode: str | None = None) -> list[Sides]:
-    """evaluate_sides for lams check_lambdas has passed; terms not yet
-    computed are computed one key at a time."""
+def evaluate(requests) -> list[dict]:
+    """One {read: [Sides per mode]} per request of [(terms, reads), ...], over
+    every input of the terms. ValueError for a lam or mode a bound does not
+    admit, OverflowError when a right side or w-power leaves the double range."""
+    requests = [(terms, dict.fromkeys(reads)) for terms, reads in requests]
+    _check_lambdas([read for _, reads in requests for read in reads])
+    fill_terms([(terms, [key for read in reads for key in CATALOG[read.name].keys(read.params)])
+                for terms, reads in requests])  # keys() refuses th6 with n > 15
+    return [{read: _read_sides(terms, *read) for read in reads} for terms, reads in requests]
+
+
+def _read_sides(terms: _Terms, name: str, params: BoundParams, mode, lams) -> list[Sides]:
     bound = CATALOG[name]
     if mode is not None and mode not in bound.modes:
         raise ValueError(f"bound {name!r} has no mode {mode!r}")
@@ -456,13 +461,13 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
 
     ``params.lam`` must be > 0 for the bounds declared LAM_POSITIVE; al_dolat
     admits lam = 0. Product bounds read ``s``; with s omitted the matrix is
-    paired with itself. The k = 1 case of evaluate_sides.
+    paired with itself.
     """
     params = params if params is not None else BoundParams(lam=1.0)
-    terms = _terms_for(_spec(name), t, s)
+    read = Read(name, params, mode, (params.lam,))
+    sides = evaluate([(_terms_for(_spec(name), t, s), [read])])[0][read]
     return tuple(BoundResult(name, params, float(x.rhs[0, 0]), x.exponent, float(x.w_power[0]),
-                             float(x.slack[0, 0]), bool(x.holds[0, 0]), x.mode)
-                 for x in evaluate_sides(name, terms, params, (params.lam,), mode))
+                             float(x.slack[0, 0]), bool(x.holds[0, 0]), x.mode) for x in sides)
 
 
 # --------------------------------------------------------------------------
@@ -511,6 +516,9 @@ def bound_cor_bomi(t, lam: float) -> BoundResult:
 # --------------------------------------------------------------------------
 # Lambda optimization
 
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
     c = hi - (hi - lo) * _INVPHI
     d = lo + (hi - lo) * _INVPHI
@@ -543,7 +551,7 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     terms = _terms_for(bound, t, s)
     mode = bound.modes[0] if mode is None else mode
-    evaluate_sides(name, terms, params, (1.0,), mode)  # fills the terms, checks the mode
+    evaluate([(terms, [Read(name, params, mode, (1.0,))])])  # fills the terms, checks the mode
     homographic = mode == MODE_INEQUALITY or not bound.implicit
 
     def rhs(lam: float) -> float:
@@ -607,36 +615,36 @@ CHAIN_IDS = tuple(CHAINS)
 PRODUCT_CHAINS = tuple(c for c, ch in CHAINS.items() if CATALOG[ch.refined].product)
 
 
+def _chain(chain_id: str) -> ChainSpec:
+    if chain_id not in CHAINS:
+        raise UnknownChainError(f"unknown chain {chain_id!r}; catalog: {CHAIN_IDS}")
+    return CHAINS[chain_id]
+
+
 def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     """One corollary chain: (w-power, refined bound, classical bound).
 
     Product chains (th2_dragomir, th2_aldolat) read ``s`` and pair the matrix
     with itself when s is None.
     """
-    if chain_id not in CHAINS:
-        raise UnknownChainError(f"unknown chain {chain_id!r}; catalog: {CHAIN_IDS}")
-    ch = CHAINS[chain_id]
+    ch = _chain(chain_id)
     # Both bounds of a chain are of one kind, single or product.
-    terms, reads = _terms_for(CATALOG[ch.refined], t, s), chain_bounds(ch, params)
-    for name, bp in reads:
-        check_lambdas((name,), bp, (bp.lam,))
-    fill_terms([(terms, [key for name, bp in reads for key in CATALOG[name].keys(bp)])])
-    links, holds = chain_links(ch, terms, params)
+    reads = chain_reads(ch, params)
+    sides = evaluate([(_terms_for(CATALOG[ch.refined], t, s), reads)])[0]
+    links, holds = chain_links(*(sides[read][0] for read in reads))
     return ChainResult(chain_name=chain_id, holds=bool(holds[0]),
                        links=tuple((name, float(v[0])) for name, v in links))
 
 
-def chain_bounds(ch: ChainSpec, params: BoundParams) -> tuple[tuple[str, BoundParams], ...]:
-    return (ch.refined, ch.refined_params(params)), (ch.classical, ch.classical_params(params))
+def chain_reads(ch: ChainSpec, params: BoundParams) -> tuple[Read, Read]:
+    """The chain's refined bound in its mode, the classical in all modes."""
+    rp, cp = ch.refined_params(params), ch.classical_params(params)
+    return Read(ch.refined, rp, ch.mode, (rp.lam,)), Read(ch.classical, cp, None, (cp.lam,))
 
 
-def chain_links(ch: ChainSpec, terms: _Terms, params: BoundParams):
-    """The links (w-power, refined, classical) of a chain over the inputs of
-    ``terms``, and whether each input's links ascend within CHAIN_RTOL; the
-    lam of both bounds' params as check_lambdas has passed it."""
-    (rb, rp), (cb, cp) = chain_bounds(ch, params)
-    refined = _evaluate_sides(rb, terms, rp, (rp.lam,), ch.mode)[0]
-    classical = _evaluate_sides(cb, terms, cp, (cp.lam,))[0]
+def chain_links(refined: Sides, classical: Sides):
+    """The links (w-power, refined, classical) of a chain over its inputs,
+    and whether each input's links ascend within CHAIN_RTOL."""
     links = (("w_power", refined.w_power), ("refined", refined.rhs[:, 0]),
              ("classical", classical.rhs[:, 0]))
     return links, np.logical_and.reduce([

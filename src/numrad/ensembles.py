@@ -16,6 +16,11 @@ from .errors import InvalidConfigError
 ENSEMBLES = ("ginibre", "gue", "nilpotent", "normal", "rank_one", "jordan")
 
 
+def _integer(x) -> bool:
+    """Whether x is a Python or numpy integer (a bool or a float is not)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     ensemble: str
@@ -26,11 +31,11 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
             raise InvalidConfigError(f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}")
-        if int(self.dim) != self.dim or self.dim < 2:
+        if not _integer(self.dim) or self.dim < 2:
             raise InvalidConfigError(f"dim must be an integer >= 2, got {self.dim}")
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not _integer(self.trials) or self.trials < 1:
             raise InvalidConfigError(f"trials must be an integer >= 1, got {self.trials}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if not _integer(self.seed) or not 0 <= self.seed < 2**64:
             raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 

@@ -47,14 +47,23 @@ def vector_to_dict(v) -> dict:
     }
 
 
+def _number(x) -> bool:
+    """Whether x is a JSON number (bool is an int in Python, not in JSON)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entries(obj, kind: str, size) -> tuple[int, np.ndarray]:
     """dim and the size(dim) entries of a ``{"dim": n, "entries": [[re, im],
     ...]}`` object; ValueError naming the kind for any other JSON value."""
     try:
-        dim = int(obj["dim"])
-        entries = obj["entries"]
+        dim, entries = obj["dim"], obj["entries"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise TypeError(f"dim must be an integer, got {dim!r}")
         if dim < 1 or len(entries) != size(dim):
             raise ValueError(f"expected {size(dim)} entries for dim {dim}, got {len(entries)}")
+        if not all(isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_number, e))
+                   for e in entries):
+            raise TypeError("each entry must be a pair [re, im] of numbers")
         flat = [complex(re, im) for re, im in entries]
     except (KeyError, TypeError) as exc:
         msg = f'expected a {kind} object {{"dim": n, "entries": [[re, im], ...]}}'

@@ -31,7 +31,6 @@ from .errors import (
 DEFAULT_RADIUS_TOL = 1e-10  # relative gap (hi - lo) / hi of the enclosure
 MAX_LIVE_CELLS = 4096  # a near-disc guard: generic input keeps a few dozen
 _START_CELLS = 16
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def as_matrix(m, stack: bool = False) -> np.ndarray:
@@ -227,7 +226,12 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def abs_powers(m) -> tuple[PSDPower, PSDPower]:
     """Powers of |M| and of |M*| from one SVD M = U S V*:
     |M|^p = V S^p V* and |M*|^p = U S^p U*, or stacks of them for a stack."""
-    u, s, vh = _svd(as_matrix(m, stack=np.ndim(m) == 3))
+    return _abs_powers(as_matrix(m, stack=np.ndim(m) == 3))
+
+
+def _abs_powers(a: np.ndarray) -> tuple[PSDPower, PSDPower]:
+    """abs_powers of a matrix or stack as_matrix has checked."""
+    u, s, vh = _svd(a)
     return PSDPower(_h(vh), s), PSDPower(u, s)
 
 

@@ -14,7 +14,17 @@ import math
 import numpy as np
 
 from .errors import UnknownFunctionError
-from .linalg import PSDPower, _eigen, _fro, _psd_power, _svd, _vectors, as_matrix, inner, same_dim
+from .linalg import (
+    _abs_powers,
+    _eigen,
+    _fro,
+    _psd_power,
+    _svd,
+    _vectors,
+    as_matrix,
+    inner,
+    same_dim,
+)
 from .scalar_ineq import InequalityRecord, require_exponent, require_unit
 
 CONVEX_FUNCTIONS = {
@@ -61,9 +71,9 @@ def mixed_schwarz_check(t, x, y, alpha: float) -> InequalityRecord:
     same_dim(t, x)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = abs(inner(t @ x, y))
-        u, s, vh = _svd(t)  # |T|^p = V S^p V*, |T*|^p = U S^p U*
-        gx = PSDPower(vh.conj().T, s).power(alpha) @ x
-        hy = PSDPower(u, s).power(1.0 - alpha) @ y
+        abs_t, abs_t_star = _abs_powers(t)  # |T| and |T*| from one SVD
+        gx = abs_t.power(alpha) @ x
+        hy = abs_t_star.power(1.0 - alpha) @ y
         return InequalityRecord.from_sides("mixed_schwarz", lhs, _fro(gx) * _fro(hy))
 
 

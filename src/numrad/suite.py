@@ -5,8 +5,8 @@ and refinement chains over one ensemble, at every value of a lambda grid,
 and collects the outcome per row. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
-A config is evaluated at a time, as arrays over (trials x lambda), with one
-stacked engine call for every engine input of its trials and pairs. Its rows
+A config is evaluated at a time, in one bounds.evaluate call over (trials x
+lambda) that makes one stacked engine call for its trials and pairs. Its rows
 stay arrays until the report is built: one lexsort orders them, violations
 and tightness are counted from the columns, and the row tuples are made in
 bulk. The serializers format the rows column by column and join them once.
@@ -28,16 +28,16 @@ from . import jsonio
 from .bounds import (
     CATALOG,
     CHAINS,
-    _evaluate_sides,
-    chain_bounds,
+    Read,
+    _chain,
+    _spec,
     chain_links,
-    check_lambdas,
-    fill_terms,
+    chain_reads,
+    evaluate,
     matrix_terms,
     pair_terms,
 )
 from .ensembles import EnsembleConfig, generate_ensemble
-from .errors import UnknownBoundError, UnknownChainError
 from .scalar_ineq import BoundParams
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.5, 1.0, 2.0, 100.0)
@@ -100,39 +100,31 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     """Evaluate the requested bounds and chains over one ensemble."""
     bounds = tuple(CATALOG if bounds is None else bounds)
     chains = tuple(CHAINS if chains is None else chains)
-    for b in bounds:
-        if b not in CATALOG:
-            raise UnknownBoundError(f"unknown bound {b!r}; catalog: {tuple(CATALOG)}")
-    for c in chains:
-        if c not in CHAINS:
-            raise UnknownChainError(f"unknown chain {c!r}; catalog: {tuple(CHAINS)}")
+    specs, chain_specs = [_spec(b) for b in bounds], [_chain(c) for c in chains]
     lambda_grid = tuple(float(x) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-    # chains read their bounds at params.lam = 1, so the grid is checked alone
-    check_lambdas([b for b in bounds if CATALOG[b].lam is not None], params, lambda_grid)
 
     matrices = np.array(generate_ensemble(config))
     pairs = np.arange(0, config.trials, 2)
-    work, requests = [], []  # (row labels, bounds, chains, terms) per kind
+    work, requests = [], []  # (row labels, bound reads, chains with their reads) per kind
     for product in (False, True):
-        names = [b for b in bounds if CATALOG[b].product == product]
-        ids = [c for c in chains if CATALOG[CHAINS[c].refined].product == product]
-        if names or ids:
+        # a bound the grid does not drive is read at lam = 1, as one row with lam None
+        reads = [Read(b, params, None, (1.0,) if spec.lam is None else lambda_grid)
+                 for b, spec in zip(bounds, specs) if spec.product == product]
+        links = [(c, chain_reads(ch, params)) for c, ch in zip(chains, chain_specs)
+                 if CATALOG[ch.refined].product == product]
+        if reads or links:
             terms = (pair_terms(matrices[pairs], matrices[np.minimum(pairs + 1, config.trials - 1)])
                      if product else matrix_terms(matrices))
-            work.append((pairs if product else np.arange(config.trials), names, ids, terms))
-            reads = [(b, params) for b in names]
-            reads += [read for c in ids for read in chain_bounds(CHAINS[c], params)]
-            requests.append((terms, [key for b, bp in reads for key in CATALOG[b].keys(bp)]))
-    fill_terms(requests)  # one engine call for the config
+            work.append((pairs if product else np.arange(config.trials), reads, links))
+            requests.append((terms, reads + [read for _, pair in links for read in pair]))
 
     blocks, chain_blocks = [], []  # (labels, bound, lam-free, Sides); (labels, chain, holds)
-    for labels, names, ids, terms in work:
-        for b in names:
-            free = CATALOG[b].lam is None  # one row, lam None; the grid drives the others
-            blocks += [(labels, b, free, sides) for sides in
-                       _evaluate_sides(b, terms, params, (1.0,) if free else lambda_grid)]
-        chain_blocks += [(labels, c, chain_links(CHAINS[c], terms, params)[1]) for c in ids]
+    for (labels, reads, links), sides in zip(work, evaluate(requests)):  # one engine call
+        blocks += [(labels, read.name, CATALOG[read.name].lam is None, x)
+                   for read in reads for x in sides[read]]
+        chain_blocks += [(labels, c, chain_links(*(sides[read][0] for read in pair))[1])
+                         for c, pair in links]
     bound_rows, tightness, bound_violations = _bound_rows(blocks, lambda_grid, r, n, alpha)
     chain_rows, chain_violations = _chain_rows(chain_blocks)
     violations = bound_violations + chain_violations

@@ -30,10 +30,11 @@ from numrad import (
 from numrad.bounds import (
     W,
     W2,
+    Read,
     al_dolat_coefficients,
     bound_modes,
     cor_bomi_coefficients,
-    evaluate_sides,
+    evaluate,
     matrix_terms,
     ns,
     pair_terms,
@@ -197,8 +198,12 @@ class TestTheoremBounds:
     def test_evaluate_sides_refuses_lambdas(self, name, lams, message):
         terms = pair_terms(J, J) if name in ("th2", "al_dolat") else matrix_terms(J)
         with pytest.raises(ValueError) as exc:
-            evaluate_sides(name, terms, BoundParams(1.0), lams)
+            evaluate([(terms, [Read(name, BoundParams(1.0), None, lams)])])
         assert str(exc.value) == message
+
+    def test_evaluate_refuses_an_unknown_bound(self):
+        with pytest.raises(UnknownBoundError, match="unknown bound 'nope'"):
+            evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), None, ())])])
 
     def test_th3_identity(self):
         res = bound_th3(I2, 0.5, 1.0)

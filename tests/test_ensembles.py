@@ -74,7 +74,18 @@ def test_trial_order_irrelevant_to_content():
     {"ensemble": "gue", "dim": 3, "trials": 0, "seed": 0},
     {"ensemble": "gue", "dim": 3, "trials": 1, "seed": -1},
     {"ensemble": "gue", "dim": 3, "trials": 1, "seed": 2**64},
+    {"ensemble": "ginibre", "dim": 2.0, "trials": 1, "seed": 0},
+    {"ensemble": "ginibre", "dim": 2, "trials": 2.0, "seed": 0},
+    {"ensemble": "ginibre", "dim": 2, "trials": 1, "seed": 1.0},
+    {"ensemble": "ginibre", "dim": 2, "trials": True, "seed": 0},
+    {"ensemble": "ginibre", "dim": "2", "trials": 1, "seed": 0},
+    {"ensemble": "ginibre", "dim": None, "trials": 1, "seed": 0},
 ])
 def test_invalid_configs(kwargs):
     with pytest.raises(InvalidConfigError):
         EnsembleConfig(**kwargs)
+
+
+def test_numpy_integer_sizes_accepted():
+    cfg = EnsembleConfig("gue", np.int64(3), np.int32(2), np.uint64(2**64 - 1))
+    assert [m.shape for m in generate_ensemble(cfg)] == [(3, 3), (3, 3)]

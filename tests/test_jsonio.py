@@ -35,15 +35,29 @@ def test_entry_count_validation():
         jsonio.vector_from_dict({"dim": 0, "entries": []})
 
 
+PAIRS4 = [[1, 0], [0, 0], [0, 0], [1, 0]]
+# dims that are not JSON integers, and entries that are not pairs of numbers
+BAD_DIMS = [{"dim": 2.5, "entries": PAIRS4}, {"dim": 2.0, "entries": PAIRS4},
+            {"dim": "2", "entries": PAIRS4}, {"dim": True, "entries": [[1, 0]]}]
+BAD_ENTRIES = [{"dim": 1, "entries": [[1, 2, 3]]}, {"dim": 1, "entries": [[1]]},
+               {"dim": 1, "entries": [["1", 0]]}, {"dim": 1, "entries": [[True, 0]]},
+               {"dim": 1, "entries": ["ab"]}]
+
+
 @pytest.mark.parametrize("obj", [[[0, 200000], [0, 0]], {"dim": 2}, {"entries": []}, 3,
-                                 {"dim": 1, "entries": 5}, {"dim": 1, "entries": [7]}])
+                                 {"dim": 1, "entries": 5}, {"dim": 1, "entries": [7]},
+                                 *BAD_DIMS, *BAD_ENTRIES])
 def test_matrix_from_dict_rejects_other_json(obj):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a matrix object"):
         jsonio.matrix_from_dict(obj)
 
 
 @pytest.mark.parametrize("obj", [[1, 2], "x", {"dim": 1, "entries": 5}, {"dim": 1},
-                                 {"dim": 1, "entries": [7]}, None])
+                                 {"dim": 1, "entries": [7]}, None,
+                                 {"dim": 2.5, "entries": PAIRS4[:2]},
+                                 {"dim": 2.0, "entries": PAIRS4[:2]},
+                                 {"dim": "2", "entries": PAIRS4[:2]},
+                                 {"dim": True, "entries": [[1, 0]]}, *BAD_ENTRIES])
 def test_vector_from_dict_rejects_other_json(obj):
     with pytest.raises(ValueError, match="expected a vector object"):
         jsonio.vector_from_dict(obj)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from numrad.ensembles import generate_ensemble
 from numrad.errors import UnknownBoundError, UnknownChainError
 from numrad.suite import (
     CSV_HEADER,
+    DEFAULT_LAMBDA_GRID,
     BoundRow,
     ChainRow,
     TightnessRow,
@@ -155,15 +157,36 @@ def test_empty_lambda_grid_refused_when_a_bound_takes_lambda():
 
 
 def test_a_config_checks_its_lambda_grid_once(monkeypatch):
-    # the bound and chain evaluations of a config skip evaluate_sides' check
+    # one check of every read of a config, bounds and chains alike; the grid
+    # is read by exactly the bounds that take lambda
     calls = []
-    for module in (bounds, suite):
-        def spy(names, *args, check=module.check_lambdas):
-            calls.append(list(names))
-            check(names, *args)
-        monkeypatch.setattr(module, "check_lambdas", spy)
+
+    def spy(reads, check=bounds._check_lambdas):
+        calls.append(list(reads))
+        check(reads)
+
+    monkeypatch.setattr(bounds, "_check_lambdas", spy)
     rep = run_suite(EnsembleConfig("ginibre", 2, 3, 1))
-    assert rep.chain_rows and calls == [[b for b in ALL_BOUNDS if uses_lambda(b)]]
+    assert rep.chain_rows and len(calls) == 1
+    grid_reads = [read.name for read in calls[0] if read.lams == DEFAULT_LAMBDA_GRID]
+    assert grid_reads == [b for b in ALL_BOUNDS if uses_lambda(b)]
+    assert not {"check_lambdas", "_check_lambdas", "fill_terms"} & set(vars(suite))
+
+
+def test_a_config_evaluates_each_read_once(monkeypatch):
+    # a chain reads what the config already reads: el_haddad at r = 2 once for
+    # th4/th5/bomi_elhaddad, th2 at r = 1 once for both th2 chains, and
+    # th3_elhaddad's el_haddad at r = 1 is the config's own el_haddad block
+    names = {id(spec): name for name, spec in bounds.CATALOG.items()}
+    calls = Counter()
+
+    def spy(bound, *args, sides=bounds._sides):
+        calls[names[id(bound)]] += 1
+        return sides(bound, *args)
+
+    monkeypatch.setattr(bounds, "_sides", spy)
+    run_suite(EnsembleConfig("ginibre", 3, 4, 1))
+    assert (calls["el_haddad"], calls["th2"], sum(calls.values())) == (2, 3, 26)
 
 
 def _forged_report():
