@@ -12,13 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
+from .linalg import _integer
 
 ENSEMBLES = ("ginibre", "gue", "nilpotent", "normal", "rank_one", "jordan")
-
-
-def _integer(x) -> bool:
-    """Whether x is a Python or numpy integer (a bool or a float is not)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

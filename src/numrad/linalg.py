@@ -9,9 +9,16 @@ enclosed through the rotated Hermitian part
 whose largest eigenvalue, maximized over theta in [0, 2pi), equals w(M):
 each angle gives a support line of the numerical range W(M), and the
 polygon they cut out bounds w(M) from above (C. R. Johnson, SIAM J. Numer.
-Anal. 1978; F. Uhlig, Numer. Algorithms 2009). A sampling oracle (random
-unit vectors plus projected-gradient ascent) provides an independent lower
-bound for cross-checking the engine.
+Anal. 1978; F. Uhlig, Numer. Algorithms 2009).
+
+A sampling oracle provides an independent lower bound for cross-checking
+the engine: random unit vectors, each improved by projected-gradient ascent
+of |<Mx, x>| on the unit sphere with matrix-vector products only. Its steps
+take the Barzilai-Borwein length (J. Barzilai & J. M. Borwein, IMA J.
+Numer. Anal. 1988) clipped to [1, 100] / ||M||_F, and x is normalised after
+each. They are not monotone, so the oracle keeps the best value seen at any
+step, always that of a unit vector. An ascent stops when its tangent falls
+to 1e-8 ||M||_F, or after 100 steps.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .errors import (
 DEFAULT_RADIUS_TOL = 1e-10  # relative gap (hi - lo) / hi of the enclosure
 MAX_LIVE_CELLS = 4096  # a near-disc guard: generic input keeps a few dozen
 _START_CELLS = 16
+_ORACLE_STEPS = 100  # the sampling oracle's step cap
 
 
 def as_matrix(m, stack: bool = False) -> np.ndarray:
@@ -72,6 +80,11 @@ def _fro(a: np.ndarray) -> np.floating:
     """np.linalg.norm(a) of a complex array, by its formula: same bits, less overhead."""
     x = a.ravel(order="K")
     return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _integer(x) -> bool:
+    """Whether x is a Python or numpy integer (a bool or a float is not)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
@@ -321,7 +334,9 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     lo, hi = np.zeros(len(b)), np.zeros(len(b))
     # _START_CELLS cells per matrix; if W(M) is a disc about 0, f is constant
     # and the first gives lo = hi; a zero matrix needs none
-    disc = np.array([not np.diagonal(x).any() and _rotation_invariant(x) for x in b], dtype=bool)
+    disc = ~b.diagonal(axis1=1, axis2=2).any(axis=1)
+    for i in np.flatnonzero(disc):
+        disc[i] = _rotation_invariant(b[i])
     owner, j = np.divmod(np.arange(len(b) * _START_CELLS), _START_CELLS)
     cells = b.any(axis=(1, 2))[owner] & ((j == 0) | ~disc[owner])
     owner, t0 = owner[cells], j[cells] * (2.0 * np.pi / _START_CELLS)
@@ -370,77 +385,70 @@ def _oracle_starts(rng: np.random.Generator, n: int, samples: int) -> np.ndarray
     return x / np.linalg.norm(x, axis=0)
 
 
-def _columns_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<y_j, x_j> = x_j* y_j for each column j of two (n, k) blocks."""
-    return np.einsum("ij,ij->j", x.conj(), y)
-
-
 def numerical_radius_oracle(m, samples: int, seed: int) -> float:
     """Sampling lower bound for the numerical radius.
 
-    Takes the best of ``samples`` random unit vectors, each improved by
-    projected-gradient ascent of |<Mx, x>| on the unit sphere (100-step cap,
-    backtracking step size). Never exceeds the upper end of the engine's
-    enclosure beyond roundoff.
+    Takes the best |<Mx, x>| seen over ``samples`` projected-gradient ascents
+    on the unit sphere, each from a random unit vector. Uses matrix-vector
+    products only, no eigensolver, so it checks the engine independently.
+    Every value taken is that of a unit vector, so the result never exceeds
+    the upper end of the engine's enclosure beyond roundoff.
 
-    The ascents run in lockstep as the columns of one (n, samples) block,
-    so a step costs one A* X and one A X_try product for all of them. A
-    column stops on its own: when its tangent falls to 1e-13 ||A||_F, or
-    when five halvings of the step 1/||A||_F all lower |<Ax, x>|.
+    The ascents run in lockstep as the columns of one (n, samples) block:
+    a step costs one [A; A*] X product for all of them. Each column steps
+    along its tangent t with the Barzilai-Borwein length
+    <s, s> / Re <s, t_prev - t>, s = x - x_prev, clipped to [1, 100] / ||A||_F
+    (the first step is 1 / ||A||_F; with no positive curvature behind it, a
+    step is the longest), and is normalised after each step. The
+    steps are not monotone, so the best value is taken at every step. A
+    column stops when |t| <= 1e-8 ||A||_F (near a maximum the value's gap
+    falls like |t|^2, so past that only roundoff is left); the block stops
+    after 100 steps.
 
-    A given seed fixes the start vectors and so the result. Different seeds
-    draw different start vectors, but their results may coincide once the
-    ascent reaches the maximiser.
+    A given seed, a non-negative integer, fixes the start vectors and so the
+    result. Different seeds draw different start vectors, but their results
+    may coincide once the ascent reaches the maximiser.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if not _integer(samples) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not _integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     a, e = _pow2_scaled(as_matrix(m))  # exact, so the ascent is scale-free
     fro = float(_fro(a))
     if fro == 0.0:
         return 0.0
-    ah = _h(a)
-    eta0, tol2 = 1.0 / fro, (1e-13 * fro) ** 2
-    x = _oracle_starts(np.random.default_rng(seed), a.shape[0], samples)
-    ax = a @ x
-    q = _columns_inner(x, ax)
-    val = np.abs(q)
-    best = 0.0
-
-    def trial(eta):
-        """(x, Ax, <Ax, x>, |<Ax, x>|) at the step eta along t, per column."""
-        # x is a unit vector and t is orthogonal to it: |x + eta t|^2 = 1 + eta^2 |t|^2
-        x_try = (x + eta * t) / np.sqrt(1.0 + eta * eta * tn2)
-        ax_try = a @ x_try
-        q_try = _columns_inner(x_try, ax_try)
-        return x_try, ax_try, q_try, np.abs(q_try)
-
-    for _ in range(100):
+    n = a.shape[0]
+    both = np.concatenate((a, _h(a)))  # [A; A*]: one product gives A X and A* X
+    stop2, curv_lo, curv_hi = (1e-8 * fro) ** 2, fro / 100.0, fro
+    x = _oracle_starts(np.random.default_rng(seed), n, samples)
+    eta, vals = 1.0 / fro, []
+    for step in range(_ORACLE_STEPS + 1):
+        y = both @ x
+        ax, ahx = y[:n], y[n:]
+        q = np.vecdot(x, ax, axis=0)
+        val = np.abs(q)
+        vals.append(val)  # every step's values: the steps are not monotone
+        if step == _ORACLE_STEPS:
+            break
         ph = np.exp(-1j * np.angle(q))  # angle(0) = 0: the phase 1 at q = 0
-        g = 0.5 * (ph * ax + ph.conj() * (ah @ x))
-        t = g - val * x  # Re <g, x> = Re(ph q) = |q|: the radial part of the gradient
-        tn2 = _columns_inner(t, t).real
-        moving = tn2 > tol2
-        state = trial(eta0)
-        up = moving & (state[3] >= val)
-        if np.count_nonzero(up) < up.size:
-            # A column that rejects keeps its vector and tries up to four
-            # halvings; one that rejects them all, or has stopped moving,
-            # leaves the block.
-            state = [np.where(up, new, old) for new, old in zip(state, (x, ax, q, val))]
-            wait, eta = moving & ~up, eta0
-            for _ in range(4):
-                if not np.count_nonzero(wait):
-                    break
-                eta /= 2.0
-                halved = trial(eta)
-                take = wait & (halved[3] >= val)
-                state = [np.where(take, new, old) for new, old in zip(halved, state)]
-                up |= take
-                wait &= ~take
-            best = max(best, float(state[3].max()))  # a column's value only rises
-            if not np.count_nonzero(up):
+        # t = g - Re <g, x> x for the gradient g of Re(ph <Ax, x>), whose
+        # radial part is Re <g, x> = Re(ph q) = |q|
+        t = 0.5 * (ph * ax + ph.conj() * ahx)
+        t -= val * x
+        moving = np.vecdot(t, t, axis=0).real > stop2
+        if np.count_nonzero(moving) < moving.size:
+            if not np.count_nonzero(moving):
                 break
-            state = [v[..., up] for v in state]
-        x, ax, q, val = state
-    best = max(best, float(val.max()))
-    return _pow2_unscaled(best, e)
+            x, t = x[:, moving], t[:, moving]
+            if step:
+                x_prev, t_prev = x_prev[:, moving], t_prev[:, moving]
+        if step:
+            # 1 / eta is a curvature: clipped (by hand: np.clip costs twice
+            # as much), it is finite, and a non-positive one takes the longest step
+            s = x - x_prev
+            curv = np.vecdot(s, t_prev - t, axis=0).real / np.vecdot(s, s, axis=0).real
+            eta = 1.0 / np.minimum(np.maximum(curv, curv_lo), curv_hi)
+        x_prev, t_prev = x, t
+        x = x + eta * t
+        x /= np.sqrt(np.vecdot(x, x, axis=0).real)
+    return _pow2_unscaled(float(np.concatenate(vals).max()), e)

@@ -32,7 +32,7 @@ def test_radius_with_oracle(jordan_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["oracle"] <= out["radius"] + 1e-8
-    assert out["oracle"] == pytest.approx(0.5, abs=1e-4)
+    assert out["oracle"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_bound_single_mode(jordan_file, capsys):
@@ -161,6 +161,12 @@ def test_radius_zero_oracle_samples_exits_two(jordan_file, capsys):
     code = cli.main(["radius", "--matrix", jordan_file, "--oracle-samples", "0"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: samples must be ")
+
+
+def test_radius_negative_seed_exits_two(jordan_file, capsys):
+    code = cli.main(["radius", "--matrix", jordan_file, "--seed", "-1", "--oracle-samples", "4"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be ")
 
 
 def test_unknown_bound_exits_two(jordan_file, capsys):
