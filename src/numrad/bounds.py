@@ -12,10 +12,10 @@ whose right side contains u, a power of the bounded quantity itself
 * ``explicit-certificate`` - the implicit inequality u^2 <= a u + b resolved
   to u <= (a + sqrt(a^2 + 4b))/2, a bound usable without knowing u.
 
-Right sides are homographic in lam: rhs(lam) = (P + Q lam)/(1 + lam), so
-their infimum over lam is min(P, Q) attained at a boundary; resolved
-certificates lose that structure and are minimized numerically. Engine
-terms are keyed data, computed once for a stack of inputs (fill_terms).
+A bound that takes lam declares its coefficients' end limits c(0), c(inf):
+c(lam) = (c(0) + c(inf) lam)/(1 + lam). Its right side is then monotone in
+lam in every mode, so its infimum is the smaller end value. Engine terms are
+keyed data, computed once for a stack of inputs (fill_terms).
 evaluate is the one evaluation path: it checks the lams of its reads (a
 bound at params over a lam tuple) once, fills their terms in one call and
 evaluates each distinct read once over (inputs x lam). The suite calls it
@@ -73,7 +73,7 @@ class LambdaOptimum:
     mode: str
     infimum: float
     lambda_star: float | None
-    boundary: str  # "lambda->0" | "lambda->inf" | "flat" | "interior"
+    boundary: str  # "lambda->0" | "lambda->inf" | "flat"; golden-section also "interior"
 
 
 def resolve_implicit_quadratic(a, b):
@@ -85,52 +85,6 @@ def resolve_implicit_quadratic(a, b):
         raise NegativeCoefficientError(f"coefficients must be finite and >= 0, got a={a} b={b}")
     root = 0.5 * (a + np.sqrt(a * a + 4.0 * b))
     return float(root) if root.ndim == 0 else root
-
-
-# --------------------------------------------------------------------------
-# Coefficient families (pure arithmetic, exposed for specialization checks)
-
-def th2_coefficients(lam: float) -> tuple[float, float, float]:
-    """Multipliers of (w^r(T*S) ||T^2r+S^2r||, ||T^4r+S^4r||, w(|S|^2r |T|^2r))."""
-    d = 1.0 + lam
-    return 1.0 / (2.0 * d), lam / (4.0 * d), lam / (2.0 * d)
-
-
-def th3_coefficients(lam: float) -> tuple[float, float, float]:
-    """Multipliers of (||g^4+h^4||, w(h^2 g^2), w(T) ||g^2+h^2||)."""
-    d = 1.0 + lam
-    return lam / (4.0 * d), lam / (2.0 * d), 1.0 / (2.0 * d)
-
-
-def th4_coefficients(lam: float) -> tuple[float, float, float]:
-    d = 1.0 + lam
-    return (2.0 + 3.0 * lam) / (32.0 * d), (2.0 + 3.0 * lam) / (16.0 * d), \
-        (6.0 + 5.0 * lam) / (16.0 * d)
-
-
-def th5_coefficients(lam: float) -> tuple[float, ...]:
-    d = 1.0 + lam
-    return (lam / (16.0 * d), lam / (8.0 * d), lam / (4.0 * d),
-            lam / (4.0 * d), 1.0 / (4.0 * d), 1.0 / (2.0 * d))
-
-
-def th6_coefficients(lam: float, n: int) -> tuple[float, float, float, float]:
-    """Multipliers of (||T^4n+T*^4n||, w(|T*|^2n |T|^2n),
-    ||T^2n+T*^2n|| w^n(T^2), binomial sum)."""
-    d = 1.0 + lam
-    lead = (1.0 + 2.0 * lam) / d
-    return (lead / 2.0 ** (2 * n + 2), lead / 2.0 ** (2 * n + 1),
-            1.0 / (d * 2.0 ** (2 * n + 1)), 1.0 / 2.0 ** (2 * n + 1))
-
-
-def cor_bomi_coefficients(lam: float) -> tuple[float, float]:
-    d = 1.0 + lam
-    return (1.0 + 2.0 * lam) / (8.0 * d), (3.0 + 2.0 * lam) / (8.0 * d)
-
-
-def al_dolat_coefficients(lam: float) -> tuple[float, float]:
-    d = 1.0 + lam
-    return 1.0 / (2.0 * d), lam / (2.0 * d)
 
 
 # --------------------------------------------------------------------------
@@ -262,9 +216,6 @@ def pair_terms(t, s) -> PairTerms:
 # --------------------------------------------------------------------------
 # The catalog
 
-LAM_POSITIVE = ">0"
-LAM_NONNEGATIVE = ">=0"
-
 # Marks u = base^(p/2) in a right side, base being w(T), or w(T*S) for a
 # product bound. A bound whose right side holds U is implicit.
 U = "u"
@@ -275,17 +226,27 @@ class BoundSpec:
     """One catalog bound: base^p(params) <= rhs, where the right side is
     sum_i c_i(lam) * (product of the terms in rhs[i]).
 
-    Each term is U or a term key whose exponents may be functions of
-    BoundParams but not of lam, so a config's terms are known before any is
-    evaluated. Products and the sum are evaluated left to right, which fixes
-    the rounding of every value.
+    ``ends`` holds c(0) and c(inf), c_i(lam) = (c_i(0) + c_i(inf) lam)/(1 + lam),
+    or one vector c for a bound free of lam; one that takes lam needs lam > 0
+    unless ``lam_zero``. Each term is U or a term key. Coefficients and term
+    exponents may be functions of BoundParams, not of lam, so a config's terms
+    are known before any is evaluated. Products and the sum are evaluated
+    left to right, which fixes the rounding of every value.
     """
 
     exponent: Callable[[BoundParams], float]
-    coefficients: Callable[[float, BoundParams], tuple[float, ...]]
+    ends: tuple[tuple, ...]
     rhs: tuple[tuple, ...]
-    lam: str | None = None  # None, LAM_POSITIVE or LAM_NONNEGATIVE
+    lam_zero: bool = False
     product: bool = False
+
+    @cached_property
+    def uses_lambda(self) -> bool:
+        return len(self.ends) == 2
+
+    @cached_property
+    def lam_positive(self) -> bool:  # whether the bound needs lam > 0
+        return self.uses_lambda and not self.lam_zero
 
     @cached_property
     def implicit(self) -> bool:
@@ -301,55 +262,64 @@ class BoundSpec:
         return [("pow", base, p), ("pow", base, p / 2.0)] + [
             _resolve(f, params) for prod in self.rhs for f in prod if f is not U]
 
+    def limits(self, params: BoundParams) -> np.ndarray:
+        """The columns c(0) and c(inf), or the one column of a bound free of lam."""
+        return np.array([_resolve(c, params) for c in self.ends], dtype=np.float64).T
 
-def _fixed(*c: float):
-    return lambda lam, params: c
+    def coefficients(self, lams, params: BoundParams) -> np.ndarray:
+        """c_i(lam) per (coefficient, lam)."""
+        c, lams = self.limits(params), np.asarray(lams, dtype=np.float64)
+        if not self.uses_lambda:
+            return np.repeat(c, len(lams), axis=1)
+        return (c[:, :1] + c[:, 1:] * lams) / (1.0 + lams)
 
 
-def _of_lam(coefficients):
-    return lambda lam, params: coefficients(lam)
+def _half_pow(k: int):  # 2^-(2n + k), n the binomial order
+    return lambda p: 2.0 ** -(2 * p.n + k)
 
 
 CATALOG: dict[str, BoundSpec] = {
-    "op_norm": BoundSpec(lambda p: 1.0, _fixed(1.0), ((OP,),)),
-    "kittaneh": BoundSpec(lambda p: 1.0, _fixed(0.5), ((ns(1.0),),)),
-    "el_haddad": BoundSpec(lambda p: 2.0 * p.r, _fixed(0.5), ((ns(lambda p: 2.0 * p.r),),)),
+    "op_norm": BoundSpec(lambda p: 1.0, ((1.0,),), ((OP,),)),
+    "kittaneh": BoundSpec(lambda p: 1.0, ((0.5,),), ((ns(1.0),),)),
+    "el_haddad": BoundSpec(lambda p: 2.0 * p.r, ((0.5,),), ((ns(lambda p: 2.0 * p.r),),)),
     # The second absolute-value term enters squared, matching bhunia below;
     # some statements drop that square.
-    "abu_omar": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((ns(2.0),), (W2,))),
-    "bhunia": BoundSpec(lambda p: 2.0, _fixed(0.25, 0.5), ((ns(2.0),), (wc(1.0),))),
-    "th3": BoundSpec(lambda p: 2.0, _of_lam(th3_coefficients), (
+    "abu_omar": BoundSpec(lambda p: 2.0, ((0.25, 0.5),), ((ns(2.0),), (W2,))),
+    "bhunia": BoundSpec(lambda p: 2.0, ((0.25, 0.5),), ((ns(2.0),), (wc(1.0),))),
+    "th3": BoundSpec(lambda p: 2.0, ((0.0, 0.0, 0.5), (0.25, 0.5, 0.0)), (
         (ns(lambda p: 4.0 * p.alpha, lambda p: 4.0 * (1.0 - p.alpha)),),
         (wc(lambda p: 2.0 * (1.0 - p.alpha), lambda p: 2.0 * p.alpha),),
         (U, ns(lambda p: 2.0 * p.alpha, lambda p: 2.0 * (1.0 - p.alpha))),
-    ), LAM_POSITIVE),
-    "th4": BoundSpec(lambda p: 4.0, _of_lam(th4_coefficients),
-                     ((ns(4.0),), (wc(2.0),), (W2, ns(2.0))), LAM_POSITIVE),
+    )),
+    "th4": BoundSpec(lambda p: 4.0, ((0.0625, 0.125, 0.375), (0.09375, 0.1875, 0.3125)),
+                     ((ns(4.0),), (wc(2.0),), (W2, ns(2.0)))),
     # u = w^2: u^2 <= a u + b
-    "th5": BoundSpec(lambda p: 4.0, _of_lam(th5_coefficients), (
+    "th5": BoundSpec(lambda p: 4.0, ((0.0, 0.0, 0.0, 0.0, 0.25, 0.5),
+                                     (0.0625, 0.125, 0.25, 0.25, 0.0, 0.0)), (
         (ns(4.0),), (wc(2.0),), (("pow", W2, 2),), (ns(2.0), W2), (U, ns(2.0)), (U, W2),
-    ), LAM_POSITIVE),
+    )),
     "th6": BoundSpec(lambda p: 4.0 * binomial_order(p.n),
-                     lambda lam, p: th6_coefficients(lam, p.n), (
+                     ((_half_pow(2), _half_pow(1), _half_pow(1), _half_pow(1)),
+                      (_half_pow(1), _half_pow(0), 0.0, _half_pow(1))), (
         (ns(lambda p: 4.0 * p.n),), (wc(lambda p: 2.0 * p.n),),
         (ns(lambda p: 2.0 * p.n), ("pow", W2, lambda p: p.n)), (("binom", lambda p: p.n),),
-    ), LAM_POSITIVE),
-    "cor_bomi": BoundSpec(lambda p: 4.0, _of_lam(cor_bomi_coefficients),
-                          ((ns(4.0),), (ns(2.0), W2)), LAM_POSITIVE),
-    "dragomir": BoundSpec(lambda p: float(p.r), _fixed(0.5), ((ns(lambda p: 2.0 * p.r),),),
+    )),
+    "cor_bomi": BoundSpec(lambda p: 4.0, ((0.125, 0.375), (0.25, 0.25)),
+                          ((ns(4.0),), (ns(2.0), W2))),
+    "dragomir": BoundSpec(lambda p: float(p.r), ((0.5,),), ((ns(lambda p: 2.0 * p.r),),),
                           product=True),
-    "al_dolat": BoundSpec(lambda p: 2.0, _of_lam(al_dolat_coefficients),
-                          ((ns(2.0), U), (ns(4.0),)), LAM_NONNEGATIVE, product=True),
+    "al_dolat": BoundSpec(lambda p: 2.0, ((0.5, 0.0), (0.0, 0.5)),
+                          ((ns(2.0), U), (ns(4.0),)), lam_zero=True, product=True),
     # u = w^r(T*S): u^2 <= a u + b
-    "th2": BoundSpec(lambda p: 2.0 * p.r, _of_lam(th2_coefficients), (
+    "th2": BoundSpec(lambda p: 2.0 * p.r, ((0.5, 0.0, 0.0), (0.0, 0.25, 0.5)), (
         (U, ns(lambda p: 2.0 * p.r)), (ns(lambda p: 4.0 * p.r),), (wc(lambda p: 2.0 * p.r),),
-    ), LAM_POSITIVE, product=True),
+    ), product=True),
 }
 
 ALL_BOUNDS = tuple(CATALOG)
 PRODUCT_BOUNDS = tuple(name for name, b in CATALOG.items() if b.product)
 # The paper refines the bounds that take no lam > 0.
-CLASSICAL_BOUNDS = tuple(name for name, b in CATALOG.items() if b.lam != LAM_POSITIVE)
+CLASSICAL_BOUNDS = tuple(name for name, b in CATALOG.items() if not b.lam_positive)
 
 
 def _spec(name: str) -> BoundSpec:
@@ -364,7 +334,43 @@ def bound_modes(name: str) -> tuple[str, ...]:
 
 
 def uses_lambda(name: str) -> bool:
-    return name in CATALOG and CATALOG[name].lam is not None
+    return name in CATALOG and CATALOG[name].uses_lambda
+
+
+def _coefficients(name: str, lam: float, n: int = 1) -> tuple[float, ...]:
+    return tuple(CATALOG[name].coefficients((lam,), BoundParams(1.0, n=n))[:, 0].tolist())
+
+
+def th2_coefficients(lam: float) -> tuple[float, float, float]:
+    """Multipliers of (w^r(T*S) ||T^2r+S^2r||, ||T^4r+S^4r||, w(|S|^2r |T|^2r))."""
+    return _coefficients("th2", lam)
+
+
+def th3_coefficients(lam: float) -> tuple[float, float, float]:
+    """Multipliers of (||g^4+h^4||, w(h^2 g^2), w(T) ||g^2+h^2||)."""
+    return _coefficients("th3", lam)
+
+
+def th4_coefficients(lam: float) -> tuple[float, float, float]:
+    return _coefficients("th4", lam)
+
+
+def th5_coefficients(lam: float) -> tuple[float, ...]:
+    return _coefficients("th5", lam)
+
+
+def th6_coefficients(lam: float, n: int) -> tuple[float, float, float, float]:
+    """Multipliers of (||T^4n+T*^4n||, w(|T*|^2n |T|^2n),
+    ||T^2n+T*^2n|| w^n(T^2), binomial sum)."""
+    return _coefficients("th6", lam, n)
+
+
+def cor_bomi_coefficients(lam: float) -> tuple[float, float]:
+    return _coefficients("cor_bomi", lam)
+
+
+def al_dolat_coefficients(lam: float) -> tuple[float, float]:
+    return _coefficients("al_dolat", lam)
 
 
 # --------------------------------------------------------------------------
@@ -387,10 +393,9 @@ def _combine(bound: BoundSpec, terms: _Terms, params: BoundParams, coefficients,
     return total
 
 
-def _sides(bound: BoundSpec, terms: _Terms, params: BoundParams, mode: str, lams) -> Sides:
-    """One mode of a bound over every input and lam: no checks."""
+def _sides(bound: BoundSpec, terms: _Terms, params: BoundParams, mode: str, c) -> Sides:
+    """One mode of a bound over every input and coefficient column c: no checks."""
     base, p = WP if bound.product else W, bound.exponent(params)
-    c = np.array([bound.coefficients(lam, params) for lam in lams]).T
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == MODE_INEQUALITY or not bound.implicit:
             u = terms["pow", base, p / 2.0][:, None] if bound.implicit else None
@@ -418,7 +423,7 @@ def _check_lambdas(reads) -> None:
     """ValueError unless each read's bound admits all of its (non-empty) lams."""
     positive = {}  # lams -> whether a bound reading them needs lam > 0
     for name, _, _, lams in reads:
-        needs_positive = _spec(name).lam == LAM_POSITIVE
+        needs_positive = _spec(name).lam_positive
         if not lams:
             raise ValueError(f"empty lambda grid for bound {name!r}")
         positive[lams] = positive.get(lams) or needs_positive
@@ -443,7 +448,8 @@ def _read_sides(terms: _Terms, name: str, params: BoundParams, mode, lams) -> li
     bound = CATALOG[name]
     if mode is not None and mode not in bound.modes:
         raise ValueError(f"bound {name!r} has no mode {mode!r}")
-    out = [_sides(bound, terms, params, m, lams) for m in ((mode,) if mode else bound.modes)]
+    c = bound.coefficients(lams, params)
+    out = [_sides(bound, terms, params, m, c) for m in ((mode,) if mode else bound.modes)]
     if not all(np.isfinite(x.slack).all() for x in out):  # rhs - w: finite iff both are
         raise OverflowError(f"bound {name!r} with n={params.n}: the right side or the "
                             "w-power leaves the double range")
@@ -459,8 +465,8 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
                    mode: str | None = None) -> tuple[BoundResult, ...]:
     """Evaluate one catalog bound in the requested mode (or all its modes).
 
-    ``params.lam`` must be > 0 for the bounds declared LAM_POSITIVE; al_dolat
-    admits lam = 0. Product bounds read ``s``; with s omitted the matrix is
+    ``params.lam`` must be > 0 for a bound that takes lam; al_dolat admits
+    lam = 0. Product bounds read ``s``; with s omitted the matrix is
     paired with itself.
     """
     params = params if params is not None else BoundParams(lam=1.0)
@@ -540,10 +546,15 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
                     method: str = "auto") -> LambdaOptimum:
     """Infimum of a bound's right side over lam in (0, inf), engine terms fixed.
 
-    Homographic right sides get the closed form min(P, Q) with a boundary
-    flag (P = lam->0 limit, Q = lam->inf limit); resolved certificates are
-    minimized by golden-section search over lam = exp(sigma), sigma in
-    [-20, 20], tolerance 1e-9 in sigma. ``method`` can force either path.
+    With t = lam/(1 + lam), each coefficient c(0) + (c(inf) - c(0)) t is
+    affine in t, and so is a right side without u (inequality mode, or an
+    explicit bound). A resolved certificate is the root u of u^2 = a u + b
+    with a = a0 + da t, b = b0 + db t; t(u) = (u^2 - a0 u - b0)/(da u + db)
+    is single-valued (or da u + db = 0 and u is the root at every t), so the
+    root, continuous in t, is monotone. Methods "auto" and "closed-form"
+    therefore give the smaller end value, each from c(0) or c(inf) itself
+    ("flat" when they agree). "golden-section", an independent cross-check,
+    searches lam = exp(sigma), sigma in [-20, 20], to 1e-9 in sigma.
     """
     bound = _spec(name)
     if method not in ("auto", "closed-form", "golden-section"):
@@ -552,33 +563,21 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     terms = _terms_for(bound, t, s)
     mode = bound.modes[0] if mode is None else mode
     evaluate([(terms, [Read(name, params, mode, (1.0,))])])  # fills the terms, checks the mode
-    homographic = mode == MODE_INEQUALITY or not bound.implicit
 
-    def rhs(lam: float) -> float:
-        return float(_sides(bound, terms, params, mode, (lam,)).rhs[0, 0])
+    def f(sigma: float) -> float:
+        c = bound.coefficients((math.exp(sigma),), params)
+        return float(_sides(bound, terms, params, mode, c).rhs[0, 0])
 
-    use_closed = homographic if method == "auto" else (method == "closed-form")
-    if use_closed:
-        if not homographic:
-            raise ValueError(f"bound {name!r} mode {mode!r} rhs is not homographic")
-        p_lim = rhs(0.0)
-        q_lim = 2.0 * rhs(1.0) - p_lim  # rhs(1)*(1+1) = P + Q
-        scale = max(1.0, abs(p_lim), abs(q_lim))
-        if abs(p_lim - q_lim) <= 1e-12 * scale:
-            return LambdaOptimum(name, mode, p_lim, 1.0, "flat")
-        if p_lim < q_lim:
-            return LambdaOptimum(name, mode, p_lim, None, "lambda->0")
-        return LambdaOptimum(name, mode, q_lim, None, "lambda->inf")
-
-    f = lambda sigma: rhs(math.exp(sigma))
-    lo, hi = -20.0, 20.0
-    s_star, f_star = _golden_min(f, lo, hi, 1e-9)
-    for edge in (lo, hi):
-        fe = f(edge)
-        if fe < f_star:
-            s_star, f_star = edge, fe
-    scale = max(1.0, abs(f(lo)), abs(f(hi)))
-    if abs(f(lo) - f(hi)) <= 1e-12 * scale and abs(f(0.0) - f_star) <= 1e-12 * scale:
+    if method == "golden-section":
+        lo, hi = -20.0, 20.0
+        f_lo, f_hi, found = f(lo), f(hi), [_golden_min(f, lo, hi, 1e-9)]
+    else:  # sigma = log lam at -inf and inf, each end from c(0) or c(inf)
+        lo, hi, found, c = -math.inf, math.inf, [], bound.limits(params)
+        f_lo, f_hi = _sides(bound, terms, params, mode, c).rhs[0, [0, -1]].tolist()
+    # min keeps the first of equal values
+    s_star, f_star = min(found + [(lo, f_lo), (hi, f_hi)], key=lambda x: x[1])
+    scale = max(1.0, abs(f_lo), abs(f_hi))
+    if abs(f_lo - f_hi) <= 1e-12 * scale and abs(f(0.0) - f_star) <= 1e-12 * scale:
         return LambdaOptimum(name, mode, f_star, 1.0, "flat")
     if s_star <= lo + 1e-6:
         return LambdaOptimum(name, mode, f_star, None, "lambda->0")

@@ -1,8 +1,9 @@
 """Seeded random-matrix ensembles.
 
-Each trial draws from its own counter-based Philox stream keyed by
-seed XOR trial-index, so the matrix stream is bit-identical for a given
-config no matter how trials are scheduled.
+Each trial draws from its own counter-based Philox stream keyed by the two
+words (seed, trial index), so the matrix stream is bit-identical for a given
+config no matter how trials are scheduled, and no two (seed, trial) pairs
+share a stream.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class EnsembleConfig:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(index)))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -109,7 +109,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     work, requests = [], []  # (row labels, bound reads, chains with their reads) per kind
     for product in (False, True):
         # a bound the grid does not drive is read at lam = 1, as one row with lam None
-        reads = [Read(b, params, None, (1.0,) if spec.lam is None else lambda_grid)
+        reads = [Read(b, params, None, lambda_grid if spec.uses_lambda else (1.0,))
                  for b, spec in zip(bounds, specs) if spec.product == product]
         links = [(c, chain_reads(ch, params)) for c, ch in zip(chains, chain_specs)
                  if CATALOG[ch.refined].product == product]
@@ -121,7 +121,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
 
     blocks, chain_blocks = [], []  # (labels, bound, lam-free, Sides); (labels, chain, holds)
     for (labels, reads, links), sides in zip(work, evaluate(requests)):  # one engine call
-        blocks += [(labels, read.name, CATALOG[read.name].lam is None, x)
+        blocks += [(labels, read.name, not CATALOG[read.name].uses_lambda, x)
                    for read in reads for x in sides[read]]
         chain_blocks += [(labels, c, chain_links(*(sides[read][0] for read in pair))[1])
                          for c, pair in links]

@@ -297,6 +297,13 @@ class TestCoefficientSpecializations:
         assert abs(c_w - 1.0 / 3.0) <= 1e-12
         assert abs(c_n4 + c_cross / 2.0 - 1.0 / 6.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_th6_at_huge_lambda_keeps_its_subnormal_coefficient(self, n):
+        # (1 + lam) 2^(2n+1) overflows at lam = 1e300, but the coefficient is a subnormal
+        want = 2.0 ** -(2 * n + 1) / (1.0 + 1e300)
+        assert 0.0 < want < 2.3e-308
+        assert th6_coefficients(1e300, n)[2] == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_th4_th5_th6_limits(self):
         assert th4_coefficients(0.0) == pytest.approx((1 / 16, 1 / 8, 3 / 8))
         assert th5_coefficients(0.0)[:4] == pytest.approx((0, 0, 0, 0))
@@ -416,13 +423,39 @@ class TestOptimizeLambda:
     def test_golden_section_on_certificate(self):
         rng = np.random.default_rng(67)
         t = ginibre(rng, 3)
-        opt = optimize_lambda("th5", t, mode=MODE_CERTIFICATE)
+        opt = optimize_lambda("th5", t, mode=MODE_CERTIFICATE, method="golden-section")
         w2 = float(matrix_terms(t)[W][0]) ** 2
         assert opt.infimum >= w2 - 1e-8 * max(1.0, w2)  # still a valid bound on w^2
 
-    def test_closed_form_refused_for_non_homographic(self):
-        with pytest.raises(ValueError):
-            optimize_lambda("th5", J, mode=MODE_CERTIFICATE, method="closed-form")
+    def test_closed_form_on_certificate_is_the_auto_end_value(self):
+        rng = np.random.default_rng(67)
+        t = ginibre(rng, 3)
+        closed = optimize_lambda("th5", t, mode=MODE_CERTIFICATE, method="closed-form")
+        golden = optimize_lambda("th5", t, mode=MODE_CERTIFICATE, method="golden-section")
+        assert closed == optimize_lambda("th5", t, mode=MODE_CERTIFICATE)
+        assert closed.infimum <= golden.infimum + 1e-12 * max(1.0, abs(closed.infimum))
+
+    def test_certificate_optimum_is_an_end_below_the_grid(self):
+        # A resolved certificate is monotone in lam, so its infimum is an end
+        # limit, which a search confined to lam in [e^-20, e^20] only nears
+        # and can mistake for an interior minimum.
+        rng = np.random.default_rng(67)
+        grid = tuple(float(x) for x in np.logspace(-12.0, 12.0, 41))
+        for _ in range(30):
+            t, s = ginibre(rng, 3), ginibre(rng, 3)
+            for name in ("th3", "th5", "th2", "al_dolat"):
+                opt = optimize_lambda(name, t, s, mode=MODE_CERTIFICATE)
+                golden = optimize_lambda(name, t, s, mode=MODE_CERTIFICATE,
+                                         method="golden-section")
+                scale = max(1.0, abs(opt.infimum))
+                assert opt.boundary != "interior", (name, opt)
+                assert opt.infimum <= golden.infimum + 1e-12 * scale, (name, opt, golden)
+                assert golden.infimum - opt.infimum <= 1e-7 * scale, (name, opt, golden)
+                # the grid read evaluate_bound makes one lam at a time
+                terms = pair_terms(t, s) if name in ("th2", "al_dolat") else matrix_terms(t)
+                read = Read(name, BoundParams(1.0), MODE_CERTIFICATE, grid)
+                (sides,) = evaluate([(terms, [read])])[0][read]
+                assert (opt.infimum <= sides.rhs[0] + 1e-12 * scale).all(), (name, opt)
 
     def test_unknown_bound(self):
         with pytest.raises(UnknownBoundError):

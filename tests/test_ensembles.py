@@ -59,6 +59,13 @@ def test_trials_are_distinct_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
+def test_neighbouring_seeds_share_no_matrix():
+    # a key of seed XOR trial would give (42, t) and (43, t ^ 1) one stream
+    a = generate_ensemble(EnsembleConfig("ginibre", 3, 50, 42))
+    b = generate_ensemble(EnsembleConfig("ginibre", 3, 50, 43))
+    assert not any(np.array_equal(x, y) for x in a for y in b)
+
+
 def test_trial_order_irrelevant_to_content():
     # counter-based per-trial streams: trial k is the same matrix no matter
     # how many trials the config requests
