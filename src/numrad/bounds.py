@@ -39,7 +39,7 @@ from .errors import (
     UnknownChainError,
 )
 from .linalg import PSDPower, _h, abs_powers, as_matrix, numerical_radius
-from .scalar_ineq import BoundParams, binomial_order
+from .scalar_ineq import BoundParams, binomial_order, interpolate
 
 HOLDS_RTOL = 1e-8
 CHAIN_RTOL = 1e-9
@@ -267,11 +267,11 @@ class BoundSpec:
         return np.array([_resolve(c, params) for c in self.ends], dtype=np.float64).T
 
     def coefficients(self, lams, params: BoundParams) -> np.ndarray:
-        """c_i(lam) per (coefficient, lam)."""
+        """c_i(lam) per (coefficient, lam), interpolated between the ends."""
         c, lams = self.limits(params), np.asarray(lams, dtype=np.float64)
         if not self.uses_lambda:
             return np.repeat(c, len(lams), axis=1)
-        return (c[:, :1] + c[:, 1:] * lams) / (1.0 + lams)
+        return interpolate(c[:, :1], c[:, 1:], lams)
 
 
 def _half_pow(k: int):  # 2^-(2n + k), n the binomial order

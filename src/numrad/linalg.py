@@ -254,25 +254,33 @@ def abs_value(m) -> np.ndarray:
 
 
 def abs_power(m, p: float) -> np.ndarray:
-    """|M|^p = (M*M)^(p/2) for p >= 0."""
+    """|M|^p = (M*M)^(p/2) for finite p >= 0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return abs_powers(m)[0].power(p)
+        return abs_powers(m)[0].power(_exponent(p))
+
+
+def _exponent(p: float) -> float:
+    """p, or ValueError unless it is finite and >= 0."""
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError(f"exponent must be finite and >= 0, got {p}")
+    return p
 
 
 def matrix_power_psd(a, p: float) -> np.ndarray:
-    """Spectral power A^p of a PSD Hermitian matrix, p >= 0.
+    """Spectral power A^p of a PSD Hermitian matrix, for finite p >= 0.
 
     A must be Hermitian within 1e-10 relative. Negative-roundoff eigenvalues
     are clamped to 0 before powering; one below -1e-8 * ||A|| signals genuine
     indefiniteness and raises NotPSDError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _psd_power(as_matrix(a), p)
+        return _psd_powers(as_matrix(a)).power(_exponent(p))
 
 
-def _psd_power(a: np.ndarray, p: float) -> np.ndarray:
+def _psd_powers(a: np.ndarray) -> PSDPower:
+    """Powers of the validated a, with matrix_power_psd's checks."""
     vals, vecs = _eigen(a, psd=True)
-    return PSDPower(vecs, vals).power(p)
+    return PSDPower(vecs, vals)
 
 
 def operator_norm(m) -> float:
@@ -327,8 +335,8 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
     for all cells, each result bitwise the one its matrix gives alone.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     b, e = _pow2_scaled(as_matrix(m, stack=True))  # exact, so w(2^k M) = 2^k w(M)
     re, im = (b + _h(b)) / 2.0, (b - _h(b)) / 2j
     lo, hi = np.zeros(len(b)), np.zeros(len(b))

@@ -18,7 +18,7 @@ from .linalg import (
     _abs_powers,
     _eigen,
     _fro,
-    _psd_power,
+    _psd_powers,
     _svd,
     _vectors,
     as_matrix,
@@ -42,7 +42,7 @@ def mccarthy_check(t, x, r: float) -> InequalityRecord:
     x = require_unit(_vectors(x)[0])
     same_dim(t, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        t_pow = _psd_power(t, r)  # validates PSD Hermitian
+        t_pow = _psd_powers(t).power(r)  # validates PSD Hermitian
         q = np.float64(max(0.0, np.real(inner(t @ x, x))))  # numpy's **: inf, not a raise
         return InequalityRecord.from_sides("mccarthy", q**r, np.real(inner(t_pow @ x, x)))
 
@@ -54,7 +54,7 @@ def convex_norm_check(a, b, r: float) -> InequalityRecord:
     same_dim(a, b)
     try:  # means halve first: the mean of two doubles is a double
         with np.errstate(over="ignore", invalid="ignore"):
-            pm, pa, pb = (_psd_power(m, r) for m in (a / 2.0 + b / 2.0, a, b))
+            pm, pa, pb = (_psd_powers(m).power(r) for m in (a / 2.0 + b / 2.0, a, b))
             sides = [_svd(p)[1][0] if np.isfinite(p).all() else math.inf  # inf: past the range
                      for p in (pm, pa / 2.0 + pb / 2.0)]
     except OverflowError as exc:  # an eigenvalue or a norm past the double range

@@ -2,10 +2,21 @@
 
 Each operation computes the left side, right side and slack of one
 inequality and returns an InequalityRecord, so random fuzzing and
-equality-case regression can treat them uniformly. All inequalities are
-parameterized (where applicable) by a free scalar lam > 0; the refinement
-family interpolates between a Cauchy-Schwarz-type term and the plain
-product of norms as lam runs over (0, inf).
+equality-case regression can treat them uniformly. The families in a free
+scalar lam > 0 are each fixed by their two end limits: the right side at lam
+is interpolate(c(0), c(inf), lam) = (c(0) + c(inf) lam)/(1 + lam), where,
+with xy = |x||y|, ip = |<x,y>|, b = |<x,e><e,y>| and s = xy + ip,
+
+* cs_refinement_gen (the paper's refinement, lam = f(t)): c(0) = ip xy, the
+  Cauchy-Schwarz-type term, and c(inf) = xy^2, the plain product of norms;
+* cs_refinement_two: c(0) = ip xy, c(inf) = (xy^2 + ip xy)/2;
+* buzano_refined: c(0) = (2 xy^2 + 6 xy ip)/8, c(inf) = (3 xy^2 + 5 xy ip)/8;
+* buzano_refined_two: c(0) = b s/2, c(inf) = s^2/4;
+* buzano_power: c(0) = P + 4^-n xy^n ip^n + B, c(inf) = 2P + B, where
+  P = 4^-n xy^2n and B is the binomial sum.
+
+buzano's right side, s/2, takes no lam. One private body validates the
+vectors, computes the sides and builds the record for all six.
 """
 
 from __future__ import annotations
@@ -60,6 +71,9 @@ class BoundParams:
     alpha: float = 0.5
 
     def __post_init__(self):
+        for name in ("lam", "r", "n", "alpha"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         require_exponent(self.r)
@@ -98,10 +112,6 @@ def _norm(v: np.ndarray) -> float:
     return math.hypot(*v.view(np.float64).tolist())
 
 
-def _overflow(name: str) -> OverflowError:
-    return OverflowError(f"{name}: a side leaves the double range")
-
-
 def require_unit(v: np.ndarray) -> np.ndarray:
     """v, or NotUnitVectorError when its norm is not 1 within 1e-12."""
     if abs(_norm(v) - 1.0) > 1e-12:
@@ -109,9 +119,32 @@ def require_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-# The evaluators compute their sides in Python floats, where a product past
-# the double range is inf and a power or a complex abs raises OverflowError;
-# either way the caller gets one OverflowError naming the evaluator.
+def interpolate(c0, cinf, lam):
+    """(c0 + cinf lam)/(1 + lam): the member at lam of the family whose end
+    limits are c0 (lam -> 0) and cinf (lam -> inf); floats or arrays."""
+    return (c0 + cinf * lam) / (1.0 + lam)
+
+
+def _record(name: str, sides, vectors: tuple, lam: float | None = None) -> InequalityRecord:
+    """The record of evaluator ``name`` on x, y (and a unit vector e).
+
+    sides(xy, ip, b) of xy = |x||y|, ip = |<x,y>| and b = |<x,e><e,y>| (None
+    without e) gives (lhs, rhs) or (lhs, rhs, outer); with lam given, rhs is
+    the end pair (c(0), c(inf)), interpolated at lam. The sides are Python
+    floats, where a product past the double range is inf and a power or a
+    complex abs raises OverflowError; either way the caller gets one
+    OverflowError naming the evaluator.
+    """
+    vs = _vectors(*vectors)  # rows by index: cheaper than unpacking the array
+    x, y, e = vs[0], vs[1], require_unit(vs[2]) if len(vs) == 3 else None
+    try:
+        b = None if e is None else abs(inner(x, e) * inner(e, y))
+        lhs, rhs, *outer = sides(_norm(x) * _norm(y), abs(inner(x, y)), b)
+        if lam is not None:
+            rhs = interpolate(*rhs, lam)
+    except OverflowError:
+        raise OverflowError(f"{name}: a side leaves the double range") from None
+    return InequalityRecord.from_sides(name, lhs, rhs, *outer)
 
 
 def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
@@ -119,62 +152,30 @@ def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
 
     The right side never exceeds |x|^2 |y|^2, reported as ``outer``.
     """
-    lam = _require_positive(lam)
-    x, y = _vectors(x, y)
-    try:
-        nx, ny = _norm(x), _norm(y)
-        ip = abs(inner(x, y))
-        lhs = ip**2
-        outer = (nx * ny) ** 2
-        rhs = (lam * outer + ip * nx * ny) / (1.0 + lam)
-    except OverflowError:
-        raise _overflow("cs_refinement_gen") from None
-    return InequalityRecord.from_sides("cs_refinement_gen", lhs, rhs, outer=outer)
+    return _record("cs_refinement_gen", lambda xy, ip, _: (ip**2, (ip * xy, xy**2), xy**2),
+                   (x, y), _require_positive(lam))
 
 
 def cs_refinement_two(x, y, lam: float) -> InequalityRecord:
     """|<x,y>|^2 <= lam/(2(1+lam)) |x|^2|y|^2 + (2+lam)/(2(1+lam)) |<x,y>| |x||y|."""
-    lam = _require_positive(lam)
-    x, y = _vectors(x, y)
-    try:
-        nx, ny = _norm(x), _norm(y)
-        ip = abs(inner(x, y))
-        lhs = ip**2
-        outer = (nx * ny) ** 2
-        rhs = (lam * outer + (2.0 + lam) * ip * nx * ny) / (2.0 * (1.0 + lam))
-    except OverflowError:
-        raise _overflow("cs_refinement_two") from None
-    return InequalityRecord.from_sides("cs_refinement_two", lhs, rhs, outer=outer)
+    # The ends weight each term, here and in the two refined Buzano forms, not
+    # divide a sum by 2^k: no intermediate leaves the double range before the end.
+    return _record("cs_refinement_two",
+                   lambda xy, ip, _: (ip**2, (ip * xy, xy**2 / 2.0 + ip * xy / 2.0), xy**2),
+                   (x, y), _require_positive(lam))
 
 
 def buzano(x, y, e) -> InequalityRecord:
     """|<x,e><e,y>| <= (|x||y| + |<x,y>|) / 2 for a unit vector e."""
-    x, y, e = _vectors(x, y, e)
-    require_unit(e)
-    try:
-        lhs = abs(inner(x, e) * inner(e, y))
-        rhs = 0.5 * (_norm(x) * _norm(y) + abs(inner(x, y)))
-    except OverflowError:
-        raise _overflow("buzano") from None
-    return InequalityRecord.from_sides("buzano", lhs, rhs)
+    return _record("buzano", lambda xy, ip, b: (b, 0.5 * (xy + ip)), (x, y, e))
 
 
 def buzano_refined(x, y, e, lam: float) -> InequalityRecord:
     """|<x,e><e,y>|^2 <= (2+3lam)/(8(1+lam)) |x|^2|y|^2
     + (6+5lam)/(8(1+lam)) |x||y| |<x,y>|."""
-    lam = _require_positive(lam)
-    x, y, e = _vectors(x, y, e)
-    require_unit(e)
-    try:
-        nx, ny = _norm(x), _norm(y)
-        ip = abs(inner(x, y))
-        lhs = abs(inner(x, e) * inner(e, y)) ** 2
-        rhs = ((2.0 + 3.0 * lam) * (nx * ny) ** 2 + (6.0 + 5.0 * lam) * nx * ny * ip) / (
-            8.0 * (1.0 + lam)
-        )
-    except OverflowError:
-        raise _overflow("buzano_refined") from None
-    return InequalityRecord.from_sides("buzano_refined", lhs, rhs)
+    return _record("buzano_refined", lambda xy, ip, b: (b**2, (
+        0.25 * xy**2 + 0.75 * xy * ip, 0.375 * xy**2 + 0.625 * xy * ip)),
+        (x, y, e), _require_positive(lam))
 
 
 def buzano_refined_two(x, y, e, lam: float) -> InequalityRecord:
@@ -183,17 +184,9 @@ def buzano_refined_two(x, y, e, lam: float) -> InequalityRecord:
 
     The first term is the expanded square of |x||y| + |<x,y>|.
     """
-    lam = _require_positive(lam)
-    x, y, e = _vectors(x, y, e)
-    require_unit(e)
-    try:
-        s = _norm(x) * _norm(y) + abs(inner(x, y))
-        b = abs(inner(x, e) * inner(e, y))
-        lhs = b**2
-        rhs = lam * s**2 / (4.0 * (1.0 + lam)) + b * s / (2.0 * (1.0 + lam))
-    except OverflowError:
-        raise _overflow("buzano_refined_two") from None
-    return InequalityRecord.from_sides("buzano_refined_two", lhs, rhs)
+    return _record("buzano_refined_two",
+                   lambda xy, ip, b: (b**2, (b * ((xy + ip) / 2.0), ((xy + ip) / 2.0) ** 2)),
+                   (x, y, e), _require_positive(lam))
 
 
 def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
@@ -205,23 +198,16 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
 
     Binomial coefficients are exact integers; n > 15 is refused.
     """
-    lam = _require_positive(lam)
-    n = binomial_order(n)
-    x, y, e = _vectors(x, y, e)
-    require_unit(e)
-    try:
-        nxny = _norm(x) * _norm(y)
-        ip = abs(inner(x, y))
-        lhs = abs(inner(x, e) * inner(e, y)) ** (2 * n)
+    lam, n = _require_positive(lam), binomial_order(n)
+
+    def sides(xy, ip, b):
         inv4n = 0.25**n
-        rhs = inv4n * (1.0 + 2.0 * lam) / (1.0 + lam) * nxny ** (2 * n)
-        rhs += inv4n / (1.0 + lam) * nxny**n * ip**n
-        rhs += inv4n * sum(
-            math.comb(2 * n, j) * nxny**j * ip ** (2 * n - j) for j in range(1, 2 * n)
-        )
-    except OverflowError:
-        raise _overflow("buzano_power") from None
-    return InequalityRecord.from_sides("buzano_power", lhs, rhs)
+        top = inv4n * xy ** (2 * n)
+        binom = inv4n * sum(math.comb(2 * n, j) * xy**j * ip ** (2 * n - j)
+                            for j in range(1, 2 * n))
+        return b ** (2 * n), (top + inv4n * xy**n * ip**n + binom, 2.0 * top + binom)
+
+    return _record("buzano_power", sides, (x, y, e), lam)
 
 
 def young_amgm(a: float, b: float, t: float) -> InequalityRecord:

@@ -101,6 +101,10 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     bounds = tuple(CATALOG if bounds is None else bounds)
     chains = tuple(CHAINS if chains is None else chains)
     specs, chain_specs = [_spec(b) for b in bounds], [_chain(c) for c in chains]
+    for kind, names in (("bound", bounds), ("chain", chains)):
+        repeated = [x for x in names if names.count(x) > 1]  # its rows would count twice
+        if repeated:
+            raise ValueError(f"{kind} {repeated[0]!r} is requested more than once")
     lambda_grid = tuple(float(x) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
 

@@ -201,6 +201,17 @@ class TestTheoremBounds:
             evaluate([(terms, [Read(name, BoundParams(1.0), None, lams)])])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("field", ["lam", "r", "n", "alpha"])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_params_refuse_bools(self, field, flag):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not a bool$"):
+            BoundParams(**{"lam": 1.0, field: flag})
+
+    def test_overflowing_power_exponent_is_named(self):
+        # 2r rounds to inf: the bound layer, not the |T|-power, reports it
+        with pytest.raises(OverflowError, match="^bound 'el_haddad' with n=1: "):
+            evaluate_bound("el_haddad", 2.0 * I2, params=BoundParams(1.0, r=1e308))
+
     def test_evaluate_refuses_an_unknown_bound(self):
         with pytest.raises(UnknownBoundError, match="unknown bound 'nope'"):
             evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), None, ())])])

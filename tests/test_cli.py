@@ -163,6 +163,21 @@ def test_radius_zero_oracle_samples_exits_two(jordan_file, capsys):
     assert capsys.readouterr().err.startswith("error: samples must be ")
 
 
+def test_radius_infinite_tol_exits_two(jordan_file, capsys):
+    code = cli.main(["radius", "--matrix", jordan_file, "--tol", "inf"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tol must be finite and > 0, got inf\n"
+
+
+def test_verify_repeated_bound_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code = cli.main(["verify", "--ensemble", "ginibre", "--dim", "2", "--trials", "2",
+                     "--seed", "1", "--bounds", "th3,th3", "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bound 'th3' is requested more than once\n"
+    assert not out_path.exists()
+
+
 def test_radius_negative_seed_exits_two(jordan_file, capsys):
     code = cli.main(["radius", "--matrix", jordan_file, "--seed", "-1", "--oracle-samples", "4"])
     assert code == 2

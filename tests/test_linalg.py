@@ -171,6 +171,14 @@ class TestMatrixPowerPsd:
         with pytest.raises(NotHermitianError):
             matrix_power_psd(1e160 * J, 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, p):
+        # the spectral power would be all NaN, or the identity for nan
+        with pytest.raises(ValueError, match="^exponent must be finite and >= 0, got "):
+            matrix_power_psd(np.eye(2), p)
+        with pytest.raises(ValueError, match="^exponent must be finite and >= 0, got "):
+            abs_power(2.0 * np.eye(2), p)
+
     def test_abs_power_matches_power_of_abs(self):
         rng = np.random.default_rng(9)
         m = ginibre(rng, 4)
@@ -215,6 +223,12 @@ class TestNumericalRadius:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             numerical_radius(J, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        # tol = inf would return a loose enclosure: (1.707..., 1.732...) here
+        with pytest.raises(ValueError, match="^tol must be finite and > 0, got "):
+            numerical_radius_enclosure([[1, 2], [0, 1j]], tol)
 
     def test_norm_sandwich(self):
         rng = np.random.default_rng(7)
@@ -449,7 +463,8 @@ def oracle_corpus_matrix(rng, kind, n):
 def sequential_oracle(m, samples, seed):
     """The sampling oracle as one ascent per sample, one after another: the
     Barzilai-Borwein loop that numerical_radius_oracle runs in lockstep,
-    kept as its reference."""
+    kept as its reference. Returns the value and whether any ascent ran to
+    the step cap instead of stopping on its tangent."""
 
     def unit(v):
         return v / np.linalg.norm(v)
@@ -458,9 +473,9 @@ def sequential_oracle(m, samples, seed):
     n = a.shape[0]
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
-        return 0.0
+        return 0.0, False
     rng = np.random.default_rng(seed)
-    best = 0.0
+    best, capped = 0.0, False
     for _ in range(samples):
         x = unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         x_prev = t_prev = None
@@ -468,6 +483,7 @@ def sequential_oracle(m, samples, seed):
             q = np.vdot(x, a @ x)
             best = max(best, abs(q))
             if step == 100:
+                capped = True
                 break
             ph = np.exp(-1j * np.angle(q))
             grad = 0.5 * (ph * (a @ x) + np.conj(ph) * (a.conj().T @ x))
@@ -483,7 +499,7 @@ def sequential_oracle(m, samples, seed):
                 eta = 100.0 / fro if 100.0 * st <= fro * ss else max(ss / st, 1.0 / fro)
             x_prev, t_prev = x, tangent
             x = unit(x + eta * tangent)
-    return math.ldexp(best, e)
+    return math.ldexp(best, e), capped
 
 
 class TestOracle:
@@ -527,10 +543,14 @@ class TestOracle:
 
     def test_matches_sequential_ascent(self):
         """The lockstep block runs each sample's ascent as the one-vector
-        loop of sequential_oracle does, from the same starts."""
+        loop of sequential_oracle does, from the same starts. Where every
+        ascent stops on its tangent, roundoff is damped out and the two agree
+        within 1e-12 relative; an ascent cut at the step cap keeps its
+        trajectory's roundoff, so there they agree at the stop scale, 1e-8."""
         rng = np.random.default_rng(23)
         kinds = ("ginibre", "gue", "normal", "rank_one", "nilpotent", "jordan")
         sizes = (2, 3, 5, 8, 16, 32)
+        capped_cases = 0
         for k in range(54):
             kind, n = kinds[k % 6], sizes[k // 9]
             m = oracle_corpus_matrix(rng, kind, n)
@@ -538,9 +558,13 @@ class TestOracle:
             for samples in (1, 4, 16):
                 seed = int(rng.integers(2**32))
                 got = numerical_radius_oracle(m, samples, seed)
-                want = sequential_oracle(m, samples, seed)
-                assert got == pytest.approx(want, rel=1e-12, abs=0), (kind, n, samples)
+                want, capped = sequential_oracle(m, samples, seed)
+                capped_cases += capped
+                rel = 1e-8 if capped else 1e-12
+                assert got == pytest.approx(want, rel=rel, abs=0), (kind, n, samples)
                 assert got <= hi + 1e-8 * max(1.0, operator_norm(m)), (kind, n, samples)
+        # measured: 13 of the 162, at n = 16 and 32; a new one must be seen
+        assert capped_cases == 13
 
     def test_converges_on_ensembles(self):
         """6 seeded matrices per ensemble at n = 8, 16 and 32, 4 samples: the

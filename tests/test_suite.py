@@ -237,6 +237,22 @@ def test_unknown_identifiers_rejected():
         run_suite(cfg, bounds=[], chains=["nope"])
 
 
+def test_repeated_names_refused():
+    # each repeat would double its rows, and every violation would count twice
+    cfg = EnsembleConfig("ginibre", 2, 2, 1)
+    with pytest.raises(ValueError, match="^bound 'th3' is requested more than once$"):
+        run_suite(cfg, bounds=["th3", "kittaneh", "th3"], chains=[])
+    with pytest.raises(ValueError, match="^chain 'th2_dragomir' is requested more than once$"):
+        run_suite(cfg, bounds=["th3"], chains=["th2_dragomir"] * 2)
+
+
+def test_bool_params_refused():
+    # a bool would be written as true in the request but as 1 in the rows
+    with pytest.raises(ValueError, match="^r must be a number, not a bool$"):
+        run_suite(EnsembleConfig("ginibre", 2, 2, 1), bounds=["el_haddad"], chains=[],
+                  r=True, n=True)
+
+
 def test_emit_report_rejects_unknown_format(tmp_path):
     cfg = EnsembleConfig("gue", 3, 1, 3)
     rep = run_suite(cfg, bounds=[], chains=[])
