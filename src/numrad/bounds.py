@@ -451,8 +451,9 @@ def _read_sides(terms: _Terms, name: str, params: BoundParams, mode, lams) -> li
     c = bound.coefficients(lams, params)
     out = [_sides(bound, terms, params, m, c) for m in ((mode,) if mode else bound.modes)]
     if not all(np.isfinite(x.slack).all() for x in out):  # rhs - w: finite iff both are
-        raise OverflowError(f"bound {name!r} with n={params.n}: the right side or the "
-                            "w-power leaves the double range")
+        raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
+                            f"alpha={params.alpha}: the right side or the w-power "
+                            "leaves the double range")
     return out
 
 

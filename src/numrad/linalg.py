@@ -255,15 +255,19 @@ def abs_value(m) -> np.ndarray:
 
 def abs_power(m, p: float) -> np.ndarray:
     """|M|^p = (M*M)^(p/2) for finite p >= 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return abs_powers(m)[0].power(_exponent(p))
+    return _power(abs_powers(m)[0], p, "abs_power")
 
 
-def _exponent(p: float) -> float:
-    """p, or ValueError unless it is finite and >= 0."""
+def _power(family: PSDPower, p: float, what: str) -> np.ndarray:
+    """family.power(p), or ValueError unless p is finite and >= 0, and
+    OverflowError naming ``what`` when the power leaves the double range."""
     if not (math.isfinite(p) and p >= 0):
         raise ValueError(f"exponent must be finite and >= 0, got {p}")
-    return p
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = family.power(p)
+    if np.count_nonzero(np.isfinite(out)) != out.size:
+        raise OverflowError(f"{what}: the power leaves the double range")
+    return out
 
 
 def matrix_power_psd(a, p: float) -> np.ndarray:
@@ -273,8 +277,7 @@ def matrix_power_psd(a, p: float) -> np.ndarray:
     are clamped to 0 before powering; one below -1e-8 * ||A|| signals genuine
     indefiniteness and raises NotPSDError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _psd_powers(as_matrix(a)).power(_exponent(p))
+    return _power(_psd_powers(as_matrix(a)), p, "matrix_power_psd")
 
 
 def _psd_powers(a: np.ndarray) -> PSDPower:
@@ -319,17 +322,48 @@ def _rotation_invariant(a: np.ndarray) -> bool:
     return True
 
 
+def _start_rule(b: np.ndarray, re: np.ndarray, im: np.ndarray, tol: float):
+    """Per matrix M = re + i im of the stack b: which of the _START_CELLS grid
+    angles j 2pi / _START_CELLS it samples (a (k, _START_CELLS) mask), whether
+    their cells are refined, and hi - lo for a matrix whose are not. In order:
+
+    * M = 0: no angle; lo = hi = 0.
+    * W(M) a disc about 0 (zero diagonal, _rotation_invariant): angle 0; lo = hi.
+    * ||im||_F <= tol ||re||_F / sqrt(n): angles 0 and pi; hi = lo + ||im||_F.
+    * Any other M: every angle, refined.
+    """
+    k, n = b.shape[:2]
+    parts = (a.reshape(k, -1).view(np.float64) for a in (re, im))
+    rfro, sfro = (np.sqrt(np.vecdot(x, x)) for x in parts)
+    disc = ~b.diagonal(axis1=1, axis2=2).any(axis=1)
+    for i in np.flatnonzero(disc):
+        disc[i] = _rotation_invariant(b[i])
+    herm = ~disc & (sfro <= tol / math.sqrt(n) * rfro)
+    # every step-th grid angle: all of them, 0 and pi, or 0 alone
+    step = np.where(herm, _START_CELLS // 2, np.where(disc, _START_CELLS, 1))
+    grid = (np.arange(_START_CELLS) % step[:, None] == 0) & b.any(axis=(1, 2))[:, None]
+    return grid, grid.all(axis=1), np.where(herm, sfro, 0.0)
+
+
 def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     """Enclosure lo <= w(M) <= hi from the support-line polygon of W(M).
 
     f(theta) = lambda_max(H(theta)) supports W(M) in the direction
-    e^{-i theta} and w(M) = max f, so lo is the largest f seen. On a cell
+    e^{-i theta} and w(M) = max f, so lo is the largest f seen. f is sampled
+    at 16 grid angles to start, whose cells are then refined. On a cell
     [t0, t1], W(M) lies in the wedge of the support lines at t0 and t1, so
     f <= |v| there for their corner v if -arg v lies in the cell, else
     f <= max(f0, f1). Cells bounded by lo (1 + tol) are dropped, the others
     split at -arg v (clipped to their middle 80%) until none is left:
     hi - lo <= tol hi. Past MAX_LIVE_CELLS live cells (W(M) near a disc) the
     bounds reached are returned.
+
+    Three kinds of M skip the refinement (_start_rule). A zero matrix takes
+    no angle. If W(M) is a disc about 0, f is constant and angle 0 gives
+    lo = hi. A near-Hermitian M = R + iS (R, S Hermitian) with
+    ||S||_F <= tol ||R||_F / sqrt(n), so ||S||_F <= tol rho(R), takes the
+    angles 0 and pi: w is a norm, so rho(R) <= w <= rho(R) + ||S||_F, and
+    lo = max(f(0), f(pi)) = rho(R), hi = lo + ||S||_F.
 
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
@@ -339,18 +373,14 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     b, e = _pow2_scaled(as_matrix(m, stack=True))  # exact, so w(2^k M) = 2^k w(M)
     re, im = (b + _h(b)) / 2.0, (b - _h(b)) / 2j
-    lo, hi = np.zeros(len(b)), np.zeros(len(b))
-    # _START_CELLS cells per matrix; if W(M) is a disc about 0, f is constant
-    # and the first gives lo = hi; a zero matrix needs none
-    disc = ~b.diagonal(axis1=1, axis2=2).any(axis=1)
-    for i in np.flatnonzero(disc):
-        disc[i] = _rotation_invariant(b[i])
-    owner, j = np.divmod(np.arange(len(b) * _START_CELLS), _START_CELLS)
-    cells = b.any(axis=(1, 2))[owner] & ((j == 0) | ~disc[owner])
-    owner, t0 = owner[cells], j[cells] * (2.0 * np.pi / _START_CELLS)
+    lo = np.zeros(len(b))
+    grid, refine, gap = _start_rule(b, re, im, tol)
+    owner, j = np.nonzero(grid)  # by matrix, then angle
+    t0 = j * (2.0 * np.pi / _START_CELLS)
     f0 = _sweep(re, im, owner, t0) if len(owner) else t0
     np.maximum.at(lo, owner, f0)
-    owner, t0, f0 = (x[~disc[owner]] for x in (owner, t0, f0))
+    hi = lo + gap  # final where nothing is refined; the split raises the rest
+    owner, t0, f0 = (x[refine[owner]] for x in (owner, t0, f0))
     t1 = t0 + 2.0 * np.pi / _START_CELLS
     f1 = np.roll(f0.reshape(-1, _START_CELLS), -1, axis=1).ravel()
     while len(owner):

@@ -99,6 +99,8 @@ def require_exponent(r: float) -> float:
 
 def binomial_order(n: int) -> int:
     """n as an int, for the binomial-order forms; n > 15 is refused."""
+    if isinstance(n, (bool, np.bool_)):
+        raise ValueError("n must be a number, not a bool")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     if n > 15:
@@ -196,16 +198,17 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
         + 4^-n/(1+lam) |x|^n|y|^n |<x,y>|^n
         + 4^-n sum_{j=1}^{2n-1} C(2n,j) |x|^j|y|^j |<x,y>|^(2n-j)
 
-    Binomial coefficients are exact integers; n > 15 is refused.
+    Binomial coefficients are exact integers; n > 15 is refused. Each term
+    is formed from the halved factors, 4^-n xy^j ip^(2n-j) = (xy/2)^j (ip/2)^(2n-j)
+    (halving is exact), so none leaves the double range before the sum does.
     """
     lam, n = _require_positive(lam), binomial_order(n)
 
     def sides(xy, ip, b):
-        inv4n = 0.25**n
-        top = inv4n * xy ** (2 * n)
-        binom = inv4n * sum(math.comb(2 * n, j) * xy**j * ip ** (2 * n - j)
-                            for j in range(1, 2 * n))
-        return b ** (2 * n), (top + inv4n * xy**n * ip**n + binom, 2.0 * top + binom)
+        hx, hp = xy / 2.0, ip / 2.0
+        top = hx ** (2 * n)
+        binom = sum(math.comb(2 * n, j) * hx**j * hp ** (2 * n - j) for j in range(1, 2 * n))
+        return b ** (2 * n), (top + hx**n * hp**n + binom, 2.0 * top + binom)
 
     return _record("buzano_power", sides, (x, y, e), lam)
 

@@ -209,7 +209,8 @@ class TestTheoremBounds:
 
     def test_overflowing_power_exponent_is_named(self):
         # 2r rounds to inf: the bound layer, not the |T|-power, reports it
-        with pytest.raises(OverflowError, match="^bound 'el_haddad' with n=1: "):
+        with pytest.raises(OverflowError,
+                           match=r"^bound 'el_haddad' with r=1e\+308, n=1, alpha=0\.5: "):
             evaluate_bound("el_haddad", 2.0 * I2, params=BoundParams(1.0, r=1e308))
 
     def test_evaluate_refuses_an_unknown_bound(self):

@@ -184,6 +184,20 @@ class TestMatrixPowerPsd:
         m = ginibre(rng, 4)
         assert abs_power(m, 1.5) == pytest.approx(matrix_power_psd(abs_value(m), 1.5))
 
+    @pytest.mark.parametrize("fn,m,p", [
+        (abs_power, np.diag([2.0, 3.0]), 700.0),
+        (abs_power, np.diag([2.0, 0.0]), 2000.0),
+        (matrix_power_psd, np.diag([2.0, 3.0]), 2000.0),
+    ])
+    def test_power_past_double_range_names_the_function(self, fn, m, p):
+        # the spectral power would be an all-NaN matrix
+        with pytest.raises(OverflowError,
+                           match=f"^{fn.__name__}: the power leaves the double range$"):
+            fn(m, p)
+
+    def test_power_near_the_top_of_the_double_range(self):
+        assert abs_power(np.diag([2.0, 0.0]), 1023.0) == pytest.approx(np.diag([2.0**1023, 0.0]))
+
 
 class TestOperatorNorm:
     def test_jordan(self):
@@ -386,6 +400,7 @@ class TestStack:
         rng = np.random.default_rng(20)
         h = ginibre(rng, 16)
         g8, g16 = ginibre(rng, 8), ginibre(np.random.default_rng(16), 16)
+        s = 1e-13j * (g16 + g16.conj().T)
         stack = np.array([
             np.zeros((16, 16)),
             self.padded(np.eye(5, k=1)),  # exact disc
@@ -393,12 +408,15 @@ class TestStack:
             self.padded(1e-200 * g8),
             self.padded(1e200 * g8),
             np.eye(16, k=1) + 1e-15 * g16,  # near-disc: stops at the cell cap
+            h + h.conj().T + s,  # near-Hermitian: angles 0 and pi
         ])
         lo, hi = numerical_radius_enclosure(stack)
         for k, m in enumerate(stack):
             assert (lo[k], hi[k]) == numerical_radius_enclosure(m), k
         assert lo[0] == hi[0] == 0.0
         assert lo[1] == hi[1] == pytest.approx(math.cos(math.pi / 6), rel=1e-14)
+        skew = np.linalg.norm(stack[6] - stack[6].conj().T) / 2
+        assert lo[6] == lo[2] and hi[6] == pytest.approx(lo[6] + skew, rel=1e-15)
         assert np.array_equal(numerical_radius(stack), lo)
 
     def test_overflow_is_inf_in_a_stack(self):
@@ -437,10 +455,75 @@ class TestEngineBatches:
 
     def test_hermitian_single_batch(self, monkeypatch):
         g = ginibre(np.random.default_rng(0), 8)
-        assert len(self.batches(monkeypatch, g + g.conj().T)) == 1
+        assert self.batches(monkeypatch, g + g.conj().T) == [2]
 
     def test_jordan_single_solve(self, monkeypatch):
         assert self.batches(monkeypatch, np.eye(8, k=1)) == [1]
+
+
+class TestNearHermitian:
+    """M = R + iS with ||S||_F <= tol ||R||_F / sqrt(n) takes the angles 0 and
+    pi alone: rho(R) <= w <= rho(R) + ||S||_F encloses w within tol."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def angles(monkeypatch, m):
+        counts = []
+        sweep = linalg._sweep
+
+        def counted(re, im, owner, thetas):
+            counts.append(len(thetas))
+            return sweep(re, im, owner, thetas)
+
+        monkeypatch.setattr(linalg, "_sweep", counted)
+        return numerical_radius_enclosure(m, TestNearHermitian.TOL), counts
+
+    @staticmethod
+    def split(seed, n, c):
+        """(R, R + iS) with ||S||_F = c tol ||R||_F / sqrt(n): c < 1 is below
+        the threshold, c > 1 above it."""
+        rng = np.random.default_rng(seed)
+        g, x = ginibre(rng, n), ginibre(rng, n)
+        r, s = g + g.conj().T, x + x.conj().T
+        s *= c * TestNearHermitian.TOL * np.linalg.norm(r) / math.sqrt(n) / np.linalg.norm(s)
+        return r, r + 1j * s
+
+    @staticmethod
+    def dense_scan(m, k=4096):
+        """max f over k equispaced angles: a lower estimate of w(M)."""
+        t = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)[:, None, None]
+        re, im = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+        return np.linalg.eigvalsh(np.cos(t) * re - np.sin(t) * im).max()
+
+    @pytest.mark.parametrize("seed,n", [(0, 2), (1, 5), (2, 8), (3, 16)])
+    @pytest.mark.parametrize("c", [0.0, 1 - 1e-6])
+    def test_two_angles_enclose_w(self, monkeypatch, seed, n, c):
+        r, m = self.split(seed, n, c)
+        (lo, hi), counts = self.angles(monkeypatch, m)
+        assert counts == [2]
+        rho = np.abs(np.linalg.eigvalsh(r)).max()
+        assert lo == pytest.approx(rho, rel=1e-14)
+        assert hi == pytest.approx(lo + np.linalg.norm(m - m.conj().T) / 2, rel=1e-15, abs=0.0)
+        scan = self.dense_scan(m)
+        assert lo <= scan * (1 + 1e-14) and scan <= hi
+        assert hi - lo <= self.TOL * hi
+
+    @pytest.mark.parametrize("seed,n", [(0, 2), (1, 5), (2, 8)])
+    def test_just_above_the_threshold_refines(self, monkeypatch, seed, n):
+        r, m = self.split(seed, n, 1 + 1e-6)
+        (lo, hi), counts = self.angles(monkeypatch, m)
+        assert counts[0] == 16
+        rho = np.abs(np.linalg.eigvalsh(r)).max()
+        # lo samples angles 0 and pi too; w <= rho + ||S||_F
+        assert rho * (1 - 1e-14) <= lo <= rho + np.linalg.norm(m - m.conj().T) / 2
+        assert hi - lo <= self.TOL * hi
+
+    def test_skew_hermitian_is_not_near_hermitian(self, monkeypatch):
+        g = ginibre(np.random.default_rng(4), 4)
+        (lo, hi), counts = self.angles(monkeypatch, 1j * (g + g.conj().T))
+        assert counts[0] == 16
+        assert lo == pytest.approx(np.abs(np.linalg.eigvalsh(g + g.conj().T)).max(), rel=1e-12)
 
 
 def oracle_corpus_matrix(rng, kind, n):

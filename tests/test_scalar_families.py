@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from numrad import buzano_refined, buzano_refined_two, cs_refinement_gen, cs_refinement_two
+from numrad import (
+    buzano_power,
+    buzano_refined,
+    buzano_refined_two,
+    cs_refinement_gen,
+    cs_refinement_two,
+)
 from numrad.scalar_ineq import interpolate
 
 X, Y, E = np.array([1.9, 0.0]), np.array([0.6, 0.8]), np.array([1.0, 0.0])
@@ -15,6 +21,7 @@ FAMILIES = {
     "cs_refinement_two": lambda x, lam: cs_refinement_two(x, Y, lam),
     "buzano_refined": lambda x, lam: buzano_refined(x, Y, E, lam),
     "buzano_refined_two": lambda x, lam: buzano_refined_two(x, Y, E, lam),
+    "buzano_power": lambda x, lam: buzano_power(x, Y, E, lam, 1),  # degree 2n = 2
 }
 
 

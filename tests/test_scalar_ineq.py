@@ -169,6 +169,16 @@ class TestBuzanoPower:
         with pytest.raises(ValueError):
             buzano_power(E1, E2, E1, 1.0, 0)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_bool_n(self, flag):
+        with pytest.raises(ValueError, match="^n must be a number, not a bool$"):
+            buzano_power(E1, E2, E1, 1.0, flag)
+
+    def test_integral_float_n(self):
+        assert buzano_power(E1, E2, E1, 1.0, 2.0) == buzano_power(E1, E2, E1, 1.0, 2)
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got 2.5$"):
+            buzano_power(E1, E2, E1, 1.0, 2.5)
+
 
 class TestYoungAmgm:
     def test_am_gm(self):

@@ -253,6 +253,13 @@ def test_bool_params_refused():
                   r=True, n=True)
 
 
+def test_overflow_names_every_power_parameter():
+    # r, not n, drives this overflow: the message names all three
+    with pytest.raises(OverflowError,
+                       match=r"^bound 'el_haddad' with r=1000\.0, n=1, alpha=0\.5: "):
+        run_suite(EnsembleConfig("ginibre", 2, 2, 1), r=1e3)
+
+
 def test_emit_report_rejects_unknown_format(tmp_path):
     cfg = EnsembleConfig("gue", 3, 1, 3)
     rep = run_suite(cfg, bounds=[], chains=[])
