@@ -12,14 +12,14 @@ whose right side contains u, a power of the bounded quantity itself
 * ``explicit-certificate`` - the implicit inequality u^2 <= a u + b resolved
   to u <= (a + sqrt(a^2 + 4b))/2, a bound usable without knowing u.
 
-A bound that takes lam declares its coefficients' end limits c(0), c(inf):
-c(lam) = (c(0) + c(inf) lam)/(1 + lam). Its right side is then monotone in
-lam in every mode, so its infimum is the smaller end value. Engine terms are
-keyed data, computed once for a stack of inputs (fill_terms).
-evaluate is the one evaluation path: it checks the lams of its reads (a
-bound at params over a lam tuple) once, fills their terms in one call and
-evaluates each distinct read once over (inputs x lam). The suite calls it
-per config, evaluate_bound, refinement_chain and optimize_lambda for k = 1.
+Each CATALOG entry is one form: a function of BoundParams giving, in plain
+data, the bound's exponent, its right side over term keys and its
+coefficients' end limits c(0), c(inf), c(lam) = (c(0) + c(inf) lam)/(1 + lam),
+so a right side is monotone in lam in every mode. fill_terms computes every
+term once, into one table per stack of inputs. evaluate, the one evaluation
+path, checks the lams of its reads (a bound at params over a lam tuple) once,
+fills their terms in one call and evaluates each distinct read once over
+(inputs x lam): per config for the suite, at k = 1 for the other callers.
 """
 
 from __future__ import annotations
@@ -39,10 +39,16 @@ from .errors import (
     UnknownChainError,
 )
 from .linalg import PSDPower, _h, abs_powers, as_matrix, numerical_radius
-from .scalar_ineq import BoundParams, binomial_order, interpolate
+from .scalar_ineq import BoundParams, _require_positive, binomial_order, interpolate
 
 HOLDS_RTOL = 1e-8
 CHAIN_RTOL = 1e-9
+
+
+def rel_scale(a, b):
+    """max(1, |a|, |b|) elementwise: the scale of a relative tolerance or slack."""
+    return np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
 
 MODE_INEQUALITY = "inequality-check"
 MODE_CERTIFICATE = "explicit-certificate"
@@ -94,8 +100,7 @@ def resolve_implicit_quadratic(a, b):
 # and |T*| for one matrix T, |T| and |S| for a pair): W, W2, WP, OP are w(T),
 # w(T^2), w(T*S), ||T||; ns(p_a, p_b) is ||A^p_a + B^p_b||, wc(p_b, p_a) is
 # w(B^p_b A^p_a), ("pow", key, e) a term to the power e and ("binom", n) the
-# sum over j < 2n of C(2n, j) ||A^2j + B^2j|| w(T^2)^(2n-j). An exponent may
-# be a function of BoundParams.
+# sum over j < 2n of C(2n, j) ||A^2j + B^2j|| w(T^2)^(2n-j).
 W, W2, WP, OP = ("w",), ("w2",), ("wp",), ("op",)
 
 
@@ -105,10 +110,6 @@ def ns(p_a, p_b=None) -> tuple:
 
 def wc(p_b, p_a=None) -> tuple:
     return ("wc", p_b, p_b if p_a is None else p_a)
-
-
-def _resolve(key, params: BoundParams) -> tuple:
-    return tuple(x(params) if callable(x) else x for x in key)
 
 
 def _sources(key: tuple) -> list[tuple]:
@@ -127,26 +128,23 @@ def _pow(x: np.ndarray, e) -> np.ndarray:
         return np.array([v ** e for v in x], dtype=np.float64)
 
 
+def _derive(values: dict, key: tuple) -> np.ndarray:
+    """A pow or binom term, from the engine terms in values."""
+    if key[0] == "pow":
+        return _pow(values[key[1]], key[2])
+    n = int(key[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(math.comb(2 * n, j) * values[ns(2.0 * j)] * _pow(values[W2], 2 * n - j)
+                   for j in range(1, 2 * n))
+
+
 class _Terms:
-    """Terms of a stack of k inputs; ``values`` holds the engine terms (ns,
-    w, wc keys) fill_terms has computed, one array of k values each."""
+    """Terms of a stack of k inputs; ``values`` holds every term fill_terms has
+    computed, one array of k values each."""
 
     def __init__(self, a: PSDPower, b: PSDPower, t: np.ndarray, s: np.ndarray | None = None):
         self._a, self._b, self.t, self.s = a, b, t, s
         self.values: dict[tuple, np.ndarray] = {}
-
-    def __getitem__(self, key: tuple) -> np.ndarray:
-        """Any term, its engine terms computed on demand."""
-        if key[0] == "pow":
-            return _pow(self[key[1]], key[2])
-        if key[0] == "binom":
-            n = int(key[1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                return sum(math.comb(2 * n, j) * self[ns(2.0 * j)] * self["pow", W2, 2 * n - j]
-                           for j in range(1, 2 * n))
-        if key not in self.values:
-            fill_terms([(self, [key])])
-        return self.values[key]
 
     def _input(self, key: tuple) -> np.ndarray:
         """The k matrices whose norm (Hermitian, ns) or w the term is."""
@@ -176,8 +174,9 @@ class PairTerms(_Terms):
 
 
 def fill_terms(requests) -> None:
-    """Compute the engine terms [(terms, keys), ...] need: all norm sums in one
-    batched eigvalsh, all w in one engine call; inf past the double range."""
+    """Compute the terms [(terms, keys), ...] need into terms.values: all norm
+    sums in one batched eigvalsh, all w in one engine call, then each pow and
+    binom from them; inf past the double range. No other code computes one."""
     todo = [(terms, dict.fromkeys(src for key in keys for src in _sources(key)
                                   if src not in terms.values)) for terms, keys in requests]
     for kinds, compute in ((("ns",), _herm_norms), (("w", "w2", "wp", "wc"), numerical_radius)):
@@ -194,6 +193,9 @@ def fill_terms(requests) -> None:
             ends = np.cumsum([len(terms.t) for terms, _ in jobs])
             for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
                 terms.values[key] = part
+    for terms, keys in requests:  # the pow and binom keys, each once
+        terms.values.update((key, _derive(terms.values, key)) for key in keys
+                            if key not in terms.values)
 
 
 def _herm_norms(h: np.ndarray) -> np.ndarray:
@@ -220,29 +222,28 @@ def pair_terms(t, s) -> PairTerms:
 # product bound. A bound whose right side holds U is implicit.
 U = "u"
 
+Form = namedtuple("Form", "exponent ends rhs")
+
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """One catalog bound: base^p(params) <= rhs, where the right side is
-    sum_i c_i(lam) * (product of the terms in rhs[i]).
-
-    ``ends`` holds c(0) and c(inf), c_i(lam) = (c_i(0) + c_i(inf) lam)/(1 + lam),
-    or one vector c for a bound free of lam; one that takes lam needs lam > 0
-    unless ``lam_zero``. Each term is U or a term key. Coefficients and term
-    exponents may be functions of BoundParams, not of lam, so a config's terms
-    are known before any is evaluated. Products and the sum are evaluated
-    left to right, which fixes the rounding of every value.
+    """One catalog bound: form(params) is its Form, base^exponent <= sum_i
+    c_i(lam) * (product of the factors in rhs[i]), each factor U or a term key,
+    ends holding c(0) and c(inf) or the one vector c of a bound free of lam.
+    A form has one shape at every params (the number of end vectors, where U
+    stands, the kind of each key), from which whether the bound takes lam, is
+    implicit and its modes are read. One that takes lam needs lam > 0 unless
+    ``lam_zero``. Products and the sum are evaluated left to right, which
+    fixes the rounding of every value.
     """
 
-    exponent: Callable[[BoundParams], float]
-    ends: tuple[tuple, ...]
-    rhs: tuple[tuple, ...]
+    form: Callable[[BoundParams], Form]
     lam_zero: bool = False
     product: bool = False
 
     @cached_property
-    def uses_lambda(self) -> bool:
-        return len(self.ends) == 2
+    def uses_lambda(self) -> bool:  # read at one params: every params gives one shape
+        return len(self.form(BoundParams(lam=1.0)).ends) == 2
 
     @cached_property
     def lam_positive(self) -> bool:  # whether the bound needs lam > 0
@@ -250,70 +251,62 @@ class BoundSpec:
 
     @cached_property
     def implicit(self) -> bool:
-        return any(U in prod for prod in self.rhs)
+        return any(U in prod for prod in self.form(BoundParams(lam=1.0)).rhs)
 
     @cached_property
     def modes(self) -> tuple[str, ...]:
         return (MODE_INEQUALITY, MODE_CERTIFICATE) if self.implicit else (MODE_CERTIFICATE,)
 
-    def keys(self, params: BoundParams) -> list[tuple]:
-        """Every term the bound reads at params, its w-powers included."""
-        base, p = WP if self.product else W, self.exponent(params)
-        return [("pow", base, p), ("pow", base, p / 2.0)] + [
-            _resolve(f, params) for prod in self.rhs for f in prod if f is not U]
-
-    def limits(self, params: BoundParams) -> np.ndarray:
-        """The columns c(0) and c(inf), or the one column of a bound free of lam."""
-        return np.array([_resolve(c, params) for c in self.ends], dtype=np.float64).T
-
-    def coefficients(self, lams, params: BoundParams) -> np.ndarray:
-        """c_i(lam) per (coefficient, lam), interpolated between the ends."""
-        c, lams = self.limits(params), np.asarray(lams, dtype=np.float64)
-        if not self.uses_lambda:
-            return np.repeat(c, len(lams), axis=1)
-        return interpolate(c[:, :1], c[:, 1:], lams)
+    def keys(self, form: Form) -> list[tuple]:
+        """Every term the bound reads in form, its w-powers included."""
+        base = WP if self.product else W
+        return [("pow", base, form.exponent), ("pow", base, form.exponent / 2.0)] + [
+            f for prod in form.rhs for f in prod if f is not U]
 
 
-def _half_pow(k: int):  # 2^-(2n + k), n the binomial order
-    return lambda p: 2.0 ** -(2 * p.n + k)
+def coefficients(ends, lams) -> np.ndarray:
+    """c_i(lam) per (coefficient, lam): the ends interpolated, or the one
+    vector of a bound free of lam repeated."""
+    c, lams = np.array(ends, dtype=np.float64).T, np.asarray(lams, dtype=np.float64)
+    if len(ends) == 1:
+        return np.repeat(c, len(lams), axis=1)
+    return interpolate(c[:, :1], c[:, 1:], lams)
+
+
+def _th6(n: int) -> Form:
+    n = binomial_order(n)
+    h = [2.0 ** -(2 * n + k) for k in range(3)]  # 2^-(2n + k)
+    return Form(4.0 * n, ((h[2], h[1], h[1], h[1]), (h[1], h[0], 0.0, h[1])), (
+        (ns(4.0 * n),), (wc(2.0 * n),), (ns(2.0 * n), ("pow", W2, n)), (("binom", n),)))
 
 
 CATALOG: dict[str, BoundSpec] = {
-    "op_norm": BoundSpec(lambda p: 1.0, ((1.0,),), ((OP,),)),
-    "kittaneh": BoundSpec(lambda p: 1.0, ((0.5,),), ((ns(1.0),),)),
-    "el_haddad": BoundSpec(lambda p: 2.0 * p.r, ((0.5,),), ((ns(lambda p: 2.0 * p.r),),)),
+    "op_norm": BoundSpec(lambda p: Form(1.0, ((1.0,),), ((OP,),))),
+    "kittaneh": BoundSpec(lambda p: Form(1.0, ((0.5,),), ((ns(1.0),),))),
+    "el_haddad": BoundSpec(lambda p: Form(2.0 * p.r, ((0.5,),), ((ns(2.0 * p.r),),))),
     # The second absolute-value term enters squared, matching bhunia below;
     # some statements drop that square.
-    "abu_omar": BoundSpec(lambda p: 2.0, ((0.25, 0.5),), ((ns(2.0),), (W2,))),
-    "bhunia": BoundSpec(lambda p: 2.0, ((0.25, 0.5),), ((ns(2.0),), (wc(1.0),))),
-    "th3": BoundSpec(lambda p: 2.0, ((0.0, 0.0, 0.5), (0.25, 0.5, 0.0)), (
-        (ns(lambda p: 4.0 * p.alpha, lambda p: 4.0 * (1.0 - p.alpha)),),
-        (wc(lambda p: 2.0 * (1.0 - p.alpha), lambda p: 2.0 * p.alpha),),
-        (U, ns(lambda p: 2.0 * p.alpha, lambda p: 2.0 * (1.0 - p.alpha))),
-    )),
-    "th4": BoundSpec(lambda p: 4.0, ((0.0625, 0.125, 0.375), (0.09375, 0.1875, 0.3125)),
-                     ((ns(4.0),), (wc(2.0),), (W2, ns(2.0)))),
+    "abu_omar": BoundSpec(lambda p: Form(2.0, ((0.25, 0.5),), ((ns(2.0),), (W2,)))),
+    "bhunia": BoundSpec(lambda p: Form(2.0, ((0.25, 0.5),), ((ns(2.0),), (wc(1.0),)))),
+    "th3": BoundSpec(lambda p: Form(2.0, ((0.0, 0.0, 0.5), (0.25, 0.5, 0.0)), (
+        (ns(4.0 * p.alpha, 4.0 * (1.0 - p.alpha)),), (wc(2.0 * (1.0 - p.alpha), 2.0 * p.alpha),),
+        (U, ns(2.0 * p.alpha, 2.0 * (1.0 - p.alpha)))))),
+    "th4": BoundSpec(lambda p: Form(4.0, ((0.0625, 0.125, 0.375), (0.09375, 0.1875, 0.3125)),
+                                    ((ns(4.0),), (wc(2.0),), (W2, ns(2.0))))),
     # u = w^2: u^2 <= a u + b
-    "th5": BoundSpec(lambda p: 4.0, ((0.0, 0.0, 0.0, 0.0, 0.25, 0.5),
-                                     (0.0625, 0.125, 0.25, 0.25, 0.0, 0.0)), (
-        (ns(4.0),), (wc(2.0),), (("pow", W2, 2),), (ns(2.0), W2), (U, ns(2.0)), (U, W2),
-    )),
-    "th6": BoundSpec(lambda p: 4.0 * binomial_order(p.n),
-                     ((_half_pow(2), _half_pow(1), _half_pow(1), _half_pow(1)),
-                      (_half_pow(1), _half_pow(0), 0.0, _half_pow(1))), (
-        (ns(lambda p: 4.0 * p.n),), (wc(lambda p: 2.0 * p.n),),
-        (ns(lambda p: 2.0 * p.n), ("pow", W2, lambda p: p.n)), (("binom", lambda p: p.n),),
-    )),
-    "cor_bomi": BoundSpec(lambda p: 4.0, ((0.125, 0.375), (0.25, 0.25)),
-                          ((ns(4.0),), (ns(2.0), W2))),
-    "dragomir": BoundSpec(lambda p: float(p.r), ((0.5,),), ((ns(lambda p: 2.0 * p.r),),),
+    "th5": BoundSpec(lambda p: Form(4.0, ((0.0, 0.0, 0.0, 0.0, 0.25, 0.5),
+                                          (0.0625, 0.125, 0.25, 0.25, 0.0, 0.0)), (
+        (ns(4.0),), (wc(2.0),), (("pow", W2, 2),), (ns(2.0), W2), (U, ns(2.0)), (U, W2)))),
+    "th6": BoundSpec(lambda p: _th6(p.n)),
+    "cor_bomi": BoundSpec(lambda p: Form(4.0, ((0.125, 0.375), (0.25, 0.25)),
+                                         ((ns(4.0),), (ns(2.0), W2)))),
+    "dragomir": BoundSpec(lambda p: Form(float(p.r), ((0.5,),), ((ns(2.0 * p.r),),)),
                           product=True),
-    "al_dolat": BoundSpec(lambda p: 2.0, ((0.5, 0.0), (0.0, 0.5)),
-                          ((ns(2.0), U), (ns(4.0),)), lam_zero=True, product=True),
+    "al_dolat": BoundSpec(lambda p: Form(2.0, ((0.5, 0.0), (0.0, 0.5)),
+                                         ((ns(2.0), U), (ns(4.0),))), lam_zero=True, product=True),
     # u = w^r(T*S): u^2 <= a u + b
-    "th2": BoundSpec(lambda p: 2.0 * p.r, ((0.5, 0.0, 0.0), (0.0, 0.25, 0.5)), (
-        (U, ns(lambda p: 2.0 * p.r)), (ns(lambda p: 4.0 * p.r),), (wc(lambda p: 2.0 * p.r),),
-    ), product=True),
+    "th2": BoundSpec(lambda p: Form(2.0 * p.r, ((0.5, 0.0, 0.0), (0.0, 0.25, 0.5)), (
+        (U, ns(2.0 * p.r)), (ns(4.0 * p.r),), (wc(2.0 * p.r),))), product=True),
 }
 
 ALL_BOUNDS = tuple(CATALOG)
@@ -338,7 +331,8 @@ def uses_lambda(name: str) -> bool:
 
 
 def _coefficients(name: str, lam: float, n: int = 1) -> tuple[float, ...]:
-    return tuple(CATALOG[name].coefficients((lam,), BoundParams(1.0, n=n))[:, 0].tolist())
+    ends = CATALOG[name].form(BoundParams(1.0, n=n)).ends
+    return tuple(coefficients(ends, (lam,))[:, 0].tolist())
 
 
 def th2_coefficients(lam: float) -> tuple[float, float, float]:
@@ -380,42 +374,40 @@ def al_dolat_coefficients(lam: float) -> tuple[float, float]:
 Sides = namedtuple("Sides", "mode exponent w_power rhs slack holds")
 
 
-def _combine(bound: BoundSpec, terms: _Terms, params: BoundParams, coefficients, u,
-             linear: bool | None = None):
+def _combine(form: Form, values: dict, coefficients, u, linear: bool | None = None):
     """sum_i c_i * prod_i over (inputs x lams), left to right, U read as u;
     with ``linear``, only over the products that hold U (True) or not."""
     total = None
-    for c, prod in zip(coefficients, bound.rhs):
+    for c, prod in zip(coefficients, form.rhs):
         if linear is None or (U in prod) == linear:
             for f in prod:
-                c = c * (u if f is U else terms[_resolve(f, params)][:, None])
+                c = c * (u if f is U else values[f][:, None])
             total = c if total is None else total + c
     return total
 
 
-def _sides(bound: BoundSpec, terms: _Terms, params: BoundParams, mode: str, c) -> Sides:
+def _sides(bound: BoundSpec, form: Form, terms: _Terms, mode: str, c) -> Sides:
     """One mode of a bound over every input and coefficient column c: no checks."""
-    base, p = WP if bound.product else W, bound.exponent(params)
+    base, p, values = WP if bound.product else W, form.exponent, terms.values
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == MODE_INEQUALITY or not bound.implicit:
-            u = terms["pow", base, p / 2.0][:, None] if bound.implicit else None
-            rhs = _combine(bound, terms, params, c, u)
+            u = values["pow", base, p / 2.0][:, None] if bound.implicit else None
+            rhs = _combine(form, values, c, u)
         else:  # u^2 <= a u + b: a sums the products holding U, read at u = 1
-            a = _combine(bound, terms, params, c, 1.0, linear=True)
-            b = _combine(bound, terms, params, c, None, linear=False)
+            a = _combine(form, values, c, 1.0, linear=True)
+            b = _combine(form, values, c, None, linear=False)
             # a, b >= 0, so a + b is finite exactly when both are; otherwise
             # the right side is reported as the non-finite a + b.
             rhs, p = a + b, p / 2.0
             finite = np.isfinite(rhs)
             rhs[finite] = resolve_implicit_quadratic(a[finite], b[finite])
-        w = terms["pow", base, p]
+        w = values["pow", base, p]
         slack = rhs - w[:, None]
-        holds = slack >= -HOLDS_RTOL * np.maximum(np.maximum(1.0, rhs), w[:, None])
+        holds = slack >= -HOLDS_RTOL * rel_scale(rhs, w[:, None])
     return Sides(mode, p, w, rhs, slack, holds)
 
 
-# A read: one bound at one BoundParams over a tuple of lams, in one mode or
-# (mode None) in all its modes.
+# A read: one bound at one BoundParams over a tuple of lams, in one mode or all (None).
 Read = namedtuple("Read", "name params mode lams")
 
 
@@ -423,33 +415,35 @@ def _check_lambdas(reads) -> None:
     """ValueError unless each read's bound admits all of its (non-empty) lams."""
     positive = {}  # lams -> whether a bound reading them needs lam > 0
     for name, _, _, lams in reads:
-        needs_positive = _spec(name).lam_positive
+        positive[lams] = positive.get(lams) or _spec(name).lam_positive
         if not lams:
             raise ValueError(f"empty lambda grid for bound {name!r}")
-        positive[lams] = positive.get(lams) or needs_positive
     for lams, needs_positive in positive.items():
-        for lam in lams:  # BoundParams validates lam >= 0
-            if not BoundParams(lam=lam).lam > 0 and needs_positive:
-                raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
+        for lam in lams:
+            BoundParams(lam=lam)  # lam >= 0
+            if needs_positive:
+                _require_positive(lam)
 
 
 def evaluate(requests) -> list[dict]:
     """One {read: [Sides per mode]} per request of [(terms, reads), ...], over
     every input of the terms. ValueError for a lam or mode a bound does not
     admit, OverflowError when a right side or w-power leaves the double range."""
-    requests = [(terms, dict.fromkeys(reads)) for terms, reads in requests]
     _check_lambdas([read for _, reads in requests for read in reads])
-    fill_terms([(terms, [key for read in reads for key in CATALOG[read.name].keys(read.params)])
-                for terms, reads in requests])  # keys() refuses th6 with n > 15
-    return [{read: _read_sides(terms, *read) for read in reads} for terms, reads in requests]
+    requests = [(terms, {read: CATALOG[read.name].form(read.params) for read in reads})
+                for terms, reads in requests]  # th6's form refuses n > 15
+    fill_terms([(terms, [key for read, form in reads.items()
+                         for key in CATALOG[read.name].keys(form)]) for terms, reads in requests])
+    return [{read: _read_sides(terms, form, *read) for read, form in reads.items()}
+            for terms, reads in requests]
 
 
-def _read_sides(terms: _Terms, name: str, params: BoundParams, mode, lams) -> list[Sides]:
+def _read_sides(terms: _Terms, form: Form, name, params: BoundParams, mode, lams) -> list[Sides]:
     bound = CATALOG[name]
     if mode is not None and mode not in bound.modes:
         raise ValueError(f"bound {name!r} has no mode {mode!r}")
-    c = bound.coefficients(lams, params)
-    out = [_sides(bound, terms, params, m, c) for m in ((mode,) if mode else bound.modes)]
+    c = coefficients(form.ends, lams)
+    out = [_sides(bound, form, terms, m, c) for m in ((mode,) if mode else bound.modes)]
     if not all(np.isfinite(x.slack).all() for x in out):  # rhs - w: finite iff both are
         raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
                             f"alpha={params.alpha}: the right side or the w-power "
@@ -561,23 +555,23 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     if method not in ("auto", "closed-form", "golden-section"):
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-    terms = _terms_for(bound, t, s)
+    terms, form = _terms_for(bound, t, s), bound.form(params)
     mode = bound.modes[0] if mode is None else mode
     evaluate([(terms, [Read(name, params, mode, (1.0,))])])  # fills the terms, checks the mode
 
     def f(sigma: float) -> float:
-        c = bound.coefficients((math.exp(sigma),), params)
-        return float(_sides(bound, terms, params, mode, c).rhs[0, 0])
+        c = coefficients(form.ends, (math.exp(sigma),))
+        return float(_sides(bound, form, terms, mode, c).rhs[0, 0])
 
     if method == "golden-section":
         lo, hi = -20.0, 20.0
         f_lo, f_hi, found = f(lo), f(hi), [_golden_min(f, lo, hi, 1e-9)]
     else:  # sigma = log lam at -inf and inf, each end from c(0) or c(inf)
-        lo, hi, found, c = -math.inf, math.inf, [], bound.limits(params)
-        f_lo, f_hi = _sides(bound, terms, params, mode, c).rhs[0, [0, -1]].tolist()
+        lo, hi, found, c = -math.inf, math.inf, [], np.array(form.ends, dtype=np.float64).T
+        f_lo, f_hi = _sides(bound, form, terms, mode, c).rhs[0, [0, -1]].tolist()
     # min keeps the first of equal values
     s_star, f_star = min(found + [(lo, f_lo), (hi, f_hi)], key=lambda x: x[1])
-    scale = max(1.0, abs(f_lo), abs(f_hi))
+    scale = rel_scale(f_lo, f_hi)
     if abs(f_lo - f_hi) <= 1e-12 * scale and abs(f(0.0) - f_star) <= 1e-12 * scale:
         return LambdaOptimum(name, mode, f_star, 1.0, "flat")
     if s_star <= lo + 1e-6:
@@ -648,5 +642,5 @@ def chain_links(refined: Sides, classical: Sides):
     links = (("w_power", refined.w_power), ("refined", refined.rhs[:, 0]),
              ("classical", classical.rhs[:, 0]))
     return links, np.logical_and.reduce([
-        a <= b + CHAIN_RTOL * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        a <= b + CHAIN_RTOL * rel_scale(a, b)
         for (_, a), (_, b) in zip(links, links[1:])])

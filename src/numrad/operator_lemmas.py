@@ -25,7 +25,7 @@ from .linalg import (
     inner,
     same_dim,
 )
-from .scalar_ineq import InequalityRecord, require_exponent, require_unit
+from .scalar_ineq import InequalityRecord, require_alpha, require_exponent, require_unit
 
 CONVEX_FUNCTIONS = {
     "square": np.square,
@@ -64,8 +64,7 @@ def convex_norm_check(a, b, r: float) -> InequalityRecord:
 
 def mixed_schwarz_check(t, x, y, alpha: float) -> InequalityRecord:
     """|<Tx,y>| <= || |T|^alpha x || * || |T*|^(1-alpha) y || for alpha in (0,1)."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    require_alpha(alpha)
     t = as_matrix(t)
     x, y = _vectors(x, y)
     same_dim(t, x)

@@ -79,8 +79,7 @@ class BoundParams:
         require_exponent(self.r)
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        require_alpha(self.alpha)
 
 
 def _require_positive(lam: float) -> float:
@@ -97,15 +96,18 @@ def require_exponent(r: float) -> float:
     return r
 
 
+def require_alpha(alpha: float) -> None:
+    """ValueError unless alpha lies in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def binomial_order(n: int) -> int:
-    """n as an int, for the binomial-order forms; n > 15 is refused."""
-    if isinstance(n, (bool, np.bool_)):
-        raise ValueError("n must be a number, not a bool")
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    """n as an int by BoundParams' rule, for the binomial-order forms; n > 15 is refused."""
+    n = int(BoundParams(lam=1.0, n=n).n)
     if n > 15:
         raise OverflowError("n > 15 not supported (binomial exactness cap)")
-    return int(n)
+    return n
 
 
 def _norm(v: np.ndarray) -> float:
@@ -143,7 +145,10 @@ def _record(name: str, sides, vectors: tuple, lam: float | None = None) -> Inequ
         b = None if e is None else abs(inner(x, e) * inner(e, y))
         lhs, rhs, *outer = sides(_norm(x) * _norm(y), abs(inner(x, y)), b)
         if lam is not None:
-            rhs = interpolate(*rhs, lam)
+            ends, rhs = rhs, interpolate(*rhs, lam)
+            if not math.isfinite(rhs):  # c(inf) lam past the range, maybe not rhs: scale the ends
+                k = math.frexp(max(ends))[1]
+                rhs = math.ldexp(interpolate(*(math.ldexp(c, -k) for c in ends), lam), k)
     except OverflowError:
         raise OverflowError(f"{name}: a side leaves the double range") from None
     return InequalityRecord.from_sides(name, lhs, rhs, *outer)

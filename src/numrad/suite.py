@@ -36,6 +36,7 @@ from .bounds import (
     evaluate,
     matrix_terms,
     pair_terms,
+    rel_scale,
 )
 from .ensembles import EnsembleConfig, generate_ensemble
 from .scalar_ineq import BoundParams
@@ -62,7 +63,7 @@ class BoundRow(NamedTuple):
 
     @property
     def rel_slack(self) -> float:
-        return self.slack / max(1.0, abs(self.rhs), abs(self.w_power))
+        return float(self.slack / rel_scale(self.rhs, self.w_power))
 
 
 class ChainRow(NamedTuple):
@@ -180,7 +181,7 @@ def _bound_rows(blocks, grid, r, n, alpha):
     group_rank = _ranks((b, s.mode) for _, b, _, s in blocks)
     group = np.array([group_rank[b, s.mode] for _, b, _, s in blocks])[block]
     by_group = np.argsort(group, kind="stable")
-    rel = (slack / np.maximum(np.maximum(1.0, np.abs(rhs)), np.abs(w)))[by_group].tolist()
+    rel = (slack / rel_scale(rhs, w))[by_group].tolist()
     ends = np.cumsum(np.bincount(group, minlength=len(group_rank))).tolist()
     tightness = tuple(TightnessRow(bound, mode, end - start, sum(rel[start:end]) / (end - start),
                                    min(rel[start:end]))

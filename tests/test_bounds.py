@@ -11,6 +11,7 @@ from numrad import (
     MODE_INEQUALITY,
     BoundParams,
     DimensionMismatchError,
+    EnsembleConfig,
     NegativeCoefficientError,
     UnknownBoundError,
     UnknownChainError,
@@ -23,18 +24,25 @@ from numrad import (
     bound_th5,
     bound_th6,
     evaluate_bound,
+    numerical_radius,
     optimize_lambda,
     refinement_chain,
     resolve_implicit_quadratic,
+    run_suite,
 )
+from numrad import bounds
 from numrad.bounds import (
+    CATALOG,
+    U,
     W,
     W2,
+    WP,
     Read,
     al_dolat_coefficients,
     bound_modes,
     cor_bomi_coefficients,
     evaluate,
+    fill_terms,
     matrix_terms,
     ns,
     pair_terms,
@@ -346,12 +354,13 @@ class TestHomographicStructure:
         t = ginibre(rng, 4)
         s = ginibre(rng, 4)
         mt, pt = matrix_terms(t), pair_terms(t, s)
+        fill_terms([(mt, [W2, ns(2.0), ns(4.0), wc(1.0), wc(2.0)]), (pt, [ns(4.0), wc(2.0)])])
 
         def m(key):
-            return float(mt[key][0])
+            return float(mt.values[key][0])
 
         def p(key):
-            return float(pt[key][0])
+            return float(pt.values[key][0])
 
         w2t = m(W2)
         q_limits = {
@@ -370,6 +379,55 @@ class TestHomographicStructure:
             mode = bound_modes(name)[0]
             rhs_far = evaluate_bound(name, t, s, BoundParams(lam=1e8), mode=mode)[0].rhs_value
             assert abs(rhs_far - q_limit) <= 1e-6 * max(1.0, q_limit), name
+
+
+class TestForms:
+    @pytest.mark.parametrize("name", ALL_BOUNDS)
+    def test_one_shape_at_every_params(self, name):
+        # uses_lambda, implicit and modes are read from the form at one params
+        def shape(form):
+            return (len(form.ends), tuple(len(c) for c in form.ends),
+                    tuple(tuple(f is U for f in prod) for prod in form.rhs),
+                    tuple(tuple(f[0] for f in prod if f is not U) for prod in form.rhs))
+
+        shapes = {shape(CATALOG[name].form(BoundParams(1.0, r=r, n=n, alpha=alpha)))
+                  for r in (1.0, 2.5) for n in (1, 3, 15) for alpha in (0.3, 0.5)}
+        assert len(shapes) == 1, shapes
+        ((ends, _, u_at, _),) = shapes
+        assert uses_lambda(name) == (ends == 2)
+        assert bound_modes(name) == ((MODE_INEQUALITY, MODE_CERTIFICATE) if any(map(any, u_at))
+                                     else (MODE_CERTIFICATE,))
+
+    def test_evaluate_fills_every_key_its_reads_name(self):
+        rng = np.random.default_rng(35)
+        t, s = ginibre(rng, 3), ginibre(rng, 3)
+        params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
+        for name, bound in CATALOG.items():
+            terms = pair_terms(t, s) if bound.product else matrix_terms(t)
+            evaluate([(terms, [Read(name, params, None, (0.5, 2.0))])])
+            form, base = bound.form(params), WP if bound.product else W
+            named = [f for prod in form.rhs for f in prod if f is not U] + [
+                ("pow", base, form.exponent), ("pow", base, form.exponent / 2.0)]
+            assert all(key in terms.values for key in named), name
+
+    def test_a_config_derives_each_term_once(self, monkeypatch):
+        # every pow and binom term of a config is computed once, from its table
+        derived, filled = [], []
+
+        def spy(values, key, derive=bounds._derive):
+            derived.append(key)
+            return derive(values, key)
+
+        def keep(requests, fill=bounds.fill_terms):
+            filled.extend(terms for terms, _ in requests)
+            fill(requests)
+
+        monkeypatch.setattr(bounds, "_derive", spy)
+        monkeypatch.setattr(bounds, "fill_terms", keep)
+        run_suite(EnsembleConfig("ginibre", 3, 4, 1), n=3)
+        assert ("binom", 3) in derived and len(filled) == 2
+        assert len(derived) == sum(key[0] in ("pow", "binom")
+                                   for terms in filled for key in terms.values)
 
 
 class TestCertificates:
@@ -436,7 +494,7 @@ class TestOptimizeLambda:
         rng = np.random.default_rng(67)
         t = ginibre(rng, 3)
         opt = optimize_lambda("th5", t, mode=MODE_CERTIFICATE, method="golden-section")
-        w2 = float(matrix_terms(t)[W][0]) ** 2
+        w2 = numerical_radius(t) ** 2
         assert opt.infimum >= w2 - 1e-8 * max(1.0, w2)  # still a valid bound on w^2
 
     def test_closed_form_on_certificate_is_the_auto_end_value(self):

@@ -86,6 +86,10 @@ class TestMixedSchwarz:
         assert rec.lhs == pytest.approx(1.0)
         assert rec.rhs == pytest.approx(1.0)
 
+    def test_alpha_rule_is_the_bound_params_rule(self):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got 1\.5$"):
+            mixed_schwarz_check(np.eye(2), HALF, HALF, 1.5)
+
     def test_jordan_equality_case(self):
         rec = mixed_schwarz_check(J, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.5)
         assert rec.lhs == pytest.approx(1.0)

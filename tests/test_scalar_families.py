@@ -35,7 +35,7 @@ def test_interpolate_runs_between_the_ends():
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("lam,k", [(1e-3, 511), (3e8, 496)])
+@pytest.mark.parametrize("lam,k", [(1e-3, 511), (3e8, 496), (1e12, 500)])
 def test_homogeneous_up_to_the_double_range(name, lam, k):
     # Both sides have degree 2 in x, and 2^k is exact: at x 2^k they are the
     # sides at x times 4^k, bit for bit. The right side stays in the double
@@ -43,3 +43,16 @@ def test_homogeneous_up_to_the_double_range(name, lam, k):
     # as |x|^2|y|^2 + |<x,y>| |x||y| at k = 511, would leave it.
     small, big = FAMILIES[name](X, lam), FAMILIES[name](np.ldexp(X, k), lam)
     assert (big.lhs, big.rhs) == (math.ldexp(small.lhs, 2 * k), math.ldexp(small.rhs, 2 * k))
+
+
+def test_large_lambda_term_past_the_range_keeps_a_double_rhs():
+    # c(inf) lam = 2.4e300 * 3e8 leaves the double range, the right side
+    # 2.4e300 does not: it is interpolated again from ends scaled by 2^-k
+    small, big = cs_refinement_gen(X, Y, 3e8), cs_refinement_gen(np.ldexp(X, 498), Y, 3e8)
+    assert big.rhs == pytest.approx(2.4176e300, rel=1e-4) and big.holds
+    assert big.rhs == math.ldexp(small.rhs, 996)
+
+
+def test_right_side_past_the_range_still_overflows_by_name():
+    with pytest.raises(OverflowError, match="^cs_refinement_gen: "):
+        cs_refinement_gen(np.ldexp(X, 512), Y, 1e12)
