@@ -38,7 +38,7 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import PSDPower, _h, abs_powers, as_matrix, numerical_radius
+from .linalg import PSDPower, _abs_powers, _h, as_matrix, numerical_radius, same_dim
 from .scalar_ineq import BoundParams, _require_positive, binomial_order, interpolate
 
 HOLDS_RTOL = 1e-8
@@ -147,10 +147,9 @@ class _Terms:
         self.values: dict[tuple, np.ndarray] = {}
 
     def _input(self, key: tuple) -> np.ndarray:
-        """The k matrices whose norm (Hermitian, ns) or w the term is."""
+        """The k matrices whose w the term is (a norm sum's are Hermitian, so w is their norm)."""
         if key[0] == "ns":
-            x = self._a.power(key[1]) + self._b.power(key[2])
-            return (x + _h(x)) / 2.0
+            return self._a.power(key[1]) + self._b.power(key[2])
         if key[0] == "wc":
             return self._b.power(key[1]) @ self._a.power(key[2])
         if key == W2:
@@ -159,47 +158,43 @@ class _Terms:
 
 
 class MatrixTerms(_Terms):
-    """Terms of a stack of matrices T: A = |T| and B = |T*| from one SVD."""
+    """Terms of a checked stack of matrices T: A = |T| and B = |T*| from one SVD."""
 
     def __init__(self, t: np.ndarray):
-        super().__init__(*abs_powers(t), t)
+        super().__init__(*_abs_powers(t), t)
         self.values[OP] = self._a.values[:, 0]  # sigma_1: SVD values descend
 
 
 class PairTerms(_Terms):
-    """Terms of a stack of pairs (T, S) of a product bound: A = |T|, B = |S|."""
+    """Terms of a stack of pairs (T, S) of a product bound, T and S rows i and j
+    of the stack of ``terms``: A = |T| and B = |S| are those rows of its |T|."""
 
-    def __init__(self, t: np.ndarray, s: np.ndarray):
-        super().__init__(abs_powers(t)[0], abs_powers(s)[0], t, s)
+    def __init__(self, terms: MatrixTerms, i, j):
+        v, s = terms._a.vectors, terms._a.values
+        super().__init__(PSDPower(v[i], s[i]), PSDPower(v[j], s[j]), terms.t[i], terms.t[j])
 
 
 def fill_terms(requests) -> None:
-    """Compute the terms [(terms, keys), ...] need into terms.values: all norm
-    sums in one batched eigvalsh, all w in one engine call, then each pow and
-    binom from them; inf past the double range. No other code computes one."""
-    todo = [(terms, dict.fromkeys(src for key in keys for src in _sources(key)
-                                  if src not in terms.values)) for terms, keys in requests]
-    for kinds, compute in ((("ns",), _herm_norms), (("w", "w2", "wp", "wc"), numerical_radius)):
-        jobs = [(terms, key) for terms, keys in todo for key in keys if key[0] in kinds]
-        if jobs:
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = np.concatenate([terms._input(key) for terms, key in jobs])
-            finite = np.isfinite(x).all(axis=(1, 2))
-            out = np.full(len(x), math.inf)
-            # once per distinct matrix, by its bytes (-0.0 != 0.0): results are per matrix
-            rows = x.reshape(-1, x.shape[1] * x.shape[2]).view(np.dtype((np.void, x.strides[0])))
-            _, first, inverse = np.unique(rows[finite, 0], return_index=True, return_inverse=True)
-            out[finite] = compute(x[finite][first])[inverse]
-            ends = np.cumsum([len(terms.t) for terms, _ in jobs])
-            for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
-                terms.values[key] = part
+    """Compute the terms [(terms, keys), ...] need into terms.values, as no other
+    code does: every w and norm sum (a Hermitian matrix's w) in one engine call,
+    each distinct matrix once, then each pow and binom; inf past the double range."""
+    jobs = [(terms, src) for terms, keys in requests for src in dict.fromkeys(
+        src for key in keys for src in _sources(key)) if src not in terms.values]
+    if jobs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.concatenate([terms._input(key) for terms, key in jobs])
+        finite = np.isfinite(x).all(axis=(1, 2))
+        out = np.full(len(x), math.inf)
+        # once per distinct matrix, by its bytes (-0.0 != 0.0): results are per matrix
+        rows = x.reshape(-1, x.shape[1] * x.shape[2]).view(np.dtype((np.void, x.strides[0])))
+        _, first, inverse = np.unique(rows[finite, 0], return_index=True, return_inverse=True)
+        out[finite] = numerical_radius(x[finite][first])[inverse]
+        ends = np.cumsum([len(terms.t) for terms, _ in jobs])
+        for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
+            terms.values[key] = part
     for terms, keys in requests:  # the pow and binom keys, each once
         terms.values.update((key, _derive(terms.values, key)) for key in keys
                             if key not in terms.values)
-
-
-def _herm_norms(h: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh(h)[:, [0, -1]]).max(axis=1)  # h Hermitian
 
 
 def matrix_terms(t) -> MatrixTerms:
@@ -208,11 +203,12 @@ def matrix_terms(t) -> MatrixTerms:
 
 
 def pair_terms(t, s) -> PairTerms:
-    """Terms of one pair (T, S) (k = 1) or of two (k, n, n) stacks."""
+    """Terms of one pair (T, S) (k = 1) or of two (k, n, n) stacks: one SVD of both."""
     a, b = as_matrix(t, stack=True), as_matrix(s, stack=True)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return PairTerms(a, b)
+    i = np.arange(len(a))
+    return PairTerms(MatrixTerms(np.concatenate((a, b))), i, i + len(a))
 
 
 # --------------------------------------------------------------------------
@@ -452,8 +448,11 @@ def _read_sides(terms: _Terms, form: Form, name, params: BoundParams, mode, lams
 
 
 def _terms_for(bound: BoundSpec, t, s):
-    t = as_matrix(t)  # the k = 1 calls take one matrix (or pair), not a stack
-    return pair_terms(t, t if s is None else as_matrix(s)) if bound.product else matrix_terms(t)
+    """Terms of one matrix, or one pair (T with itself for s None), each checked once."""
+    ms = [as_matrix(t)] + ([] if s is None or not bound.product else [as_matrix(s)])
+    same_dim(*ms)
+    terms = MatrixTerms(np.array(ms))  # one SVD
+    return PairTerms(terms, [0], [len(ms) - 1]) if bound.product else terms
 
 
 def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,

@@ -51,8 +51,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="numrad", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    params = argparse.ArgumentParser(add_help=False)  # BoundParams' fields but lam
+    for name, kind in (("r", float), ("n", int), ("alpha", float)):
+        params.add_argument(f"--{name}", type=kind, default=getattr(BoundParams, name))
+    one_bound = argparse.ArgumentParser(add_help=False)
+    one_bound.add_argument("--matrix", required=True)
+    one_bound.add_argument("--matrix2", default=None,
+                           help="second matrix for product bounds (default: pair with itself)")
+    one_bound.add_argument("--bound", required=True)
+    one_bound.add_argument("--mode", choices=tuple(_MODES), default=None)
 
-    p_verify = sub.add_parser("verify", help="batch-verify bounds and chains on an ensemble")
+    p_verify = sub.add_parser("verify", parents=[params],
+                              help="batch-verify bounds and chains on an ensemble")
     p_verify.add_argument("--ensemble", required=True, choices=ENSEMBLES)
     p_verify.add_argument("--dim", type=int, required=True)
     p_verify.add_argument("--trials", type=int, required=True)
@@ -63,31 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"comma list from {','.join(CHAIN_IDS)} (default: all)")
     p_verify.add_argument("--lambda-grid", type=_csv_floats, dest="lambda_grid",
                           default=DEFAULT_LAMBDA_GRID)
-    p_verify.add_argument("--r", type=float, default=1.0)
-    p_verify.add_argument("--n", type=int, default=1)
-    p_verify.add_argument("--alpha", type=float, default=0.5)
     p_verify.add_argument("--out", required=True)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_bound = sub.add_parser("bound", help="evaluate one bound on a matrix file")
-    p_bound.add_argument("--matrix", required=True)
-    p_bound.add_argument("--matrix2", default=None,
-                         help="second matrix for product bounds (default: pair with itself)")
-    p_bound.add_argument("--bound", required=True)
+    p_bound = sub.add_parser("bound", parents=[one_bound, params],
+                             help="evaluate one bound on a matrix file")
     p_bound.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_bound.add_argument("--r", type=float, default=1.0)
-    p_bound.add_argument("--n", type=int, default=1)
-    p_bound.add_argument("--alpha", type=float, default=0.5)
-    p_bound.add_argument("--mode", choices=tuple(_MODES), default=None)
 
-    p_opt = sub.add_parser("optimize", help="minimize a bound's rhs over lambda")
-    p_opt.add_argument("--matrix", required=True)
-    p_opt.add_argument("--matrix2", default=None)
-    p_opt.add_argument("--bound", required=True)
-    p_opt.add_argument("--r", type=float, default=1.0)
-    p_opt.add_argument("--n", type=int, default=1)
-    p_opt.add_argument("--alpha", type=float, default=0.5)
-    p_opt.add_argument("--mode", choices=tuple(_MODES), default=None)
+    p_opt = sub.add_parser("optimize", parents=[one_bound, params],
+                           help="minimize a bound's rhs over lambda")
     p_opt.add_argument("--method", choices=("auto", "closed-form", "golden-section"),
                        default="auto")
 

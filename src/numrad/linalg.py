@@ -220,30 +220,26 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked SVD a = U diag(s) Vh, s descending, of a matrix or a stack.
 
     Raises NoConvergenceError if the LAPACK solver fails or the reconstruction
-    residual exceeds 1e-10 relative to max(1, s_1) (for a stack, the norm of
-    all residuals relative to the largest s_1); the residual is scaled before
-    its norm is taken, so inputs near the double range do not overflow.
+    residual, each matrix's relative to max(1, its s_1), exceeds 1e-10 (for a
+    stack, in the norm of them all); the residual is scaled before its norm is
+    taken, so inputs near the double range do not overflow.
     """
     try:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    scale = max(1.0, float(s.flat[s.argmax()]))  # s descends: the largest s_1
-    if not math.isfinite(scale):
+    top = float(s.flat[s.argmax()])  # s descends: the largest s_1
+    if not math.isfinite(top):
         raise OverflowError("operator norm leaves the double range")
-    if not _fro((u * (s / scale)[..., None, :]) @ vh - a / scale) <= 1e-10:
+    scale = max(1.0, top) if s.ndim == 1 else np.maximum(s[:, :1, None], 1.0)  # per matrix
+    if not _fro((u * (s[..., None, :] / scale)) @ vh - a / scale) <= 1e-10:
         raise NoConvergenceError("SVD residual above 1e-10 relative")
     return u, s, vh
 
 
-def abs_powers(m) -> tuple[PSDPower, PSDPower]:
-    """Powers of |M| and of |M*| from one SVD M = U S V*:
-    |M|^p = V S^p V* and |M*|^p = U S^p U*, or stacks of them for a stack."""
-    return _abs_powers(as_matrix(m, stack=np.ndim(m) == 3))
-
-
 def _abs_powers(a: np.ndarray) -> tuple[PSDPower, PSDPower]:
-    """abs_powers of a matrix or stack as_matrix has checked."""
+    """Powers of |M| and of |M*| from one SVD M = U S V* of a matrix or stack
+    as_matrix has checked: |M|^p = V S^p V* and |M*|^p = U S^p U*."""
     u, s, vh = _svd(a)
     return PSDPower(_h(vh), s), PSDPower(u, s)
 
@@ -255,7 +251,7 @@ def abs_value(m) -> np.ndarray:
 
 def abs_power(m, p: float) -> np.ndarray:
     """|M|^p = (M*M)^(p/2) for finite p >= 0."""
-    return _power(abs_powers(m)[0], p, "abs_power")
+    return _power(_abs_powers(as_matrix(m, stack=np.ndim(m) == 3))[0], p, "abs_power")
 
 
 def _power(family: PSDPower, p: float, what: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitVectorError
-from .linalg import _vectors, inner
+from .linalg import _pow2_scaled, _vectors, inner
 
 HOLDS_RTOL = 1e-10
 
@@ -129,29 +129,41 @@ def interpolate(c0, cinf, lam):
     return (c0 + cinf * lam) / (1.0 + lam)
 
 
-def _record(name: str, sides, vectors: tuple, lam: float | None = None) -> InequalityRecord:
+def _record(name: str, sides, vectors: tuple, lam: float | None = None,
+            degree: int = 2) -> InequalityRecord:
     """The record of evaluator ``name`` on x, y (and a unit vector e).
 
     sides(xy, ip, b) of xy = |x||y|, ip = |<x,y>| and b = |<x,e><e,y>| (None
     without e) gives (lhs, rhs) or (lhs, rhs, outer); with lam given, rhs is
-    the end pair (c(0), c(inf)), interpolated at lam. The sides are Python
-    floats, where a product past the double range is inf and a power or a
-    complex abs raises OverflowError; either way the caller gets one
-    OverflowError naming the evaluator.
+    the end pair (c(0), c(inf)), interpolated at lam. When a value leaves the
+    double range, the sides, homogeneous of ``degree`` in x and in y, are taken
+    at x 2^-i and y 2^-j (exact) times 2^(degree (i + j)); a side still past it
+    raises one OverflowError naming the evaluator, an ``outer`` past it is inf.
     """
     vs = _vectors(*vectors)  # rows by index: cheaper than unpacking the array
     x, y, e = vs[0], vs[1], require_unit(vs[2]) if len(vs) == 3 else None
     try:
-        b = None if e is None else abs(inner(x, e) * inner(e, y))
-        lhs, rhs, *outer = sides(_norm(x) * _norm(y), abs(inner(x, y)), b)
-        if lam is not None:
-            ends, rhs = rhs, interpolate(*rhs, lam)
-            if not math.isfinite(rhs):  # c(inf) lam past the range, maybe not rhs: scale the ends
-                k = math.frexp(max(ends))[1]
-                rhs = math.ldexp(interpolate(*(math.ldexp(c, -k) for c in ends), lam), k)
+        try:  # from_sides raises when lhs or rhs (so when an end) is not finite
+            return InequalityRecord.from_sides(name, *_sides(sides, x, y, e, lam))
+        except OverflowError:
+            (x, i), (y, j) = _pow2_scaled(vs[:1]), _pow2_scaled(vs[1:2])
+            k, (lhs, rhs, *outer) = degree * (i + j), _sides(sides, x[0], y[0], e, lam)
+            outer = [math.ldexp(c, k) if math.frexp(c)[1] + k <= 1024 else math.inf for c in outer]
+            return InequalityRecord.from_sides(name, math.ldexp(lhs, k), math.ldexp(rhs, k), *outer)
     except OverflowError:
         raise OverflowError(f"{name}: a side leaves the double range") from None
-    return InequalityRecord.from_sides(name, lhs, rhs, *outer)
+
+
+def _sides(sides, x: np.ndarray, y: np.ndarray, e: np.ndarray | None, lam) -> tuple:
+    """_record's sides at x, y and e, rhs interpolated at lam."""
+    b = None if e is None else abs(inner(x, e) * inner(e, y))
+    lhs, rhs, *outer = sides(_norm(x) * _norm(y), abs(inner(x, y)), b)
+    if lam is not None:
+        ends, rhs = rhs, interpolate(*rhs, lam)
+        if not math.isfinite(rhs):  # c(inf) lam past the range, maybe not rhs: scale the ends
+            k = math.frexp(max(ends))[1]
+            rhs = math.ldexp(interpolate(*(math.ldexp(c, -k) for c in ends), lam), k)
+    return lhs, rhs, *outer
 
 
 def cs_refinement_gen(x, y, lam: float) -> InequalityRecord:
@@ -174,7 +186,7 @@ def cs_refinement_two(x, y, lam: float) -> InequalityRecord:
 
 def buzano(x, y, e) -> InequalityRecord:
     """|<x,e><e,y>| <= (|x||y| + |<x,y>|) / 2 for a unit vector e."""
-    return _record("buzano", lambda xy, ip, b: (b, 0.5 * (xy + ip)), (x, y, e))
+    return _record("buzano", lambda xy, ip, b: (b, 0.5 * (xy + ip)), (x, y, e), degree=1)
 
 
 def buzano_refined(x, y, e, lam: float) -> InequalityRecord:
@@ -215,7 +227,7 @@ def buzano_power(x, y, e, lam: float, n: int) -> InequalityRecord:
         binom = sum(math.comb(2 * n, j) * hx**j * hp ** (2 * n - j) for j in range(1, 2 * n))
         return b ** (2 * n), (top + hx**n * hp**n + binom, 2.0 * top + binom)
 
-    return _record("buzano_power", sides, (x, y, e), lam)
+    return _record("buzano_power", sides, (x, y, e), lam, 2 * n)
 
 
 def young_amgm(a: float, b: float, t: float) -> InequalityRecord:

@@ -5,8 +5,8 @@ and refinement chains over one ensemble, at every value of a lambda grid,
 and collects the outcome per row. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
-A config is evaluated at a time, in one bounds.evaluate call over (trials x
-lambda) that makes one stacked engine call for its trials and pairs. Its rows
+A config is evaluated at a time, from one SVD and one bounds.evaluate call
+over (trials x lambda) with one engine call for its trials and pairs. Its rows
 stay arrays until the report is built: one lexsort orders them, violations
 and tightness are counted from the columns, and the row tuples are made in
 bulk. The serializers format the rows column by column and join them once.
@@ -28,6 +28,7 @@ from . import jsonio
 from .bounds import (
     CATALOG,
     CHAINS,
+    PairTerms,
     Read,
     _chain,
     _spec,
@@ -35,7 +36,6 @@ from .bounds import (
     chain_reads,
     evaluate,
     matrix_terms,
-    pair_terms,
     rel_scale,
 )
 from .ensembles import EnsembleConfig, generate_ensemble
@@ -109,7 +109,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     lambda_grid = tuple(float(x) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
 
-    matrices = np.array(generate_ensemble(config))
+    terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
     pairs = np.arange(0, config.trials, 2)
     work, requests = [], []  # (row labels, bound reads, chains with their reads) per kind
     for product in (False, True):
@@ -118,11 +118,10 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
                  for b, spec in zip(bounds, specs) if spec.product == product]
         links = [(c, chain_reads(ch, params)) for c, ch in zip(chains, chain_specs)
                  if CATALOG[ch.refined].product == product]
-        if reads or links:
-            terms = (pair_terms(matrices[pairs], matrices[np.minimum(pairs + 1, config.trials - 1)])
-                     if product else matrix_terms(matrices))
-            work.append((pairs if product else np.arange(config.trials), reads, links))
-            requests.append((terms, reads + [read for _, pair in links for read in pair]))
+        work.append((pairs if product else np.arange(config.trials), reads, links))
+        requests.append((PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
+                         if product else terms,
+                         reads + [read for _, pair in links for read in pair]))
 
     blocks, chain_blocks = [], []  # (labels, bound, lam-free, Sides); (labels, chain, holds)
     for (labels, reads, links), sides in zip(work, evaluate(requests)):  # one engine call

@@ -430,6 +430,48 @@ class TestForms:
                                    for terms in filled for key in terms.values)
 
 
+def _svd_shapes(monkeypatch) -> list:
+    """The shapes of the arrays np.linalg.svd is called on, from here on."""
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: shapes.append(a.shape) or svd(a))
+    return shapes
+
+
+class TestOneSpectralPass:
+    @pytest.mark.parametrize("name,pair,shape", [
+        ("th3", False, (1, 3, 3)),
+        ("th2", False, (1, 3, 3)),  # T paired with itself: the SVD of T alone
+        ("th2", True, (2, 3, 3)),  # T and S stacked
+    ])
+    def test_a_single_input_takes_one_svd(self, monkeypatch, name, pair, shape):
+        rng = np.random.default_rng(41)
+        t, s = ginibre(rng, 3), ginibre(rng, 3)
+        shapes = _svd_shapes(monkeypatch)
+        evaluate_bound(name, t, s if pair else None)
+        assert shapes == [shape]
+
+    def test_pair_terms_take_one_svd_of_both_stacks(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        t = np.array([ginibre(rng, 3) for _ in range(8)])
+        shapes = _svd_shapes(monkeypatch)
+        terms = pair_terms(t[:4], t[4:])
+        assert shapes == [(8, 3, 3)] and len(terms.t) == len(terms.s) == 4
+
+    def test_norm_sums_are_the_norms_of_hermitian_sums(self):
+        # the engine's near-Hermitian rule gives max|lambda| of each input; not
+        # bitwise the eigvalsh value, which rests on last-bit LAPACK behaviour
+        rng = np.random.default_rng(43)
+        t = np.array([ginibre(rng, 4) for _ in range(6)])
+        keys = [ns(1.0), ns(2.0), ns(4.0), ns(0.6, 1.4), ns(0.0, 2.0)]
+        for terms in (matrix_terms(t), pair_terms(t[:3], t[3:])):
+            fill_terms([(terms, keys)])
+            for key in keys:
+                h = terms._input(key)
+                assert np.array_equal(h, h.conj().swapaxes(1, 2))  # exactly Hermitian
+                ref = np.abs(np.linalg.eigvalsh(h)).max(axis=1)
+                np.testing.assert_array_max_ulp(terms.values[key], ref, maxulp=4)
+
+
 class TestCertificates:
     def test_modes_catalog(self):
         assert bound_modes("th2") == (MODE_INEQUALITY, MODE_CERTIFICATE)

@@ -22,7 +22,7 @@ from numrad import (
     operator_norm,
 )
 from numrad.ensembles import ENSEMBLES, EnsembleConfig, generate_ensemble
-from numrad.linalg import abs_power, abs_powers, as_matrix, as_vector, inner
+from numrad.linalg import _abs_powers, abs_power, as_matrix, as_vector, inner
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -135,7 +135,7 @@ class TestAbsValue:
         rng = np.random.default_rng(15)
         for n in (2, 3, 5):
             m = ginibre(rng, n)
-            _, abs_adj = abs_powers(m)
+            _, abs_adj = _abs_powers(as_matrix(m))
             assert abs_adj.power(p) == pytest.approx(abs_power(m.conj().T, p), abs=1e-12)
 
 
@@ -694,3 +694,16 @@ class TestOracle:
 class TestEigenFailureMapping:
     def test_noconvergence_is_runtime_error(self):
         assert issubclass(NoConvergenceError, RuntimeError)
+
+    def test_svd_residual_is_checked_per_matrix(self, monkeypatch):
+        # a wrong factor of a small matrix is not hidden by a large one in its stack
+        svd = np.linalg.svd
+
+        def wrong_second_u(a):
+            u, s, vh = svd(a)
+            u[1] += 1e-6
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", wrong_second_u)
+        with pytest.raises(NoConvergenceError, match="SVD residual"):
+            linalg._svd(np.array([1e6 * np.eye(2), np.eye(2)], dtype=complex))

@@ -1,11 +1,13 @@
 """The lambda-families of scalar_ineq, each fixed by its two end limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from numrad import (
+    buzano,
     buzano_power,
     buzano_refined,
     buzano_refined_two,
@@ -56,3 +58,36 @@ def test_large_lambda_term_past_the_range_keeps_a_double_rhs():
 def test_right_side_past_the_range_still_overflows_by_name():
     with pytest.raises(OverflowError, match="^cs_refinement_gen: "):
         cs_refinement_gen(np.ldexp(X, 512), Y, 1e12)
+
+
+# An end or a term leaves the double range where the right side does not: the
+# sides are taken at x 2^-i and y 2^-j and scaled back by 2^(degree (i + j)).
+BIG = math.ldexp(1.4, 512)
+SCALED = [
+    # c(inf) = |x|^2 |y|^2 = 1.96 * 2^1024; degree 2
+    (lambda: cs_refinement_gen(np.array([BIG, 0.0]), np.array([0.3, math.sqrt(0.91)]), 1e-3),
+     math.ldexp((0.588 + 1.96e-3) / 1.001, 1024)),
+    # |x||y| = 1.125 * 2^1024, not (|x||y| + |<x,y>|)/2; degree 1
+    (lambda: buzano(np.array([1.5 * 2.0**600, 0.0]), np.array([0.0, 1.5 * 2.0**423]), E),
+     math.ldexp(0.5625, 1024)),
+    # c(inf) = 2 (|x||y|/2)^2 = 1.5 * 2^1024; degree 2n = 2
+    (lambda: buzano_power(np.array([math.sqrt(3.0) * 2.0**512, 0.0]), np.array([0.0, 1.0]), E,
+                          1e-3, 1), math.ldexp(0.75, 1024) * 1.002 / 1.001),
+]
+
+
+@pytest.mark.parametrize("call,rhs", SCALED, ids=["cs_refinement_gen", "buzano", "buzano_power"])
+def test_an_end_past_the_range_is_taken_from_scaled_vectors(call, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = call()
+    assert rec.holds and rec.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_scaled_sides_are_the_in_range_sides_times_a_power_of_two():
+    # x 2^-513 = (0.7, 0): the record there, scaled by 4^513 bit for bit; the
+    # outer end |x|^2 |y|^2 itself is past the double range
+    y = np.array([0.3, math.sqrt(0.91)])
+    small, big = cs_refinement_gen(np.array([0.7, 0.0]), y, 1e-3), SCALED[0][0]()
+    assert (big.lhs, big.rhs) == (math.ldexp(small.lhs, 1026), math.ldexp(small.rhs, 1026))
+    assert big.outer == math.inf

@@ -306,8 +306,8 @@ def test_rows_match_single_evaluations(ensemble):
 
 
 def test_a_config_takes_few_eigvalsh_batches(monkeypatch):
-    # per config, not per row: one engine call, so one batch per engine round,
-    # plus one for the norm sums (the row-at-a-time suite made 456 here)
+    # per config, not per row: one engine call, the norm sums included, so one
+    # batch per engine round (the row-at-a-time suite made 456 here)
     calls, engine_calls = [], []
     eigvalsh, radius = np.linalg.eigvalsh, bounds.numerical_radius
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(len(h)) or eigvalsh(h))
@@ -315,4 +315,13 @@ def test_a_config_takes_few_eigvalsh_batches(monkeypatch):
     rep = run_suite(EnsembleConfig("ginibre", 8, 10, 42))
     assert rep.violations == 0 and len(rep.chain_rows) == 50
     assert len(calls) <= 40
-    assert len(engine_calls) == 1 and len(engine_calls[0]) == 4 * 10 + 2 * 5  # w, w2, 2 wc; wp, wc
+    # per trial w, w2, 2 wc and 3 ns; per pair wp, wc and 2 ns
+    assert len(engine_calls) == 1 and len(engine_calls[0]) == 7 * 10 + 4 * 5
+
+
+def test_a_config_takes_one_svd(monkeypatch):
+    # the pairs take rows of the trials' |T| family (each side of the pairs took one more)
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: shapes.append(a.shape) or svd(a))
+    run_suite(EnsembleConfig("nilpotent", 3, 5, 7))
+    assert shapes == [(5, 3, 3)]

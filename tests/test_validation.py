@@ -25,6 +25,7 @@ from numrad import (
     convex_norm_check,
     cs_refinement_gen,
     cs_refinement_two,
+    evaluate_bound,
     jensen_operator_check,
     mccarthy_check,
     mixed_schwarz_check,
@@ -146,13 +147,17 @@ def test_decompositions_per_predicate(monkeypatch, check, args, eigh, svd):
     assert counts == {"eigh": eigh, "svd": svd}
 
 
-@pytest.mark.parametrize("fn", [fn for fn in SIGNATURES if fn is not young_amgm],
-                         ids=lambda fn: fn.__name__)
-def test_at_most_one_finiteness_pass_per_input(monkeypatch, fn):
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(fn, [value for value, _ in SIGNATURES[fn]], id=fn.__name__)
+    for fn in SIGNATURES if fn is not young_amgm] + [
+    pytest.param(evaluate_bound, ["th3", GENERAL], id="evaluate_bound-single"),
+    pytest.param(evaluate_bound, ["th2", GENERAL], id="evaluate_bound-self-pair"),
+    pytest.param(evaluate_bound, ["th2", GENERAL, GENERAL.T], id="evaluate_bound-pair"),
+])
+def test_at_most_one_finiteness_pass_per_input(monkeypatch, fn, args):
     """Validation, all a call does before its first decomposition, passes over
     each array input at most once. (Afterwards convex_norm_check tests its
     two sides for overflow.)"""
-    args = [value for value, _ in SIGNATURES[fn]]
     decompositions = _counting(monkeypatch, np.linalg, ("eigh", "svd"))
     passes = 0
     isfinite = np.isfinite
