@@ -17,9 +17,9 @@ data, the bound's exponent, its right side over term keys and its
 coefficients' end limits c(0), c(inf), c(lam) = (c(0) + c(inf) lam)/(1 + lam),
 so a right side is monotone in lam in every mode. fill_terms computes every
 term once, into one table per stack of inputs. evaluate, the one evaluation
-path, checks the lams of its reads (a bound at params over a lam tuple) once,
-fills their terms in one call and evaluates each distinct read once over
-(inputs x lam): per config for the suite, at k = 1 for the other callers.
+path, checks the lams of its reads (a bound at params over a lam tuple), fills
+their terms and evaluates every distinct read in one stacked pass from a plan
+memoized on the forms: per config for the suite, at k = 1 for other callers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import PSDPower, _abs_powers, _h, as_matrix, numerical_radius, same_dim
+from .linalg import _abs_powers, _h, as_matrix, numerical_radius, same_dim
 from .scalar_ineq import BoundParams, _require_positive, binomial_order, interpolate
 
 HOLDS_RTOL = 1e-8
@@ -87,7 +87,7 @@ def resolve_implicit_quadratic(a, b):
     u <= (a + sqrt(a^2 + 4b))/2. Monotone in both coefficients; elementwise
     on arrays."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()) or (a < 0).any() or (b < 0).any():
+    if not ((np.minimum(a, b) >= 0.0).all() and (np.maximum(a, b) < math.inf).all()):
         raise NegativeCoefficientError(f"coefficients must be finite and >= 0, got a={a} b={b}")
     root = 0.5 * (a + np.sqrt(a * a + 4.0 * b))
     return float(root) if root.ndim == 0 else root
@@ -139,19 +139,19 @@ def _derive(values: dict, key: tuple) -> np.ndarray:
 
 
 class _Terms:
-    """Terms of a stack of k inputs; ``values`` holds every term fill_terms has
-    computed, one array of k values each."""
+    """Terms of a stack of k inputs from the q-th powers a(q), b(q) of families A
+    and B; ``values`` holds every term fill_terms has computed, k values each."""
 
-    def __init__(self, a: PSDPower, b: PSDPower, t: np.ndarray, s: np.ndarray | None = None):
+    def __init__(self, a: Callable, b: Callable, t: np.ndarray, s: np.ndarray | None = None):
         self._a, self._b, self.t, self.s = a, b, t, s
         self.values: dict[tuple, np.ndarray] = {}
 
     def _input(self, key: tuple) -> np.ndarray:
         """The k matrices whose w the term is (a norm sum's are Hermitian, so w is their norm)."""
         if key[0] == "ns":
-            return self._a.power(key[1]) + self._b.power(key[2])
+            return self._a(key[1]) + self._b(key[2])
         if key[0] == "wc":
-            return self._b.power(key[1]) @ self._a.power(key[2])
+            return self._b(key[1]) @ self._a(key[2])
         if key == W2:
             return self.t @ self.t
         return _h(self.t) @ self.s if key == WP else self.t
@@ -161,17 +161,18 @@ class MatrixTerms(_Terms):
     """Terms of a checked stack of matrices T: A = |T| and B = |T*| from one SVD."""
 
     def __init__(self, t: np.ndarray):
-        super().__init__(*_abs_powers(t), t)
-        self.values[OP] = self._a.values[:, 0]  # sigma_1: SVD values descend
+        a, b = _abs_powers(t)
+        super().__init__(a.power, b.power, t)
+        self.values[OP] = a.values[:, 0]  # sigma_1: SVD values descend
 
 
 class PairTerms(_Terms):
     """Terms of a stack of pairs (T, S) of a product bound, T and S rows i and j
-    of the stack of ``terms``: A = |T| and B = |S| are those rows of its |T|."""
+    of the stack of ``terms``: A = |T| and B = |S| are those rows of its |T|^q."""
 
     def __init__(self, terms: MatrixTerms, i, j):
-        v, s = terms._a.vectors, terms._a.values
-        super().__init__(PSDPower(v[i], s[i]), PSDPower(v[j], s[j]), terms.t[i], terms.t[j])
+        a = terms._a
+        super().__init__(lambda q: a(q)[i], lambda q: a(q)[j], terms.t[i], terms.t[j])
 
 
 def fill_terms(requests) -> None:
@@ -260,15 +261,6 @@ class BoundSpec:
             f for prod in form.rhs for f in prod if f is not U]
 
 
-def coefficients(ends, lams) -> np.ndarray:
-    """c_i(lam) per (coefficient, lam): the ends interpolated, or the one
-    vector of a bound free of lam repeated."""
-    c, lams = np.array(ends, dtype=np.float64).T, np.asarray(lams, dtype=np.float64)
-    if len(ends) == 1:
-        return np.repeat(c, len(lams), axis=1)
-    return interpolate(c[:, :1], c[:, 1:], lams)
-
-
 def _th6(n: int) -> Form:
     n = binomial_order(n)
     h = [2.0 ** -(2 * n + k) for k in range(3)]  # 2^-(2n + k)
@@ -327,8 +319,8 @@ def uses_lambda(name: str) -> bool:
 
 
 def _coefficients(name: str, lam: float, n: int = 1) -> tuple[float, ...]:
-    ends = CATALOG[name].form(BoundParams(1.0, n=n)).ends
-    return tuple(coefficients(ends, (lam,))[:, 0].tolist())
+    c0, cinf = np.array(CATALOG[name].form(BoundParams(1.0, n=n)).ends)
+    return tuple(interpolate(c0, cinf, lam).tolist())
 
 
 def th2_coefficients(lam: float) -> tuple[float, float, float]:
@@ -369,42 +361,79 @@ def al_dolat_coefficients(lam: float) -> tuple[float, float]:
 # One mode of a bound: w_power per input; rhs, slack, holds per (input, lam).
 Sides = namedtuple("Sides", "mode exponent w_power rhs slack holds")
 
-
-def _combine(form: Form, values: dict, coefficients, u, linear: bool | None = None):
-    """sum_i c_i * prod_i over (inputs x lams), left to right, U read as u;
-    with ``linear``, only over the products that hold U (True) or not."""
-    total = None
-    for c, prod in zip(coefficients, form.rhs):
-        if linear is None or (U in prod) == linear:
-            for f in prod:
-                c = c * (u if f is U else values[f][:, None])
-            total = c if total is None else total + c
-    return total
-
-
-def _sides(bound: BoundSpec, form: Form, terms: _Terms, mode: str, c) -> Sides:
-    """One mode of a bound over every input and coefficient column c: no checks."""
-    base, p, values = WP if bound.product else W, form.exponent, terms.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mode == MODE_INEQUALITY or not bound.implicit:
-            u = values["pow", base, p / 2.0][:, None] if bound.implicit else None
-            rhs = _combine(form, values, c, u)
-        else:  # u^2 <= a u + b: a sums the products holding U, read at u = 1
-            a = _combine(form, values, c, 1.0, linear=True)
-            b = _combine(form, values, c, None, linear=False)
-            # a, b >= 0, so a + b is finite exactly when both are; otherwise
-            # the right side is reported as the non-finite a + b.
-            rhs, p = a + b, p / 2.0
-            finite = np.isfinite(rhs)
-            rhs[finite] = resolve_implicit_quadratic(a[finite], b[finite])
-        w = values["pow", base, p]
-        slack = rhs - w[:, None]
-        holds = slack >= -HOLDS_RTOL * rel_scale(rhs, w[:, None])
-    return Sides(mode, p, w, rhs, slack, holds)
-
-
 # A read: one bound at one BoundParams over a tuple of lams, in one mode or all (None).
 Read = namedtuple("Read", "name params mode lams")
+
+# The plan of a request's distinct reads, from their forms alone. Its rows are
+# the (read, mode) pairs (``reads`` gives each read's; None for a mode its bound
+# lacks). A row's w-power and factors are rows of V: terms.values[key] for each
+# of ``keys``, then ones. It sums its products in two parts, a and b, each in
+# catalog order and padded with -0.0 (x + -0.0 == x): a certificate's products
+# with U (read as 1) and the rest; any other row's products (U read as u) and none.
+Plan = namedtuple("Plan", "keys reads read name mode exponent free cert w c0 cinf factors")
+# the catalog's most products per form and factors per product, read at one params
+_SLOTS = max(len(b.form(BoundParams(1.0)).rhs) for b in CATALOG.values())
+_WIDTH = max(len(prod) for b in CATALOG.values() for prod in b.form(BoundParams(1.0)).rhs)
+
+
+@lru_cache(maxsize=64)
+def _plan(reads: tuple) -> Plan:
+    """The plan of (name, params, mode) reads; th6's form refuses n > 15."""
+    keys, read_rows, rows, table, slots = {}, [], [], [], 1  # keys: key -> its V row
+    for r, (name, params, mode) in enumerate(reads):
+        bound = CATALOG[name]
+        form, base = bound.form(params), WP if bound.product else W
+        for key in bound.keys(form):
+            keys.setdefault(key, len(keys))
+        modes = bound.modes if mode is None else (mode,) if mode in bound.modes else ()
+        read_rows.append(tuple(range(len(rows), len(rows) + len(modes))) if modes else None)
+        for m in modes:
+            cert = bound.implicit and m == MODE_CERTIFICATE
+            p = form.exponent / 2.0 if cert else form.exponent
+            rows.append((r, name, m, p, len(form.ends) == 1, cert, keys["pow", base, p]))
+            u = -1 if cert else keys["pow", base, form.exponent / 2.0]  # V[-1] is ones
+            a = [j for j, prod in enumerate(form.rhs) if not cert or U in prod]
+            for part in a, [j for j in range(len(form.rhs)) if j not in a]:
+                for j in part:  # per product: c0, cinf, then its factors padded with ones
+                    prod = [u if f is U else keys[f] for f in form.rhs[j]] + [-1] * _WIDTH
+                    table += [form.ends[0][j], form.ends[-1][j], *prod[:_WIDTH]]
+                table += ([-0.0, -0.0] + [-1] * _WIDTH) * (_SLOTS - len(part))
+                slots = max(slots, len(part))
+    read, name, mode, exponent, free, cert, w = zip(*rows) if rows else [()] * 7
+    table = np.array(table).reshape(-1, 2, _SLOTS, 2 + _WIDTH).transpose(3, 2, 1, 0)[:, :slots]
+    return Plan(tuple(keys), tuple(read_rows), np.array(read, dtype=np.intp), name, mode,
+                exponent, np.array(free, dtype=bool)[:, None],
+                np.array(cert).reshape(-1, 1, 1) if any(cert) else None,
+                np.array(w, dtype=np.intp), *table[:2, ..., None], table[2:].astype(np.intp))
+
+
+def _rhs(plan: Plan, v: np.ndarray, lam: np.ndarray | None) -> np.ndarray:
+    """Each plan row's right side (rows x inputs x lams) from V at lam (one, or
+    rows x lams), or at c(0) and c(inf) for None; products and sums left to right."""
+    c = (np.concatenate((plan.c0, plan.cinf), axis=-1) if lam is None
+         else np.where(plan.free, plan.c0, interpolate(plan.c0, plan.cinf, lam)))  # free: c0
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = c[..., None, :]  # products x 2 x rows x 1 x lams
+        for f in v[plan.factors]:  # per factor: products x 2 x rows x inputs
+            prods = prods * f[..., None]
+        a, b = reduce(np.add, prods)  # (x_0 + x_1) + x_2 ...
+        if plan.cert is None:  # no certificate: every b is empty
+            return a
+        rhs = a + b  # a, b >= 0: finite iff both are; if not, the reported rhs
+    resolve = plan.cert & np.isfinite(rhs)
+    rhs[resolve] = resolve_implicit_quadratic(a[resolve], b[resolve])
+    return rhs
+
+
+class Evaluation(namedtuple("Evaluation", "plan v rows width w_power rhs slack holds")):
+    """A request evaluated from its plan and V, per plan row: w_power (inputs),
+    rhs, slack, holds (inputs x lams; past ``width``, its read's lams, the last
+    again). ``rows`` maps each read to its plan rows; ev[read] is [Sides]."""
+
+    def __getitem__(self, read) -> list[Sides]:
+        return [Sides(self.plan.mode[i], self.plan.exponent[i], self.w_power[i],
+                      *(x[i, :, :self.width[i]] for x in (self.rhs, self.slack, self.holds)))
+                for i in self.rows[read]]
 
 
 def _check_lambdas(reads) -> None:
@@ -421,29 +450,34 @@ def _check_lambdas(reads) -> None:
                 _require_positive(lam)
 
 
-def evaluate(requests) -> list[dict]:
-    """One {read: [Sides per mode]} per request of [(terms, reads), ...], over
-    every input of the terms. ValueError for a lam or mode a bound does not
-    admit, OverflowError when a right side or w-power leaves the double range."""
+def evaluate(requests) -> list[Evaluation]:
+    """One Evaluation per request of [(terms, reads), ...], over its inputs, each
+    distinct read once. ValueError for a lam or mode a bound does not admit, and
+    OverflowError for a right side or w-power past the double range."""
     _check_lambdas([read for _, reads in requests for read in reads])
-    requests = [(terms, {read: CATALOG[read.name].form(read.params) for read in reads})
-                for terms, reads in requests]  # th6's form refuses n > 15
-    fill_terms([(terms, [key for read, form in reads.items()
-                         for key in CATALOG[read.name].keys(form)]) for terms, reads in requests])
-    return [{read: _read_sides(terms, form, *read) for read, form in reads.items()}
-            for terms, reads in requests]
-
-
-def _read_sides(terms: _Terms, form: Form, name, params: BoundParams, mode, lams) -> list[Sides]:
-    bound = CATALOG[name]
-    if mode is not None and mode not in bound.modes:
-        raise ValueError(f"bound {name!r} has no mode {mode!r}")
-    c = coefficients(form.ends, lams)
-    out = [_sides(bound, form, terms, m, c) for m in ((mode,) if mode else bound.modes)]
-    if not all(np.isfinite(x.slack).all() for x in out):  # rhs - w: finite iff both are
-        raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
-                            f"alpha={params.alpha}: the right side or the w-power "
-                            "leaves the double range")
+    requests = [(terms, tuple(dict.fromkeys(reads))) for terms, reads in requests]
+    plans = [_plan(tuple(read[:3] for read in reads)) for _, reads in requests]
+    fill_terms([(terms, plan.keys) for (terms, _), plan in zip(requests, plans)])
+    out = []
+    for (terms, reads), plan in zip(requests, plans):
+        size = max((len(read.lams) for read in reads), default=1)  # each padded with its last
+        lams = np.array([(r.lams + r.lams[-1:] * size)[:size] for r in reads], ndmin=2)[plan.read]
+        v = np.array([terms.values[key] for key in plan.keys] + [np.ones(len(terms.t))])
+        rhs, w = _rhs(plan, v, lams), v[plan.w][..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = rhs - w
+        out.append(Evaluation(plan, v, dict(zip(reads, plan.reads)),
+                              np.array([len(read.lams) for read in reads])[plan.read], w[..., 0],
+                              rhs, slack, slack >= -HOLDS_RTOL * rel_scale(rhs, w)))
+        bad = plan.read[~np.isfinite(slack).all(axis=(1, 2))].tolist()  # rhs - w: both finite
+        bad += [r for r, rows in enumerate(plan.reads) if rows is None]
+        if bad:  # the first read with no such mode, or a side past the double range
+            name, params, mode, _ = reads[min(bad)]
+            if plan.reads[min(bad)] is None:
+                raise ValueError(f"bound {name!r} has no mode {mode!r}")
+            raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
+                                f"alpha={params.alpha}: the right side or the w-power "
+                                "leaves the double range")
     return out
 
 
@@ -554,20 +588,18 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     if method not in ("auto", "closed-form", "golden-section"):
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-    terms, form = _terms_for(bound, t, s), bound.form(params)
-    mode = bound.modes[0] if mode is None else mode
-    evaluate([(terms, [Read(name, params, mode, (1.0,))])])  # fills the terms, checks the mode
+    terms, mode = _terms_for(bound, t, s), bound.modes[0] if mode is None else mode
+    plan, v, *_ = evaluate([(terms, [Read(name, params, mode, (1.0,))])])[0]  # fills, checks
 
     def f(sigma: float) -> float:
-        c = coefficients(form.ends, (math.exp(sigma),))
-        return float(_sides(bound, form, terms, mode, c).rhs[0, 0])
+        return float(_rhs(plan, v, math.exp(sigma))[0, 0, 0])
 
     if method == "golden-section":
         lo, hi = -20.0, 20.0
         f_lo, f_hi, found = f(lo), f(hi), [_golden_min(f, lo, hi, 1e-9)]
     else:  # sigma = log lam at -inf and inf, each end from c(0) or c(inf)
-        lo, hi, found, c = -math.inf, math.inf, [], np.array(form.ends, dtype=np.float64).T
-        f_lo, f_hi = _sides(bound, form, terms, mode, c).rhs[0, [0, -1]].tolist()
+        lo, hi, found = -math.inf, math.inf, []
+        f_lo, f_hi = _rhs(plan, v, None)[0, 0].tolist()
     # min keeps the first of equal values
     s_star, f_star = min(found + [(lo, f_lo), (hi, f_hi)], key=lambda x: x[1])
     scale = rel_scale(f_lo, f_hi)
@@ -623,8 +655,8 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     ch = _chain(chain_id)
     # Both bounds of a chain are of one kind, single or product.
     reads = chain_reads(ch, params)
-    sides = evaluate([(_terms_for(CATALOG[ch.refined], t, s), reads)])[0]
-    links, holds = chain_links(*(sides[read][0] for read in reads))
+    ev = evaluate([(_terms_for(CATALOG[ch.refined], t, s), reads)])[0]
+    links, holds = chain_links(ev, *(ev.rows[read][0] for read in reads))
     return ChainResult(chain_name=chain_id, holds=bool(holds[0]),
                        links=tuple((name, float(v[0])) for name, v in links))
 
@@ -635,11 +667,12 @@ def chain_reads(ch: ChainSpec, params: BoundParams) -> tuple[Read, Read]:
     return Read(ch.refined, rp, ch.mode, (rp.lam,)), Read(ch.classical, cp, None, (cp.lam,))
 
 
-def chain_links(refined: Sides, classical: Sides):
-    """The links (w-power, refined, classical) of a chain over its inputs,
-    and whether each input's links ascend within CHAIN_RTOL."""
-    links = (("w_power", refined.w_power), ("refined", refined.rhs[:, 0]),
-             ("classical", classical.rhs[:, 0]))
+def chain_links(ev: Evaluation, refined, classical):
+    """The links (w-power, refined, classical) over the inputs of the chains with
+    refined and classical rows (one or an array) of ev, the classical in its
+    first mode, and whether each input's links ascend within CHAIN_RTOL."""
+    links = (("w_power", ev.w_power[refined]), ("refined", ev.rhs[refined, :, 0]),
+             ("classical", ev.rhs[classical, :, 0]))
     return links, np.logical_and.reduce([
         a <= b + CHAIN_RTOL * rel_scale(a, b)
         for (_, a), (_, b) in zip(links, links[1:])])

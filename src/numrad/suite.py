@@ -123,13 +123,13 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
                          if product else terms,
                          reads + [read for _, pair in links for read in pair]))
 
-    blocks, chain_blocks = [], []  # (labels, bound, lam-free, Sides); (labels, chain, holds)
-    for (labels, reads, links), sides in zip(work, evaluate(requests)):  # one engine call
-        blocks += [(labels, read.name, not CATALOG[read.name].uses_lambda, x)
-                   for read in reads for x in sides[read]]
-        chain_blocks += [(labels, c, chain_links(*(sides[read][0] for read in pair))[1])
-                         for c, pair in links]
-    bound_rows, tightness, bound_violations = _bound_rows(blocks, lambda_grid, r, n, alpha)
+    parts, chain_blocks = [], []  # (labels, evaluation, bound rows); (labels, chain, holds)
+    for (labels, reads, links), ev in zip(work, evaluate(requests)):  # one engine call
+        parts.append((labels, ev, [i for read in reads for i in ev.rows[read]]))
+        if links:  # each chain's holds, a row of one stacked array
+            rows = np.array([[ev.rows[read][0] for read in pair] for _, pair in links])
+            chain_blocks += zip(repeat(labels), [c for c, _ in links], chain_links(ev, *rows.T)[1])
+    bound_rows, tightness, bound_violations = _bound_rows(parts, lambda_grid, r, n, alpha)
     chain_rows, chain_violations = _chain_rows(chain_blocks)
     violations = bound_violations + chain_violations
     return SuiteReport(config=config, bounds=bounds, chains=chains,
@@ -143,31 +143,37 @@ def _ranks(keys) -> dict:
     return {key: i for i, key in enumerate(sorted(set(keys)))}
 
 
-def _bound_rows(blocks, grid, r, n, alpha):
-    """The rows of (labels, bound, lam-free, Sides) blocks, in the order a
+def _bound_rows(parts, grid, r, n, alpha):
+    """The rows of (labels, evaluation, its plan rows) parts, in the order a
     stable sort by (trial, bound, lam with None first, mode) gives them, the
     tightness of each (bound, mode) over its rows in that order, and the
     number of rows that do not hold."""
+    blocks = [(labels, ev, i) for labels, ev, rows in parts for i in rows]
     if not blocks:
         return (), (), 0
-    # a block's rows are its (input, lam) cells, input-major; per row:
-    free = np.array([f for _, _, f, _ in blocks])
-    inputs, width = np.array([s.rhs.shape for *_, s in blocks]).T
-    sizes = inputs * width
-    block = np.repeat(np.arange(len(blocks)), sizes)  # its block
+    # a block, one plan row, has the cells (input, lam) of its read, input-major
+    bound, mode, p = ([getattr(ev.plan, f)[i] for _, ev, i in blocks]
+                      for f in ("name", "mode", "exponent"))
+    free, width, columns, inputs = np.array([(ev.plan.free[i, 0], ev.width[i], ev.rhs.shape[2],
+                                              len(labels)) for labels, ev, i in blocks]).T
+    sizes, padded = inputs * width, inputs * columns
+    block = np.repeat(np.arange(len(blocks)), sizes)  # per row: its block
     pos = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its cell there
-    row_input = np.repeat(np.cumsum(inputs) - inputs, sizes) + pos // width[block]  # of all inputs
-    lam = np.where(free[block], 0, pos % width[block] + 1)  # an index into (None, *grid)
-    trial = np.concatenate([labels for labels, *_ in blocks])[row_input]
-    bound_rank, mode_rank = _ranks(b for _, b, _, _ in blocks), _ranks(s.mode for *_, s in blocks)
-    order = np.lexsort((np.array([mode_rank[s.mode] for *_, s in blocks])[block],
+    inp, col = np.divmod(pos, width[block])
+    row_input = np.repeat(np.cumsum(inputs) - inputs, sizes) + inp  # of all inputs
+    lam = np.where(free[block], 0, col + 1)  # an index into (None, *grid)
+    # its place in the parts' (rows x inputs x lams) arrays, raveled and joined
+    cell = np.repeat(np.cumsum(padded) - padded, sizes) + inp * columns[block] + col
+    trial = np.concatenate([labels for labels, _, _ in blocks])[row_input]
+    bound_rank, mode_rank = _ranks(bound), _ranks(mode)
+    order = np.lexsort((np.array([mode_rank[m] for m in mode])[block],
                         np.array([-np.inf, *grid])[lam],
-                        np.array([bound_rank[b] for _, b, _, _ in blocks])[block], trial))
-    block, lam, row_input = block[order], lam[order], row_input[order]
-    w = np.concatenate([s.w_power for *_, s in blocks])[row_input]
-    rhs, slack, holds = (np.concatenate([getattr(s, f) for *_, s in blocks], axis=None)[order]
-                         for f in ("rhs", "slack", "holds"))
-    per_block = np.array([(b, s.mode, s.exponent) for _, b, _, s in blocks], dtype=object)
+                        np.array([bound_rank[b] for b in bound])[block], trial))
+    block, lam, row_input, cell = block[order], lam[order], row_input[order], cell[order]
+    w = np.concatenate([ev.w_power[rows].ravel() for _, ev, rows in parts])[row_input]
+    rhs, slack, holds = (np.concatenate([getattr(ev, f)[rows].ravel() for _, ev, rows in parts])
+                         [cell] for f in ("rhs", "slack", "holds"))
+    per_block = np.array(list(zip(bound, mode, p)), dtype=object)
     rows = tuple(map(tuple.__new__, repeat(BoundRow), zip(
         trial[order].tolist(), per_block[block, 0].tolist(), per_block[block, 1].tolist(),
         np.array([None, *grid], dtype=object)[lam].tolist(), repeat(r), repeat(n),
@@ -177,8 +183,8 @@ def _bound_rows(blocks, grid, r, n, alpha):
     # tightness: the rows' rel_slack grouped by (bound, mode), in row order;
     # each mean is a Python sum over its group (numpy's pairwise sum rounds
     # differently)
-    group_rank = _ranks((b, s.mode) for _, b, _, s in blocks)
-    group = np.array([group_rank[b, s.mode] for _, b, _, s in blocks])[block]
+    group_rank = _ranks(zip(bound, mode))
+    group = np.array([group_rank[g] for g in zip(bound, mode)])[block]
     by_group = np.argsort(group, kind="stable")
     rel = (slack / rel_scale(rhs, w))[by_group].tolist()
     ends = np.cumsum(np.bincount(group, minlength=len(group_rank))).tolist()

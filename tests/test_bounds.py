@@ -30,7 +30,7 @@ from numrad import (
     resolve_implicit_quadratic,
     run_suite,
 )
-from numrad import bounds
+from numrad import bounds, linalg
 from numrad.bounds import (
     CATALOG,
     U,
@@ -428,6 +428,105 @@ class TestForms:
         assert ("binom", 3) in derived and len(filled) == 2
         assert len(derived) == sum(key[0] in ("pow", "binom")
                                    for terms in filled for key in terms.values)
+
+
+def _reference_rhs(form, values, lams, u, certificate):
+    """rhs[input][lam] by the catalog's rule, one float at a time: each product
+    c * f_1 * f_2 ... left to right, U read as u, then their sum left to right;
+    for a certificate (u = 1), a over the products holding U and b over the
+    others, resolved to the root of u^2 = a u + b."""
+    def total(i, lam, prods):
+        out = None
+        for c0, cinf, prod in prods:
+            x = c0 if lam is None else (c0 + cinf * lam) / (1.0 + lam)
+            for f in prod:
+                x = x * (u[i] if f is U else values[f][i])
+            out = x if out is None else out + x
+        return out
+
+    prods = list(zip(form.ends[0], form.ends[-1], form.rhs))
+    free = len(form.ends) == 1
+    rows = []
+    for i in range(len(u)):
+        row = []
+        for lam in lams:
+            lam = None if free else lam
+            if certificate:
+                a = total(i, lam, [x for x in prods if U in x[2]])
+                b = total(i, lam, [x for x in prods if U not in x[2]])
+                row.append(resolve_implicit_quadratic(a, b))
+            else:
+                row.append(total(i, lam, prods))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("name", ALL_BOUNDS)
+    def test_every_mode_is_the_left_to_right_rule_bitwise(self, name):
+        # elementwise arithmetic only: the terms come from one table, so no
+        # BLAS bits enter the comparison
+        bound, rng = CATALOG[name], np.random.default_rng(71)
+        t = np.array([ginibre(rng, 3) for _ in range(6)])
+        terms = pair_terms(t[:3], t[3:]) if bound.product else matrix_terms(t[:3])
+        params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
+        lams = (0.3, 1.0, 7.0) + ((0.0,) if name == "al_dolat" else ())
+        read = Read(name, params, None, lams)
+        sides = evaluate([(terms, [read])])[0][read]
+        form, base = bound.form(params), WP if bound.product else W
+        values = {key: v.tolist() for key, v in terms.values.items()}
+        assert [x.mode for x in sides] == list(bound.modes)
+        for x in sides:
+            certificate = bound.implicit and x.mode == MODE_CERTIFICATE
+            p = form.exponent / 2.0 if certificate else form.exponent
+            u = values["pow", base, form.exponent / 2.0]
+            rhs = _reference_rhs(form, values, lams, [1.0] * len(u) if certificate else u,
+                                 certificate)
+            w = np.array(values["pow", base, p])[:, None]
+            assert x.exponent == p and np.array_equal(x.w_power, w[:, 0])
+            assert np.array_equal(x.rhs, rhs), (name, x.mode)
+            assert np.array_equal(x.slack, rhs - w)
+            assert np.array_equal(x.holds, rhs - w >= -bounds.HOLDS_RTOL * bounds.rel_scale(rhs, w))
+
+    def test_the_first_bad_read_names_the_error(self):
+        # a read is checked for its mode, then for overflow, in request order
+        t = matrix_terms(2.0 * I2)
+        no_mode = Read("kittaneh", BoundParams(1.0), MODE_INEQUALITY, (1.0,))
+        overflow = Read("el_haddad", BoundParams(1.0, r=1e308), None, (1.0,))
+        with pytest.raises(ValueError, match="^bound 'kittaneh' has no mode 'inequality-check'$"):
+            evaluate([(t, [no_mode, overflow])])
+        with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
+            evaluate([(t, [overflow, no_mode])])
+        with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
+            evaluate([(t, [overflow]), (matrix_terms(I2), [no_mode])])
+
+    def test_the_plan_is_memoized_without_the_lams(self):
+        rng = np.random.default_rng(72)
+        terms = matrix_terms(ginibre(rng, 3))
+        plans = [evaluate([(terms, [Read("th3", BoundParams(1.0), None, lams)])])[0].plan
+                 for lams in ((0.5,), (2.0, 3.0))]
+        assert plans[0] is plans[1]
+        run_suite(EnsembleConfig("gue", 2, 3, 1))
+        before = bounds._plan.cache_info()
+        run_suite(EnsembleConfig("normal", 3, 5, 2))  # the same reads: both plans memoized
+        after = bounds._plan.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+    def test_pairs_read_the_trial_family_powers(self, monkeypatch):
+        formed, power = [], linalg.PSDPower.power
+
+        def spy(family, q):
+            formed.extend([q] if q not in family._pows else [])
+            return power(family, q)
+
+        monkeypatch.setattr(linalg.PSDPower, "power", spy)
+        rng = np.random.default_rng(73)
+        trials = matrix_terms(np.array([ginibre(rng, 3) for _ in range(6)]))
+        pairs = bounds.PairTerms(trials, [0, 2, 4], [1, 3, 5])
+        fill_terms([(trials, [ns(2.0)]), (pairs, [ns(2.0), ns(3.0), wc(3.0)])])
+        # |T|^2 and |T*|^2 for the trials; the pairs' A and B are rows of their
+        # |T| powers, of which only |T|^3 is new
+        assert formed == [2.0, 2.0, 3.0]
 
 
 def _svd_shapes(monkeypatch) -> list:

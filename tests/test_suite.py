@@ -177,14 +177,15 @@ def test_a_config_evaluates_each_read_once(monkeypatch):
     # a chain reads what the config already reads: el_haddad at r = 2 once for
     # th4/th5/bomi_elhaddad, th2 at r = 1 once for both th2 chains, and
     # th3_elhaddad's el_haddad at r = 1 is the config's own el_haddad block
-    names = {id(spec): name for name, spec in bounds.CATALOG.items()}
+    # (each plan row is one read in one mode)
     calls = Counter()
 
-    def spy(bound, *args, sides=bounds._sides):
-        calls[names[id(bound)]] += 1
-        return sides(bound, *args)
+    def spy(requests, evaluate=bounds.evaluate):
+        out = evaluate(requests)
+        calls.update(name for ev in out for name in ev.plan.name)
+        return out
 
-    monkeypatch.setattr(bounds, "_sides", spy)
+    monkeypatch.setattr(suite, "evaluate", spy)
     run_suite(EnsembleConfig("ginibre", 3, 4, 1))
     assert (calls["el_haddad"], calls["th2"], sum(calls.values())) == (2, 3, 26)
 

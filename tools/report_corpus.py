@@ -1,20 +1,28 @@
-"""Write the verify report corpus, so two trees can be compared by `diff -r`.
+"""Write the report corpus, so two trees can be compared by `diff -r`.
 
     PYTHONPATH=src python3 tools/report_corpus.py OUTDIR
 
-runs `numrad verify` in-process, for the numrad found on PYTHONPATH, over
+runs `numrad` in-process, for the numrad found on PYTHONPATH:
 
-* the 24 criterion-4 configs: 6 ensembles x dims 2/3/5/8, 50 trials, seed 42,
-  grid 0.01,0.5,1,2,100, every bound and chain;
-* the (r, n, alpha) set: 6 ensembles x dims 2/4 x (r, n, alpha) in
-  {(2, 2, 0.3), (1.5, 3, 0.8), (1, 1, 0.5)}, 7 trials, seed 9,
-  grid 2,0.01,100,0.5,0.5;
-* the sweep: 6 ensembles x dims 2/3/5/8 x seeds 1 and 7, 10 trials, the
-  default grid,
+* `verify` over
+  - the 24 criterion-4 configs: 6 ensembles x dims 2/3/5/8, 50 trials,
+    seed 42, grid 0.01,0.5,1,2,100, every bound and chain;
+  - the (r, n, alpha) set: 6 ensembles x dims 2/4 x (r, n, alpha) in
+    {(2, 2, 0.3), (1.5, 3, 0.8), (1, 1, 0.5)}, 7 trials, seed 9,
+    grid 2,0.01,100,0.5,0.5;
+  - the sweep: 6 ensembles x dims 2/3/5/8 x seeds 1 and 7, 10 trials, the
+    default grid;
+  each report written as NAME.json and NAME.csv;
+* the single-input callers, on 4 seeded matrices written as matrix JSON
+  (m2a, m2b of dim 2 and m3a, m3b of dim 3; each is the other's --matrix2
+  for a product bound):
+  - `bound` for every bound x mode x lambda in {0.5, 2};
+  - `optimize --method auto|golden-section` for every bound that takes
+    lambda, in each of its modes.
 
-and writes each report as NAME.json and NAME.csv in OUTDIR, and one line per
-run, "NAME FORMAT EXIT stdout | stderr", in OUTDIR/runs.txt. Reports are
-written under relative names from inside OUTDIR, so stdout does not name it.
+One line per run goes to OUTDIR/runs.txt: "NAME EXIT stdout | stderr". Every
+file is written under a relative name from inside OUTDIR, so no output names
+it.
 """
 
 import contextlib
@@ -22,11 +30,14 @@ import io
 import os
 import sys
 
-from numrad import ENSEMBLES, cli
+from numrad import ALL_BOUNDS, ENSEMBLES, EnsembleConfig, cli, generate_ensemble, jsonio
+from numrad.bounds import PRODUCT_BOUNDS, bound_modes, uses_lambda
+
+MODES = {"inequality-check": "inequality", "explicit-certificate": "certificate"}
 
 
 def configs():
-    """(name, verify arguments) of every run, formats aside."""
+    """(name, verify arguments) of every verify run, formats aside."""
     for ens in ENSEMBLES:
         for dim in (2, 3, 5, 8):
             yield f"c4_{ens}_{dim}", ["--ensemble", ens, "--dim", str(dim), "--trials", "50",
@@ -42,22 +53,55 @@ def configs():
                                                      "--trials", "10", "--seed", str(seed)]
 
 
+def matrices() -> dict:
+    """Write the seeded matrices as NAME.json; each NAME mapped to its partner's."""
+    partners = {}
+    for dim in (2, 3):
+        a, b = (generate_ensemble(EnsembleConfig(ens, dim, 1, 11))[0]
+                for ens in ("ginibre", "nilpotent"))
+        jsonio.save_matrix(a, f"m{dim}a.json")
+        jsonio.save_matrix(b, f"m{dim}b.json")
+        partners[f"m{dim}a"], partners[f"m{dim}b"] = f"m{dim}b", f"m{dim}a"
+    return partners
+
+
+def single_runs(partners):
+    """(name, arguments) of every bound and optimize run."""
+    for matrix, partner in partners.items():
+        for bound in ALL_BOUNDS:
+            pair = ["--matrix", f"{matrix}.json", "--bound", bound] + (
+                ["--matrix2", f"{partner}.json"] if bound in PRODUCT_BOUNDS else [])
+            for mode in bound_modes(bound):
+                for lam in ("0.5", "2"):
+                    yield (f"bound_{matrix}_{bound}_{MODES[mode]}_l{lam}",
+                           ["bound", *pair, "--mode", MODES[mode], "--lambda", lam])
+                if uses_lambda(bound):
+                    for method in ("auto", "golden-section"):
+                        yield (f"optimize_{matrix}_{bound}_{MODES[mode]}_{method}",
+                               ["optimize", *pair, "--mode", MODES[mode], "--method", method])
+
+
+def run(argv) -> str:
+    """"EXIT stdout | stderr" of one cli call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{code} {out.getvalue().strip()} | {err.getvalue().strip()}"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
-    lines = []
-    for name, args in configs():
-        for fmt in ("json", "csv"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["verify", *args, "--out", f"{name}.{fmt}", "--format", fmt])
-            lines.append(f"{name} {fmt} {code} {out.getvalue().strip()} | {err.getvalue().strip()}")
+    lines = [f"{name} {fmt} " + run(["verify", *args, "--out", f"{name}.{fmt}", "--format", fmt])
+             for name, args in configs() for fmt in ("json", "csv")]
+    reports = len(lines)
+    lines += [f"{name} " + run(args) for name, args in single_runs(matrices())]
     with open("runs.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"{len(lines)} reports in {os.getcwd()}")
+    print(f"{reports} reports and {len(lines) - reports} bound and optimize runs in {os.getcwd()}")
     return 0
 
 
