@@ -379,6 +379,7 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     owner, t0, f0 = (x[refine[owner]] for x in (owner, t0, f0))
     t1 = t0 + 2.0 * np.pi / _START_CELLS
     f1 = np.roll(f0.reshape(-1, _START_CELLS), -1, axis=1).ravel()
+    ended = [(owner[:0], f0[:0])]  # (owner, bound) of the cells each round drops
     while len(owner):
         d = t1 - t0
         # e^{i t0} v = f0 + i (f0 cos d - f1) / sin d, so -arg v = t0 + peak;
@@ -388,8 +389,9 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
         top = np.maximum(f0, f1)
         bound = top / np.cos(np.maximum(np.minimum(peak, d - peak), 0.0))
         live = bound > lo[owner] * (1.0 + tol)
-        live &= (np.bincount(owner[live], minlength=len(b)) <= MAX_LIVE_CELLS)[owner]
-        np.maximum.at(hi, owner[~live], bound[~live])
+        if np.count_nonzero(live) > MAX_LIVE_CELLS:  # else no matrix can pass the cap
+            live &= (np.bincount(owner[live], minlength=len(b)) <= MAX_LIVE_CELLS)[owner]
+        ended.append((owner[~live], bound[~live]))
         owner, t0, t1, f0, f1, d, peak = (x[live] for x in (owner, t0, t1, f0, f1, d, peak))
         if not len(owner):
             break
@@ -399,6 +401,7 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
         owner = np.concatenate((owner, owner))
         t0, t1 = np.concatenate((t0, mid)), np.concatenate((mid, t1))
         f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
+    np.maximum.at(hi, *map(np.concatenate, zip(*ended)))  # hi is read only from here
     if np.ndim(m) == 2:
         return _pow2_unscaled(lo[0], int(e[0])), _pow2_unscaled(max(hi[0], lo[0]), int(e[0]))
     with np.errstate(over="ignore"):

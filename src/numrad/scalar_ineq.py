@@ -81,6 +81,13 @@ class BoundParams:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         require_alpha(self.alpha)
 
+    def __hash__(self):  # once per instance: a config's reads hash their params often
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.lam, self.r, self.n, self.alpha)))
+        return self._hash
+
 
 def _require_positive(lam: float) -> float:
     lam = float(lam)

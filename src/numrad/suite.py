@@ -7,9 +7,9 @@ counterexample is the tool's most valuable output.
 
 A config is evaluated at a time, from one SVD and one bounds.evaluate call
 over (trials x lambda) with one engine call for its trials and pairs. Its rows
-stay arrays until the report is built: one lexsort orders them, violations
-and tightness are counted from the columns, and the row tuples are made in
-bulk. The serializers format the rows column by column and join them once.
+stay columns (Columns) until the text: one lexsort orders them, each cell is a
+code into its column's table (w-power, rhs and slack hold each value once, by
+its bits), each table value is formatted once, and tuples are built on read.
 
 Product bounds pair trial 2k with 2k+1; an odd trailing matrix is paired
 with itself. Rows are ordered by (trial, bound, lambda, mode).
@@ -18,6 +18,7 @@ with itself. Rows are ordered by (trial, bound, lambda, mode).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -80,6 +81,58 @@ class TightnessRow(NamedTuple):
     min_rel_slack: float
 
 
+class Columns(Sequence):
+    """Rows as columns, in row order: column j is (table, codes), row i holding
+    table[codes[i]], and the text formats each table value once. It reads as
+    the tuple of its kind's rows, which is built on the first read of a row."""
+
+    def __init__(self, kind, columns, rows=None):
+        self.kind, self.columns, self._rows = kind, columns, rows
+
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(map(self.kind._make, zip(*(_take(*c) for c in self.columns))))
+        return self._rows
+
+    def __len__(self):
+        return len(self.columns[0][1])
+
+    def __getitem__(self, i):
+        return self.rows()[i]
+
+    def __eq__(self, other):
+        rows = isinstance(other, (tuple, Columns))
+        return self.rows() == tuple(other) if rows else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows())
+
+
+def _as_columns(rows, kind) -> Columns:
+    """Rows given as tuples of kind (or already as columns) as columns."""
+    if isinstance(rows, Columns):
+        return rows
+    columns = np.array(rows, dtype=object).reshape(len(rows), len(kind._fields)).T
+    return Columns(kind, [(c.tolist(), np.arange(len(rows))) for c in columns], tuple(rows))
+
+
+def _distinct(a) -> tuple[list, np.ndarray]:
+    """A float array as (table, codes), its values told apart by their bits
+    (so -0.0 and 0.0 keep their own text)."""
+    table, codes = np.unique(a.view(np.int64), return_inverse=True)
+    return table.view(np.float64).tolist(), codes
+
+
+def _ranked(values) -> tuple[list, np.ndarray]:
+    """(the distinct values in sorted order, each value's index there)."""
+    rank = {x: i for i, x in enumerate(sorted(set(values)))}
+    return list(rank), np.array([rank[x] for x in values], dtype=np.intp)
+
+
+def _take(table, codes) -> list:
+    return np.array(table, dtype=object)[codes].tolist()
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     config: EnsembleConfig
@@ -89,10 +142,10 @@ class SuiteReport:
     r: float
     n: int
     alpha: float
-    bound_rows: tuple[BoundRow, ...]
-    chain_rows: tuple[ChainRow, ...]
+    bound_rows: Sequence[BoundRow]
+    chain_rows: Sequence[ChainRow]
     violations: int
-    tightness: tuple[TightnessRow, ...]
+    tightness: Sequence[TightnessRow]
 
 
 def run_suite(config: EnsembleConfig, bounds=None, chains=None,
@@ -138,11 +191,6 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
                        violations=violations, tightness=tightness)
 
 
-def _ranks(keys) -> dict:
-    """Each distinct key's place in sorted order, in that order."""
-    return {key: i for i, key in enumerate(sorted(set(keys)))}
-
-
 def _bound_rows(parts, grid, r, n, alpha):
     """The rows of (labels, evaluation, its plan rows) parts, in the order a
     stable sort by (trial, bound, lam with None first, mode) gives them, the
@@ -165,32 +213,30 @@ def _bound_rows(parts, grid, r, n, alpha):
     # its place in the parts' (rows x inputs x lams) arrays, raveled and joined
     cell = np.repeat(np.cumsum(padded) - padded, sizes) + inp * columns[block] + col
     trial = np.concatenate([labels for labels, _, _ in blocks])[row_input]
-    bound_rank, mode_rank = _ranks(bound), _ranks(mode)
-    order = np.lexsort((np.array([mode_rank[m] for m in mode])[block],
-                        np.array([-np.inf, *grid])[lam],
-                        np.array([bound_rank[b] for b in bound])[block], trial))
+    (bounds, bound_of), (modes, mode_of) = _ranked(bound), _ranked(mode)
+    order = np.lexsort((mode_of[block], np.array([-np.inf, *grid])[lam], bound_of[block], trial))
     block, lam, row_input, cell = block[order], lam[order], row_input[order], cell[order]
-    w = np.concatenate([ev.w_power[rows].ravel() for _, ev, rows in parts])[row_input]
+    w = np.concatenate([ev.w_power[rows].ravel() for _, ev, rows in parts])
     rhs, slack, holds = (np.concatenate([getattr(ev, f)[rows].ravel() for _, ev, rows in parts])
                          [cell] for f in ("rhs", "slack", "holds"))
-    per_block = np.array(list(zip(bound, mode, p)), dtype=object)
-    rows = tuple(map(tuple.__new__, repeat(BoundRow), zip(
-        trial[order].tolist(), per_block[block, 0].tolist(), per_block[block, 1].tolist(),
-        np.array([None, *grid], dtype=object)[lam].tolist(), repeat(r), repeat(n),
-        repeat(alpha), per_block[block, 2].tolist(), w.tolist(), rhs.tolist(),
-        slack.tolist(), holds.tolist())))
+    (ws, w_of), once = _distinct(w), np.zeros(len(block), dtype=np.intp)
+    rows = Columns(BoundRow, [  # trials count from 0
+        (list(range(trial.max() + 1)), trial[order]), (bounds, bound_of[block]),
+        (modes, mode_of[block]), ([None, *grid], lam), ([r], once), ([n], once), ([alpha], once),
+        (p, block), (ws, w_of[row_input]), _distinct(rhs), _distinct(slack),
+        ([False, True], holds.astype(np.intp))])
 
     # tightness: the rows' rel_slack grouped by (bound, mode), in row order;
     # each mean is a Python sum over its group (numpy's pairwise sum rounds
     # differently)
-    group_rank = _ranks(zip(bound, mode))
-    group = np.array([group_rank[g] for g in zip(bound, mode)])[block]
-    by_group = np.argsort(group, kind="stable")
-    rel = (slack / rel_scale(rhs, w))[by_group].tolist()
-    ends = np.cumsum(np.bincount(group, minlength=len(group_rank))).tolist()
-    tightness = tuple(TightnessRow(bound, mode, end - start, sum(rel[start:end]) / (end - start),
-                                   min(rel[start:end]))
-                      for (bound, mode), start, end in zip(group_rank, [0] + ends, ends))
+    groups, group = _ranked(list(zip(bound, mode)))
+    by_group = np.argsort(group[block], kind="stable")
+    rel = (slack / rel_scale(rhs, w[row_input]))[by_group].tolist()
+    ends = np.cumsum(np.bincount(group[block], minlength=len(groups))).tolist()
+    stats = [(end - start, sum(rel[start:end]) / (end - start), min(rel[start:end]))
+             for start, end in zip([0] + ends, ends)]
+    tightness = Columns(TightnessRow, [(list(column), np.arange(len(groups)))
+                                       for column in [*zip(*groups), *zip(*stats)]])
     return rows, tightness, int(np.count_nonzero(~holds))
 
 
@@ -199,50 +245,24 @@ def _chain_rows(blocks):
     by (trial, chain) gives them, and the number that do not hold."""
     if not blocks:
         return (), 0
-    rank = _ranks(c for _, c, _ in blocks)
+    names, chain = _ranked([c for _, c, _ in blocks])
     trial = np.concatenate([labels for labels, _, _ in blocks])
-    chain = np.repeat([rank[c] for _, c, _ in blocks], [len(h) for *_, h in blocks])
+    chain = np.repeat(chain, [len(h) for *_, h in blocks])
     holds = np.concatenate([h for *_, h in blocks])
     order = np.lexsort((chain, trial))
-    rows = tuple(map(tuple.__new__, repeat(ChainRow), zip(
-        trial[order].tolist(), np.array(list(rank), dtype=object)[chain[order]].tolist(),
-        holds[order].tolist())))
+    rows = Columns(ChainRow, [(list(range(trial.max() + 1)), trial[order]), (names, chain[order]),
+                              ([False, True], holds[order].astype(np.intp))])
     return rows, int(np.count_nonzero(~holds))
 
 
 # --------------------------------------------------------------------------
 # Serialization
 
-def _each_once(fmt, column) -> list[str]:
-    """fmt of each value of a column, each distinct value formatted once;
-    -0.0 == 0.0 share a key, but their text differs, so zeros go one by one."""
-    text = {x: fmt(x) for x in set(column)}
-    if 0 in text:
-        return [fmt(x) if x == 0 else text[x] for x in column]
-    return list(map(text.__getitem__, column))
-
-
-def _columns(rows, fields) -> list[tuple]:
-    """The rows' values field by field."""
-    return list(zip(*rows)) or [()] * len(fields)
-
-
-def _bools(column) -> list[str]:
-    return ["true" if x else "false" for x in column]
-
-
-def _bound_row_cells(rows, null: str, name, integer) -> list[list[str]]:
-    """The CSV_HEADER columns of the bound rows as text, every float through
-    jsonio.fmt_float's rule (which refuses NaN and inf)."""
-    trial, bound, mode, lam, r, n, alpha, p, w, rhs, slack, holds = _columns(rows, CSV_HEADER)
-
-    def num(x):
-        return null if x is None else jsonio.fmt_float(x)
-
-    return [list(map(str, trial)), _each_once(name, bound), _each_once(name, mode),
-            _each_once(num, lam), _each_once(num, r), _each_once(integer, n),
-            _each_once(num, alpha), _each_once(num, p), _each_once(num, w),
-            jsonio.fmt_floats(rhs), jsonio.fmt_floats(slack), _bools(holds)]
+def _cells(rows, kind, fmts) -> list[list[str]]:
+    """The columns of rows of kind as text, each table value formatted once by
+    its column's fmt; fmt float is jsonio.fmt_floats (which refuses NaN and inf)."""
+    return [_take(jsonio.fmt_floats(table) if fmt is float else list(map(fmt, table)), codes)
+            for fmt, (table, codes) in zip(fmts, _as_columns(rows, kind).columns)]
 
 
 def _rows_text(seps, columns, end: str) -> str:
@@ -269,15 +289,13 @@ def report_to_json(report: SuiteReport) -> str:
                "lambda_grid": list(report.lambda_grid), "r": report.r, "n": report.n,
                "alpha": report.alpha}
     head = jsonio.dumps({"config": vars(report.config), "request": request})
-    bound_rows = _json_objects(CSV_HEADER, _bound_row_cells(
-        report.bound_rows, "null", json.dumps, jsonio.dumps))
-    trial, chain, holds = _columns(report.chain_rows, ChainRow._fields)
-    chain_rows = _json_objects(ChainRow._fields, [
-        list(map(str, trial)), _each_once(json.dumps, chain), _bools(holds)])
-    bound, mode, count, mean, low = _columns(report.tightness, TightnessRow._fields)
-    tightness = _json_objects(TightnessRow._fields, [
-        _each_once(json.dumps, bound), _each_once(json.dumps, mode), list(map(str, count)),
-        jsonio.fmt_floats(mean), jsonio.fmt_floats(low)])
+    name, value = json.dumps, jsonio.dumps
+    bound_rows = _json_objects(CSV_HEADER, _cells(report.bound_rows, BoundRow, (
+        str, name, name, value, float, value, *[float] * 5, value)))
+    chain_rows = _json_objects(ChainRow._fields, _cells(report.chain_rows, ChainRow,
+                                                        (str, name, value)))
+    tightness = _json_objects(TightnessRow._fields, _cells(report.tightness, TightnessRow,
+                                                           (name, name, str, float, float)))
     return (f'{head[:-1]},"bound_rows":{bound_rows},"chain_rows":{chain_rows},'
             f'"violations":{jsonio.dumps(report.violations)},"tightness":{tightness}}}\n')
 
@@ -298,7 +316,9 @@ def report_from_json(text: str) -> SuiteReport:
 def report_to_csv(report: SuiteReport) -> str:
     """The bound rows as CSV (no cell needs quoting), one line per row."""
     seps = ("",) + (",",) * (len(CSV_HEADER) - 1)
-    cells = _bound_row_cells(report.bound_rows, "", str, str)
+    cells = _cells(report.bound_rows, BoundRow, (str, str, str, lambda x: "" if x is None else
+                                                 jsonio.fmt_float(x), float, str, *[float] * 5,
+                                                 jsonio.dumps))
     return ",".join(CSV_HEADER) + "\n" + _rows_text(seps, cells, "\n")
 
 

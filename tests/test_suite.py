@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -210,7 +211,14 @@ def _forged_report():
     lambda: run_suite(EnsembleConfig("jordan", 3, 4, 8), r=1.5, n=2, alpha=0.3),
     lambda: run_suite(EnsembleConfig("normal", 2, 5, 11), bounds=PRODUCT_BOUNDS + ("th3",)),
     _forged_report,
-], ids=["duplicate-lambda", "r-n-alpha", "odd-trials-product", "forged"])
+    lambda: run_suite(EnsembleConfig("gue", 3, 4, 5), bounds=["kittaneh", "op_norm"]),
+    lambda: run_suite(EnsembleConfig("ginibre", 2, 1, 5)),
+    lambda: run_suite(EnsembleConfig("nilpotent", 3, 4, 5), bounds=[]),
+    lambda: run_suite(EnsembleConfig("jordan", 3, 4, 8), lambda_grid=(0.0, 1.0), chains=[],
+                      bounds=["al_dolat", "kittaneh"]),
+    lambda: _as_tuples(run_suite(EnsembleConfig("ginibre", 3, 3, 5), r=1.5, n=2)),
+], ids=["duplicate-lambda", "r-n-alpha", "odd-trials-product", "forged", "lambda-free",
+        "one-trial", "no-bounds", "lambda-zero", "rows-as-tuples"])
 def test_bulk_serializers_match_generic_json(make):
     rep = make()
     request = {"bounds": list(rep.bounds), "chains": list(rep.chains),
@@ -228,6 +236,54 @@ def test_bulk_serializers_match_generic_json(make):
     cells = {None: "", True: "true", False: "false"}
     expected = [list(CSV_HEADER)] + [[cells.get(v, v) for v in row.values()] for row in tokens]
     assert list(csv.reader(io.StringIO(report_to_csv(rep)))) == expected
+
+
+def _as_tuples(rep):
+    return replace(rep, bound_rows=tuple(rep.bound_rows), chain_rows=tuple(rep.chain_rows),
+                   tightness=tuple(rep.tightness))
+
+
+@pytest.mark.parametrize("make", [_forged_report, lambda: run_suite(
+    EnsembleConfig("ginibre", 3, 3, 2), lambda_grid=(0.5, 2.0))], ids=["forged", "suite"])
+@pytest.mark.parametrize("field, value", [("rhs", math.inf), ("slack", math.nan),
+                                          ("rhs", -math.inf)])
+def test_non_finite_cells_refused_by_both_serializers(make, field, value):
+    rep = make()
+    rows = list(rep.bound_rows)
+    rows[-1] = rows[-1]._replace(**{field: value})
+    forged = replace(rep, bound_rows=tuple(rows))
+    for serialize in (report_to_json, report_to_csv):
+        with pytest.raises(ValueError, match=f"^cannot render non-finite float {value}$"):
+            serialize(forged)
+
+
+@pytest.mark.parametrize("ensemble", ["ginibre", "jordan"])
+def test_rows_read_as_their_tuples(ensemble):
+    # the suite keeps its rows as columns; read, they are the row tuples
+    rep = run_suite(EnsembleConfig(ensemble, 3, 5, 17), lambda_grid=(2.0, 0.5), r=1.5)
+    built = tuple(BoundRow(*row.values()) for row in json.loads(report_to_json(rep))["bound_rows"])
+    view = rep.bound_rows
+    assert len(view) == len(built) and view[0] == built[0] and view[-1] == built[-1]
+    assert list(view) == list(built) and view[1:3] == built[1:3]
+    assert all(type(row) is BoundRow for row in view)
+    assert view == tuple(view) == built and tuple(view) == view and built == view
+    assert view == run_suite(EnsembleConfig(ensemble, 3, 5, 17), lambda_grid=(2.0, 0.5),
+                             r=1.5).bound_rows
+    assert view != built[:-1] and view != list(built)
+    for rows, kind in ((rep.chain_rows, ChainRow), (rep.tightness, TightnessRow)):
+        assert len(rows) == len(tuple(rows)) > 0 and rows[-1] == tuple(rows)[-1]
+        assert all(type(row) is kind for row in rows) and rows == tuple(rows)
+    assert hash(rep) == hash(_as_tuples(rep)) and _as_tuples(rep) == rep
+    again = _as_tuples(rep)
+    assert (report_to_json(again), report_to_csv(again)) == (report_to_json(rep),
+                                                             report_to_csv(rep))
+
+
+def test_a_repeated_float_is_kept_once_by_its_bits():
+    # -0.0 == 0.0, but their text differs, so a column keeps both
+    table, codes = suite._distinct(np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5]))
+    assert len(table) == 3 and codes[0] == codes[3] and codes[1] == codes[4]
+    assert [jsonio.fmt_float(table[i]) for i in codes] == ["0", "-0", "0.5", "0", "-0", "0.5"]
 
 
 def test_unknown_identifiers_rejected():

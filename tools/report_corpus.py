@@ -12,6 +12,11 @@ runs `numrad` in-process, for the numrad found on PYTHONPATH:
     grid 2,0.01,100,0.5,0.5;
   - the sweep: 6 ensembles x dims 2/3/5/8 x seeds 1 and 7, 10 trials, the
     default grid;
+  - criterion 4's own runs: the criterion-4 configs with `--chains ""`;
+  - the edge shapes, 6 ensembles x dims 2/3, seed 5, the default grid:
+    `--bounds ""` (no bound rows), `--bounds kittaneh,op_norm` (no bound
+    takes lambda, so every row's lambda is null) and `--trials 1` (a lone
+    trial paired with itself);
   each report written as NAME.json and NAME.csv;
 * the single-input callers, on 4 seeded matrices written as matrix JSON
   (m2a, m2b of dim 2 and m3a, m3b of dim 3; each is the other's --matrix2
@@ -51,6 +56,14 @@ def configs():
             for seed in (1, 7):
                 yield f"sweep_{ens}_{dim}_s{seed}", ["--ensemble", ens, "--dim", str(dim),
                                                      "--trials", "10", "--seed", str(seed)]
+            yield f"c4own_{ens}_{dim}", ["--ensemble", ens, "--dim", str(dim), "--trials", "50",
+                                         "--seed", "42", "--lambda-grid", "0.01,0.5,1,2,100",
+                                         "--chains", ""]
+        for dim in (2, 3):
+            base = ["--ensemble", ens, "--dim", str(dim), "--seed", "5"]
+            yield f"nobounds_{ens}_{dim}", base + ["--trials", "4", "--bounds", ""]
+            yield f"lamfree_{ens}_{dim}", base + ["--trials", "4", "--bounds", "kittaneh,op_norm"]
+            yield f"onetrial_{ens}_{dim}", base + ["--trials", "1"]
 
 
 def matrices() -> dict:
