@@ -17,9 +17,10 @@ data, the bound's exponent, its right side over term keys and its
 coefficients' end limits c(0), c(inf), c(lam) = (c(0) + c(inf) lam)/(1 + lam),
 so a right side is monotone in lam in every mode. fill_terms computes every
 term once, into one table per stack of inputs. evaluate, the one evaluation
-path, checks the lams of its reads (a bound at params over a lam tuple), fills
-their terms and evaluates every distinct read in one stacked pass from a plan
-memoized on the forms: per config for the suite, at k = 1 for other callers.
+path, checks its reads (a read is one bound at one BoundParams, so a lam grid
+is one read per lam), fills their terms and evaluates every distinct read in
+one stacked pass from a plan memoized on the reads, which holds each row's
+coefficients at its lam: per config for the suite, at k = 1 for other callers.
 """
 
 from __future__ import annotations
@@ -356,21 +357,19 @@ def al_dolat_coefficients(lam: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Evaluation over a stack of inputs and a lam grid
+# Evaluation over a stack of inputs
 
-# One mode of a bound: w_power per input; rhs, slack, holds per (input, lam).
-Sides = namedtuple("Sides", "mode exponent w_power rhs slack holds")
+# A read: one bound at one BoundParams, in one mode or all (None).
+Read = namedtuple("Read", "name params mode")
 
-# A read: one bound at one BoundParams over a tuple of lams, in one mode or all (None).
-Read = namedtuple("Read", "name params mode lams")
-
-# The plan of a request's distinct reads, from their forms alone. Its rows are
-# the (read, mode) pairs (``reads`` gives each read's; None for a mode its bound
-# lacks). A row's w-power and factors are rows of V: terms.values[key] for each
-# of ``keys``, then ones. It sums its products in two parts, a and b, each in
-# catalog order and padded with -0.0 (x + -0.0 == x): a certificate's products
-# with U (read as 1) and the rest; any other row's products (U read as u) and none.
-Plan = namedtuple("Plan", "keys reads read name mode exponent free cert w c0 cinf factors")
+# The plan of a request's distinct reads. Its rows are the (read, mode) pairs
+# (``reads`` gives each read's; None for a mode its bound lacks). A row's
+# w-power and factors are rows of V: terms.values[key] for each of ``keys``,
+# then ones. It sums its products in two parts, a and b, each in catalog order
+# and padded with -0.0 (x + -0.0 == x): a certificate's products with U (read
+# as 1) and the rest; any other row's products (U read as u) and none. c holds
+# each product's coefficient at its read's lam, c0 and cinf its end limits.
+Plan = namedtuple("Plan", "keys reads read name mode exponent cert w c c0 cinf factors")
 # the catalog's most products per form and factors per product, read at one params
 _SLOTS = max(len(b.form(BoundParams(1.0)).rhs) for b in CATALOG.values())
 _WIDTH = max(len(prod) for b in CATALOG.values() for prod in b.form(BoundParams(1.0)).rhs)
@@ -390,7 +389,8 @@ def _plan(reads: tuple) -> Plan:
         for m in modes:
             cert = bound.implicit and m == MODE_CERTIFICATE
             p = form.exponent / 2.0 if cert else form.exponent
-            rows.append((r, name, m, p, len(form.ends) == 1, cert, keys["pow", base, p]))
+            rows.append((r, name, m, p, params.lam if bound.uses_lambda else math.nan, cert,
+                         keys["pow", base, p]))
             u = -1 if cert else keys["pow", base, form.exponent / 2.0]  # V[-1] is ones
             a = [j for j, prod in enumerate(form.rhs) if not cert or U in prod]
             for part in a, [j for j in range(len(form.rhs)) if j not in a]:
@@ -399,23 +399,23 @@ def _plan(reads: tuple) -> Plan:
                     table += [form.ends[0][j], form.ends[-1][j], *prod[:_WIDTH]]
                 table += ([-0.0, -0.0] + [-1] * _WIDTH) * (_SLOTS - len(part))
                 slots = max(slots, len(part))
-    read, name, mode, exponent, free, cert, w = zip(*rows) if rows else [()] * 7
+    read, name, mode, exponent, lam, cert, w = zip(*rows) if rows else [()] * 7
     table = np.array(table).reshape(-1, 2, _SLOTS, 2 + _WIDTH).transpose(3, 2, 1, 0)[:, :slots]
+    lam = np.array(lam)  # nan: free of lam, so c is c0
+    c = np.where(np.isnan(lam), table[0], interpolate(table[0], table[1], lam))
     return Plan(tuple(keys), tuple(read_rows), np.array(read, dtype=np.intp), name, mode,
-                exponent, np.array(free, dtype=bool)[:, None],
-                np.array(cert).reshape(-1, 1, 1) if any(cert) else None,
-                np.array(w, dtype=np.intp), *table[:2, ..., None], table[2:].astype(np.intp))
+                exponent, np.array(cert).reshape(-1, 1) if any(cert) else None,
+                np.array(w, dtype=np.intp), c, *table[:2], table[2:].astype(np.intp))
 
 
-def _rhs(plan: Plan, v: np.ndarray, lam: np.ndarray | None) -> np.ndarray:
-    """Each plan row's right side (rows x inputs x lams) from V at lam (one, or
-    rows x lams), or at c(0) and c(inf) for None; products and sums left to right."""
-    c = (np.concatenate((plan.c0, plan.cinf), axis=-1) if lam is None
-         else np.where(plan.free, plan.c0, interpolate(plan.c0, plan.cinf, lam)))  # free: c0
+def _rhs(plan: Plan, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each plan row's right side (rows x inputs) from V at the coefficients c
+    (products x 2 x rows: plan.c, c0, cinf or those at another lam); products
+    and sums left to right."""
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = c[..., None, :]  # products x 2 x rows x 1 x lams
+        prods = c[..., None]  # products x 2 x rows x 1
         for f in v[plan.factors]:  # per factor: products x 2 x rows x inputs
-            prods = prods * f[..., None]
+            prods = prods * f
         a, b = reduce(np.add, prods)  # (x_0 + x_1) + x_2 ...
         if plan.cert is None:  # no certificate: every b is empty
             return a
@@ -425,54 +425,34 @@ def _rhs(plan: Plan, v: np.ndarray, lam: np.ndarray | None) -> np.ndarray:
     return rhs
 
 
-class Evaluation(namedtuple("Evaluation", "plan v rows width w_power rhs slack holds")):
-    """A request evaluated from its plan and V, per plan row: w_power (inputs),
-    rhs, slack, holds (inputs x lams; past ``width``, its read's lams, the last
-    again). ``rows`` maps each read to its plan rows; ev[read] is [Sides]."""
-
-    def __getitem__(self, read) -> list[Sides]:
-        return [Sides(self.plan.mode[i], self.plan.exponent[i], self.w_power[i],
-                      *(x[i, :, :self.width[i]] for x in (self.rhs, self.slack, self.holds)))
-                for i in self.rows[read]]
-
-
-def _check_lambdas(reads) -> None:
-    """ValueError unless each read's bound admits all of its (non-empty) lams."""
-    positive = {}  # lams -> whether a bound reading them needs lam > 0
-    for name, _, _, lams in reads:
-        positive[lams] = positive.get(lams) or _spec(name).lam_positive
-        if not lams:
-            raise ValueError(f"empty lambda grid for bound {name!r}")
-    for lams, needs_positive in positive.items():
-        for lam in lams:
-            BoundParams(lam=lam)  # lam >= 0
-            if needs_positive:
-                _require_positive(lam)
+# A request evaluated from its plan and V: w_power, rhs, slack and holds per
+# plan row and input; ``rows`` maps each read to its plan rows.
+Evaluation = namedtuple("Evaluation", "plan v rows w_power rhs slack holds")
 
 
 def evaluate(requests) -> list[Evaluation]:
     """One Evaluation per request of [(terms, reads), ...], over its inputs, each
     distinct read once. ValueError for a lam or mode a bound does not admit, and
     OverflowError for a right side or w-power past the double range."""
-    _check_lambdas([read for _, reads in requests for read in reads])
+    for _, reads in requests:  # BoundParams holds lam >= 0
+        for name, params, _ in reads:
+            if _spec(name).lam_positive:
+                _require_positive(params.lam)
     requests = [(terms, tuple(dict.fromkeys(reads))) for terms, reads in requests]
-    plans = [_plan(tuple(read[:3] for read in reads)) for _, reads in requests]
+    plans = [_plan(reads) for _, reads in requests]
     fill_terms([(terms, plan.keys) for (terms, _), plan in zip(requests, plans)])
     out = []
     for (terms, reads), plan in zip(requests, plans):
-        size = max((len(read.lams) for read in reads), default=1)  # each padded with its last
-        lams = np.array([(r.lams + r.lams[-1:] * size)[:size] for r in reads], ndmin=2)[plan.read]
         v = np.array([terms.values[key] for key in plan.keys] + [np.ones(len(terms.t))])
-        rhs, w = _rhs(plan, v, lams), v[plan.w][..., None]
+        rhs, w = _rhs(plan, v, plan.c), v[plan.w]
         with np.errstate(over="ignore", invalid="ignore"):
             slack = rhs - w
-        out.append(Evaluation(plan, v, dict(zip(reads, plan.reads)),
-                              np.array([len(read.lams) for read in reads])[plan.read], w[..., 0],
-                              rhs, slack, slack >= -HOLDS_RTOL * rel_scale(rhs, w)))
-        bad = plan.read[~np.isfinite(slack).all(axis=(1, 2))].tolist()  # rhs - w: both finite
+        out.append(Evaluation(plan, v, dict(zip(reads, plan.reads)), w, rhs, slack,
+                              slack >= -HOLDS_RTOL * rel_scale(rhs, w)))
+        bad = plan.read[~np.isfinite(slack).all(axis=1)].tolist()  # rhs - w: both finite
         bad += [r for r, rows in enumerate(plan.reads) if rows is None]
         if bad:  # the first read with no such mode, or a side past the double range
-            name, params, mode, _ = reads[min(bad)]
+            name, params, mode = reads[min(bad)]
             if plan.reads[min(bad)] is None:
                 raise ValueError(f"bound {name!r} has no mode {mode!r}")
             raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
@@ -498,10 +478,11 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
     paired with itself.
     """
     params = params if params is not None else BoundParams(lam=1.0)
-    read = Read(name, params, mode, (params.lam,))
-    sides = evaluate([(_terms_for(_spec(name), t, s), [read])])[0][read]
-    return tuple(BoundResult(name, params, float(x.rhs[0, 0]), x.exponent, float(x.w_power[0]),
-                             float(x.slack[0, 0]), bool(x.holds[0, 0]), x.mode) for x in sides)
+    read = Read(name, params, mode)
+    ev = evaluate([(_terms_for(_spec(name), t, s), [read])])[0]
+    return tuple(BoundResult(name, params, float(ev.rhs[i, 0]), ev.plan.exponent[i],
+                             float(ev.w_power[i, 0]), float(ev.slack[i, 0]),
+                             bool(ev.holds[i, 0]), ev.plan.mode[i]) for i in ev.rows[read])
 
 
 # --------------------------------------------------------------------------
@@ -589,17 +570,18 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     terms, mode = _terms_for(bound, t, s), bound.modes[0] if mode is None else mode
-    plan, v, *_ = evaluate([(terms, [Read(name, params, mode, (1.0,))])])[0]  # fills, checks
+    plan, v, *_ = evaluate([(terms, [Read(name, params, mode)])])[0]  # fills, checks
 
     def f(sigma: float) -> float:
-        return float(_rhs(plan, v, math.exp(sigma))[0, 0, 0])
+        c = interpolate(plan.c0, plan.cinf, math.exp(sigma)) if bound.uses_lambda else plan.c0
+        return float(_rhs(plan, v, c)[0, 0])
 
     if method == "golden-section":
         lo, hi = -20.0, 20.0
         f_lo, f_hi, found = f(lo), f(hi), [_golden_min(f, lo, hi, 1e-9)]
     else:  # sigma = log lam at -inf and inf, each end from c(0) or c(inf)
         lo, hi, found = -math.inf, math.inf, []
-        f_lo, f_hi = _rhs(plan, v, None)[0, 0].tolist()
+        f_lo, f_hi = (float(_rhs(plan, v, c)[0, 0]) for c in (plan.c0, plan.cinf))
     # min keeps the first of equal values
     s_star, f_star = min(found + [(lo, f_lo), (hi, f_hi)], key=lambda x: x[1])
     scale = rel_scale(f_lo, f_hi)
@@ -664,15 +646,15 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
 def chain_reads(ch: ChainSpec, params: BoundParams) -> tuple[Read, Read]:
     """The chain's refined bound in its mode, the classical in all modes."""
     rp, cp = ch.refined_params(params), ch.classical_params(params)
-    return Read(ch.refined, rp, ch.mode, (rp.lam,)), Read(ch.classical, cp, None, (cp.lam,))
+    return Read(ch.refined, rp, ch.mode), Read(ch.classical, cp, None)
 
 
 def chain_links(ev: Evaluation, refined, classical):
     """The links (w-power, refined, classical) over the inputs of the chains with
     refined and classical rows (one or an array) of ev, the classical in its
     first mode, and whether each input's links ascend within CHAIN_RTOL."""
-    links = (("w_power", ev.w_power[refined]), ("refined", ev.rhs[refined, :, 0]),
-             ("classical", ev.rhs[classical, :, 0]))
+    links = (("w_power", ev.w_power[refined]), ("refined", ev.rhs[refined]),
+             ("classical", ev.rhs[classical]))
     return links, np.logical_and.reduce([
         a <= b + CHAIN_RTOL * rel_scale(a, b)
         for (_, a), (_, b) in zip(links, links[1:])])

@@ -6,10 +6,11 @@ and collects the outcome per row. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
 A config is evaluated at a time, from one SVD and one bounds.evaluate call
-over (trials x lambda) with one engine call for its trials and pairs. Its rows
-stay columns (Columns) until the text: one lexsort orders them, each cell is a
-code into its column's table (w-power, rhs and slack hold each value once, by
-its bits), each table value is formatted once, and tuples are built on read.
+over its trials, one read per bound and lambda, with one engine call for its
+trials and pairs. Its rows stay columns (Columns) until the text: one lexsort
+orders them, each cell is a code into its column's table (w-power, rhs and
+slack hold each value once, by its bits), each table value is formatted once,
+and tuples are built on read.
 
 Product bounds pair trial 2k with 2k+1; an odd trailing matrix is paired
 with itself. Rows are ordered by (trial, bound, lambda, mode).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -161,24 +162,31 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
             raise ValueError(f"{kind} {repeated[0]!r} is requested more than once")
     lambda_grid = tuple(float(x) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
+    # each lam checked once, with its index into (None, *grid)
+    grid = [(replace(params, lam=lam), j) for j, lam in enumerate(lambda_grid, 1)]
+    takes = [b for b, spec in sorted(zip(bounds, specs), key=lambda x: x[1].product)
+             if spec.uses_lambda]  # the bounds that read the grid, single ones first
+    if takes and not grid:
+        raise ValueError(f"empty lambda grid for bound {takes[0]!r}")
 
     terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
     pairs = np.arange(0, config.trials, 2)
     work, requests = [], []  # (row labels, bound reads, chains with their reads) per kind
     for product in (False, True):
         # a bound the grid does not drive is read at lam = 1, as one row with lam None
-        reads = [Read(b, params, None, lambda_grid if spec.uses_lambda else (1.0,))
-                 for b, spec in zip(bounds, specs) if spec.product == product]
+        reads = [(Read(b, p, None), j) for b, spec in zip(bounds, specs) if spec.product == product
+                 for p, j in (grid if spec.uses_lambda else [(params, 0)])]
         links = [(c, chain_reads(ch, params)) for c, ch in zip(chains, chain_specs)
                  if CATALOG[ch.refined].product == product]
         work.append((pairs if product else np.arange(config.trials), reads, links))
         requests.append((PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
                          if product else terms,
-                         reads + [read for _, pair in links for read in pair]))
+                         [read for read, _ in reads] + [r for _, pair in links for r in pair]))
 
-    parts, chain_blocks = [], []  # (labels, evaluation, bound rows); (labels, chain, holds)
+    parts, chain_blocks = [], []  # (labels, evaluation, plan rows, lams); (labels, chain, holds)
     for (labels, reads, links), ev in zip(work, evaluate(requests)):  # one engine call
-        parts.append((labels, ev, [i for read in reads for i in ev.rows[read]]))
+        blocks = [(i, j) for read, j in reads for i in ev.rows[read]]
+        parts.append((labels, ev, [i for i, _ in blocks], [j for _, j in blocks]))
         if links:  # each chain's holds, a row of one stacked array
             rows = np.array([[ev.rows[read][0] for read in pair] for _, pair in links])
             chain_blocks += zip(repeat(labels), [c for c, _ in links], chain_links(ev, *rows.T)[1])
@@ -192,38 +200,30 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
 
 
 def _bound_rows(parts, grid, r, n, alpha):
-    """The rows of (labels, evaluation, its plan rows) parts, in the order a
-    stable sort by (trial, bound, lam with None first, mode) gives them, the
-    tightness of each (bound, mode) over its rows in that order, and the
-    number of rows that do not hold."""
-    blocks = [(labels, ev, i) for labels, ev, rows in parts for i in rows]
+    """The rows of (labels, evaluation, plan rows, their lam indices into
+    (None, *grid)) parts, in the order a stable sort by (trial, bound, lam with
+    None first, mode) gives them, the tightness of each (bound, mode) over its
+    rows in that order, and the number of rows that do not hold."""
+    blocks = [(ev, i) for _, ev, rows, _ in parts for i in rows]
     if not blocks:
         return (), (), 0
-    # a block, one plan row, has the cells (input, lam) of its read, input-major
-    bound, mode, p = ([getattr(ev.plan, f)[i] for _, ev, i in blocks]
+    # a block is one plan row at one lam, with one row per input
+    bound, mode, p = ([getattr(ev.plan, f)[i] for ev, i in blocks]
                       for f in ("name", "mode", "exponent"))
-    free, width, columns, inputs = np.array([(ev.plan.free[i, 0], ev.width[i], ev.rhs.shape[2],
-                                              len(labels)) for labels, ev, i in blocks]).T
-    sizes, padded = inputs * width, inputs * columns
-    block = np.repeat(np.arange(len(blocks)), sizes)  # per row: its block
-    pos = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # its cell there
-    inp, col = np.divmod(pos, width[block])
-    row_input = np.repeat(np.cumsum(inputs) - inputs, sizes) + inp  # of all inputs
-    lam = np.where(free[block], 0, col + 1)  # an index into (None, *grid)
-    # its place in the parts' (rows x inputs x lams) arrays, raveled and joined
-    cell = np.repeat(np.cumsum(padded) - padded, sizes) + inp * columns[block] + col
-    trial = np.concatenate([labels for labels, _, _ in blocks])[row_input]
+    inputs = [len(labels) for labels, _, rows, _ in parts for _ in rows]
+    block = np.repeat(np.arange(len(blocks)), inputs)
+    trial = np.concatenate([np.tile(labels, len(rows)) for labels, _, rows, _ in parts])
+    lam = np.repeat(np.array([j for *_, lams in parts for j in lams], dtype=np.intp), inputs)
     (bounds, bound_of), (modes, mode_of) = _ranked(bound), _ranked(mode)
     order = np.lexsort((mode_of[block], np.array([-np.inf, *grid])[lam], bound_of[block], trial))
-    block, lam, row_input, cell = block[order], lam[order], row_input[order], cell[order]
-    w = np.concatenate([ev.w_power[rows].ravel() for _, ev, rows in parts])
-    rhs, slack, holds = (np.concatenate([getattr(ev, f)[rows].ravel() for _, ev, rows in parts])
-                         [cell] for f in ("rhs", "slack", "holds"))
-    (ws, w_of), once = _distinct(w), np.zeros(len(block), dtype=np.intp)
+    w, rhs, slack, holds = (np.concatenate([getattr(ev, f)[rows].ravel()
+                                            for _, ev, rows, _ in parts])[order]
+                            for f in ("w_power", "rhs", "slack", "holds"))
+    block, once = block[order], np.zeros(len(block), dtype=np.intp)
     rows = Columns(BoundRow, [  # trials count from 0
         (list(range(trial.max() + 1)), trial[order]), (bounds, bound_of[block]),
-        (modes, mode_of[block]), ([None, *grid], lam), ([r], once), ([n], once), ([alpha], once),
-        (p, block), (ws, w_of[row_input]), _distinct(rhs), _distinct(slack),
+        (modes, mode_of[block]), ([None, *grid], lam[order]), ([r], once), ([n], once),
+        ([alpha], once), (p, block), _distinct(w), _distinct(rhs), _distinct(slack),
         ([False, True], holds.astype(np.intp))])
 
     # tightness: the rows' rel_slack grouped by (bound, mode), in row order;
@@ -231,7 +231,7 @@ def _bound_rows(parts, grid, r, n, alpha):
     # differently)
     groups, group = _ranked(list(zip(bound, mode)))
     by_group = np.argsort(group[block], kind="stable")
-    rel = (slack / rel_scale(rhs, w[row_input]))[by_group].tolist()
+    rel = (slack / rel_scale(rhs, w))[by_group].tolist()
     ends = np.cumsum(np.bincount(group[block], minlength=len(groups))).tolist()
     stats = [(end - start, sum(rel[start:end]) / (end - start), min(rel[start:end]))
              for start, end in zip([0] + ends, ends)]

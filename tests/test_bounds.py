@@ -1,6 +1,8 @@
 """Bound catalog: frozen values, coefficient identities, homographic
 structure, certificates, the lambda optimizer and refinement chains."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,12 +203,13 @@ class TestTheoremBounds:
         ("th4", (1.0, 0.0), "lam must be finite and > 0, got 0.0"),
         ("kittaneh", (-1.0,), "lam must be finite and >= 0, got -1.0"),
         ("al_dolat", (0.0, float("inf")), "lam must be finite and >= 0, got inf"),
-        ("th2", (), "empty lambda grid for bound 'th2'"),
     ])
     def test_evaluate_sides_refuses_lambdas(self, name, lams, message):
-        terms = pair_terms(J, J) if name in ("th2", "al_dolat") else matrix_terms(J)
+        # one read per lam: BoundParams refuses lam < 0, evaluate lam = 0 where
+        # the bound needs lam > 0
+        terms = pair_terms(J, J) if name == "al_dolat" else matrix_terms(J)
         with pytest.raises(ValueError) as exc:
-            evaluate([(terms, [Read(name, BoundParams(1.0), None, lams)])])
+            evaluate([(terms, [Read(name, BoundParams(lam), None) for lam in lams])])
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["lam", "r", "n", "alpha"])
@@ -223,7 +226,7 @@ class TestTheoremBounds:
 
     def test_evaluate_refuses_an_unknown_bound(self):
         with pytest.raises(UnknownBoundError, match="unknown bound 'nope'"):
-            evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), None, ())])])
+            evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), None)])])
 
     def test_th3_identity(self):
         res = bound_th3(I2, 0.5, 1.0)
@@ -404,7 +407,8 @@ class TestForms:
         params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
         for name, bound in CATALOG.items():
             terms = pair_terms(t, s) if bound.product else matrix_terms(t)
-            evaluate([(terms, [Read(name, params, None, (0.5, 2.0))])])
+            evaluate([(terms, [Read(name, replace(params, lam=lam), None)
+                               for lam in (0.5, 2.0)])])
             form, base = bound.form(params), WP if bound.product else W
             named = [f for prod in form.rhs for f in prod if f is not U] + [
                 ("pow", base, form.exponent), ("pow", base, form.exponent / 2.0)]
@@ -471,28 +475,30 @@ class TestStackedPass:
         terms = pair_terms(t[:3], t[3:]) if bound.product else matrix_terms(t[:3])
         params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
         lams = (0.3, 1.0, 7.0) + ((0.0,) if name == "al_dolat" else ())
-        read = Read(name, params, None, lams)
-        sides = evaluate([(terms, [read])])[0][read]
+        reads = [Read(name, replace(params, lam=lam), None) for lam in lams]  # one per lam
+        ev = evaluate([(terms, reads)])[0]
         form, base = bound.form(params), WP if bound.product else W
         values = {key: v.tolist() for key, v in terms.values.items()}
-        assert [x.mode for x in sides] == list(bound.modes)
-        for x in sides:
-            certificate = bound.implicit and x.mode == MODE_CERTIFICATE
-            p = form.exponent / 2.0 if certificate else form.exponent
-            u = values["pow", base, form.exponent / 2.0]
-            rhs = _reference_rhs(form, values, lams, [1.0] * len(u) if certificate else u,
-                                 certificate)
-            w = np.array(values["pow", base, p])[:, None]
-            assert x.exponent == p and np.array_equal(x.w_power, w[:, 0])
-            assert np.array_equal(x.rhs, rhs), (name, x.mode)
-            assert np.array_equal(x.slack, rhs - w)
-            assert np.array_equal(x.holds, rhs - w >= -bounds.HOLDS_RTOL * bounds.rel_scale(rhs, w))
+        for k, read in enumerate(reads):
+            assert [ev.plan.mode[i] for i in ev.rows[read]] == list(bound.modes)
+            for i in ev.rows[read]:
+                certificate = bound.implicit and ev.plan.mode[i] == MODE_CERTIFICATE
+                p = form.exponent / 2.0 if certificate else form.exponent
+                u = values["pow", base, form.exponent / 2.0]
+                rhs = _reference_rhs(form, values, lams, [1.0] * len(u) if certificate else u,
+                                     certificate)[:, k]
+                w = np.array(values["pow", base, p])
+                assert ev.plan.exponent[i] == p and np.array_equal(ev.w_power[i], w)
+                assert np.array_equal(ev.rhs[i], rhs), (name, ev.plan.mode[i], lams[k])
+                assert np.array_equal(ev.slack[i], rhs - w)
+                assert np.array_equal(ev.holds[i], rhs - w >= -bounds.HOLDS_RTOL
+                                      * bounds.rel_scale(rhs, w))
 
     def test_the_first_bad_read_names_the_error(self):
         # a read is checked for its mode, then for overflow, in request order
         t = matrix_terms(2.0 * I2)
-        no_mode = Read("kittaneh", BoundParams(1.0), MODE_INEQUALITY, (1.0,))
-        overflow = Read("el_haddad", BoundParams(1.0, r=1e308), None, (1.0,))
+        no_mode = Read("kittaneh", BoundParams(1.0), MODE_INEQUALITY)
+        overflow = Read("el_haddad", BoundParams(1.0, r=1e308), None)
         with pytest.raises(ValueError, match="^bound 'kittaneh' has no mode 'inequality-check'$"):
             evaluate([(t, [no_mode, overflow])])
         with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
@@ -500,17 +506,25 @@ class TestStackedPass:
         with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
             evaluate([(t, [overflow]), (matrix_terms(I2), [no_mode])])
 
-    def test_the_plan_is_memoized_without_the_lams(self):
+    def test_the_plan_is_memoized_per_read_set(self):
+        # the memo key is the reads, lam included: one plan per read set
         rng = np.random.default_rng(72)
-        terms = matrix_terms(ginibre(rng, 3))
-        plans = [evaluate([(terms, [Read("th3", BoundParams(1.0), None, lams)])])[0].plan
-                 for lams in ((0.5,), (2.0, 3.0))]
+        terms = [matrix_terms(ginibre(rng, 3)) for _ in range(2)]
+        plans = [evaluate([(t, [Read("th3", BoundParams(lam), None) for lam in lams])])[0].plan
+                 for t, lams in zip(terms * 2, ((0.5, 2.0), (0.5, 2.0), (0.5,), (2.0, 0.5)))]
         assert plans[0] is plans[1]
+        assert len({id(plan) for plan in plans}) == 3
+        assert [len(plan.mode) for plan in plans] == [4, 4, 2, 4]
+        # each row holds the coefficients at its own read's lam
+        assert np.array_equal(plans[2].c, plans[0].c[:, :, :2])
+        assert np.array_equal(plans[3].c, plans[0].c[:, :, [2, 3, 0, 1]])
         run_suite(EnsembleConfig("gue", 2, 3, 1))
         before = bounds._plan.cache_info()
-        run_suite(EnsembleConfig("normal", 3, 5, 2))  # the same reads: both plans memoized
+        run_suite(EnsembleConfig("normal", 3, 5, 2))  # the same grid: both plans memoized
         after = bounds._plan.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        run_suite(EnsembleConfig("normal", 3, 5, 2), lambda_grid=(0.5, 3.0))  # new reads
+        assert bounds._plan.cache_info().misses - after.misses == 2
 
     def test_pairs_read_the_trial_family_powers(self, monkeypatch):
         formed, power = [], linalg.PSDPower.power
@@ -662,11 +676,12 @@ class TestOptimizeLambda:
                 assert opt.boundary != "interior", (name, opt)
                 assert opt.infimum <= golden.infimum + 1e-12 * scale, (name, opt, golden)
                 assert golden.infimum - opt.infimum <= 1e-7 * scale, (name, opt, golden)
-                # the grid read evaluate_bound makes one lam at a time
+                # the grid as one read per lam
                 terms = pair_terms(t, s) if name in ("th2", "al_dolat") else matrix_terms(t)
-                read = Read(name, BoundParams(1.0), MODE_CERTIFICATE, grid)
-                (sides,) = evaluate([(terms, [read])])[0][read]
-                assert (opt.infimum <= sides.rhs[0] + 1e-12 * scale).all(), (name, opt)
+                ev = evaluate([(terms, [Read(name, BoundParams(lam), MODE_CERTIFICATE)
+                                        for lam in grid])])[0]
+                assert len(ev.rhs) == len(grid), name
+                assert (opt.infimum <= ev.rhs[:, 0] + 1e-12 * scale).all(), (name, opt)
 
     def test_unknown_bound(self):
         with pytest.raises(UnknownBoundError):

@@ -122,6 +122,18 @@ def test_verify_empty_lambda_grid_exits_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("grid, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_verify_bad_grid_value_exits_two(tmp_path, capsys, grid, shown):
+    # every grid value is checked, though no requested bound reads the grid
+    out_path = tmp_path / "report.json"
+    code = cli.main(["verify", "--ensemble", "gue", "--dim", "2", "--trials", "2",
+                     "--seed", "1", "--bounds", "kittaneh", "--chains", "",
+                     "--lambda-grid", grid, "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: lam must be finite and >= 0, got {shown}\n"
+    assert not out_path.exists()
+
+
 def test_verify_subset_csv(tmp_path):
     out_path = tmp_path / "report.csv"
     code = cli.main(["verify", "--ensemble", "jordan", "--dim", "2", "--trials", "2",

@@ -35,7 +35,6 @@ from numrad.ensembles import generate_ensemble
 from numrad.errors import UnknownBoundError, UnknownChainError
 from numrad.suite import (
     CSV_HEADER,
-    DEFAULT_LAMBDA_GRID,
     BoundRow,
     ChainRow,
     TightnessRow,
@@ -151,6 +150,9 @@ def test_empty_lambda_grid_refused_when_a_bound_takes_lambda():
     cfg = EnsembleConfig("gue", 2, 2, 3)
     with pytest.raises(ValueError, match="^empty lambda grid for bound 'th3'$"):
         run_suite(cfg, bounds=["kittaneh", "th3"], chains=[], lambda_grid=())
+    # single-matrix bounds are named before product bounds
+    with pytest.raises(ValueError, match="^empty lambda grid for bound 'th3'$"):
+        run_suite(cfg, bounds=["th2", "th3"], chains=[], lambda_grid=())
     with pytest.raises(ValueError, match="^empty lambda grid for bound 'al_dolat'$"):
         run_suite(cfg, bounds=["al_dolat"], chains=[], lambda_grid=[])
     rep = run_suite(cfg, bounds=["kittaneh"], lambda_grid=())  # the grid is not read
@@ -158,27 +160,49 @@ def test_empty_lambda_grid_refused_when_a_bound_takes_lambda():
 
 
 def test_a_config_checks_its_lambda_grid_once(monkeypatch):
-    # one check of every read of a config, bounds and chains alike; the grid
-    # is read by exactly the bounds that take lambda
-    calls = []
+    # each grid value is checked once per config, as one BoundParams that the
+    # reads at that lam share; the grid is read by exactly the bounds that
+    # take lambda, in one evaluate call with the chains
+    checked, calls, post_init = [], [], BoundParams.__post_init__
 
-    def spy(reads, check=bounds._check_lambdas):
-        calls.append(list(reads))
-        check(reads)
+    def spy(params):
+        checked.append(params.lam)
+        post_init(params)
 
-    monkeypatch.setattr(bounds, "_check_lambdas", spy)
-    rep = run_suite(EnsembleConfig("ginibre", 2, 3, 1))
+    def keep(requests, evaluate=bounds.evaluate):
+        calls.append([read for _, reads in requests for read in reads])
+        return evaluate(requests)
+
+    monkeypatch.setattr(BoundParams, "__post_init__", spy)
+    monkeypatch.setattr(suite, "evaluate", keep)
+    grid = (0.25, 3.0)  # not the chains' lam 1
+    rep = run_suite(EnsembleConfig("ginibre", 2, 3, 1), lambda_grid=grid)
     assert rep.chain_rows and len(calls) == 1
-    grid_reads = [read.name for read in calls[0] if read.lams == DEFAULT_LAMBDA_GRID]
-    assert grid_reads == [b for b in ALL_BOUNDS if uses_lambda(b)]
-    assert not {"check_lambdas", "_check_lambdas", "fill_terms"} & set(vars(suite))
+    assert [lam for lam in checked if lam != 1.0] == list(grid)
+    for lam in grid:
+        grid_reads = [read for read in calls[0] if read.params.lam == lam]
+        assert [read.name for read in grid_reads] == [b for b in ALL_BOUNDS if uses_lambda(b)]
+        assert len({id(read.params) for read in grid_reads}) == 1
+    assert not {"fill_terms", "_require_positive"} & set(vars(suite))
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_every_grid_value_is_checked_before_the_ensemble(monkeypatch, lam):
+    # no requested bound reads the grid, and it is checked all the same
+    generated = []
+    monkeypatch.setattr(suite, "generate_ensemble", lambda config: generated.append(config))
+    with pytest.raises(ValueError, match=f"^lam must be finite and >= 0, got {lam}$"):
+        run_suite(EnsembleConfig("gue", 2, 2, 1), bounds=["kittaneh"], chains=[],
+                  lambda_grid=(1.0, lam))
+    assert generated == []
 
 
 def test_a_config_evaluates_each_read_once(monkeypatch):
     # a chain reads what the config already reads: el_haddad at r = 2 once for
-    # th4/th5/bomi_elhaddad, th2 at r = 1 once for both th2 chains, and
-    # th3_elhaddad's el_haddad at r = 1 is the config's own el_haddad block
-    # (each plan row is one read in one mode)
+    # th4/th5/bomi_elhaddad, th2 at r = 1 in inequality mode once for both th2
+    # chains, and th3_elhaddad's el_haddad at r = 1 is the config's own
+    # el_haddad block (each plan row is one read, at one lam, in one mode: th2
+    # is 5 grid lams in 2 modes and the chains' read)
     calls = Counter()
 
     def spy(requests, evaluate=bounds.evaluate):
@@ -188,7 +212,7 @@ def test_a_config_evaluates_each_read_once(monkeypatch):
 
     monkeypatch.setattr(suite, "evaluate", spy)
     run_suite(EnsembleConfig("ginibre", 3, 4, 1))
-    assert (calls["el_haddad"], calls["th2"], sum(calls.values())) == (2, 3, 26)
+    assert (calls["el_haddad"], calls["th2"], sum(calls.values())) == (2, 11, 68)
 
 
 def _forged_report():

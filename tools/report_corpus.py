@@ -17,6 +17,13 @@ runs `numrad` in-process, for the numrad found on PYTHONPATH:
     `--bounds ""` (no bound rows), `--bounds kittaneh,op_norm` (no bound
     takes lambda, so every row's lambda is null) and `--trials 1` (a lone
     trial paired with itself);
+  - the lambda checks, 6 ensembles x dim 2, seed 5, 4 trials:
+    `--bounds th2,th3 --lambda-grid ""` (refused, naming th3, the first
+    single-matrix bound that reads the grid), `--bounds kittaneh,op_norm
+    --lambda-grid ""` (a report: no bound reads the grid), `--bounds
+    al_dolat,kittaneh --lambda-grid 0,1` (a report: al_dolat admits lambda 0,
+    the chains read lambda 1) and `--bounds al_dolat,kittaneh,th2
+    --lambda-grid 0,1` (refused: th2 needs lambda > 0);
   each report written as NAME.json and NAME.csv;
 * the single-input callers, on 4 seeded matrices written as matrix JSON
   (m2a, m2b of dim 2 and m3a, m3b of dim 3; each is the other's --matrix2
@@ -39,6 +46,9 @@ from numrad import ALL_BOUNDS, ENSEMBLES, EnsembleConfig, cli, generate_ensemble
 from numrad.bounds import PRODUCT_BOUNDS, bound_modes, uses_lambda
 
 MODES = {"inequality-check": "inequality", "explicit-certificate": "certificate"}
+LAMBDA_CHECKS = (("emptygrid", "th2,th3", ""), ("emptyfree", "kittaneh,op_norm", ""),
+                 ("lamzero", "al_dolat,kittaneh", "0,1"),
+                 ("lamzeropos", "al_dolat,kittaneh,th2", "0,1"))
 
 
 def configs():
@@ -64,6 +74,9 @@ def configs():
             yield f"nobounds_{ens}_{dim}", base + ["--trials", "4", "--bounds", ""]
             yield f"lamfree_{ens}_{dim}", base + ["--trials", "4", "--bounds", "kittaneh,op_norm"]
             yield f"onetrial_{ens}_{dim}", base + ["--trials", "1"]
+        for name, bounds, grid in LAMBDA_CHECKS:
+            yield f"{name}_{ens}_2", ["--ensemble", ens, "--dim", "2", "--seed", "5", "--trials",
+                                      "4", "--bounds", bounds, "--lambda-grid", grid]
 
 
 def matrices() -> dict:
