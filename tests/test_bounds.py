@@ -203,12 +203,17 @@ class TestTheoremBounds:
         ("th4", (1.0, 0.0), "lam must be finite and > 0, got 0.0"),
         ("kittaneh", (-1.0,), "lam must be finite and >= 0, got -1.0"),
         ("al_dolat", (0.0, float("inf")), "lam must be finite and >= 0, got inf"),
+        ("th2", (), "empty lambda grid for bound 'th2'"),
     ])
     def test_evaluate_sides_refuses_lambdas(self, name, lams, message):
         # one read per lam: BoundParams refuses lam < 0, evaluate lam = 0 where
-        # the bound needs lam > 0
-        terms = pair_terms(J, J) if name == "al_dolat" else matrix_terms(J)
+        # the bound needs lam > 0; an empty grid makes no read, so run_suite,
+        # which makes the reads, refuses it
+        terms = pair_terms(J, J) if name in ("th2", "al_dolat") else matrix_terms(J)
         with pytest.raises(ValueError) as exc:
+            if not lams:
+                run_suite(EnsembleConfig("gue", 2, 2, 1), bounds=[name], chains=[],
+                          lambda_grid=lams)
             evaluate([(terms, [Read(name, BoundParams(lam), None) for lam in lams])])
         assert str(exc.value) == message
 
