@@ -17,10 +17,10 @@ data, the bound's exponent, its right side over term keys and its
 coefficients' end limits c(0), c(inf), c(lam) = (c(0) + c(inf) lam)/(1 + lam),
 so a right side is monotone in lam in every mode. fill_terms computes every
 term once, into one table per stack of inputs. evaluate, the one evaluation
-path, checks its reads (a read is one bound at one BoundParams, so a lam grid
-is one read per lam), fills their terms and evaluates every distinct read in
-one stacked pass from a plan memoized on the reads, which holds each row's
-coefficients at its lam: per config for the suite, at k = 1 for other callers.
+path, checks its reads (one bound at one BoundParams in one of its modes
+each), fills their terms and evaluates every distinct read in one stacked pass
+from a plan memoized on the reads, one row per read holding its lam and its
+coefficients there: per config for the suite, at k = 1 for other callers.
 """
 
 from __future__ import annotations
@@ -359,17 +359,17 @@ def al_dolat_coefficients(lam: float) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 # Evaluation over a stack of inputs
 
-# A read: one bound at one BoundParams, in one mode or all (None).
+# A read: one bound at one BoundParams in one of its modes.
 Read = namedtuple("Read", "name params mode")
 
-# The plan of a request's distinct reads. Its rows are the (read, mode) pairs
-# (``reads`` gives each read's; None for a mode its bound lacks). A row's
-# w-power and factors are rows of V: terms.values[key] for each of ``keys``,
-# then ones. It sums its products in two parts, a and b, each in catalog order
-# and padded with -0.0 (x + -0.0 == x): a certificate's products with U (read
-# as 1) and the rest; any other row's products (U read as u) and none. c holds
-# each product's coefficient at its read's lam, c0 and cinf its end limits.
-Plan = namedtuple("Plan", "keys reads read name mode exponent cert w c c0 cinf factors")
+# The plan of a request's distinct reads, one row per read, with its lam (nan
+# for a bound free of lam). A row's w-power and factors are rows of V:
+# terms.values[key] for each of ``keys``, then ones. It sums its products in
+# two parts, a and b, each in catalog order and padded with -0.0 (x + -0.0 ==
+# x): a certificate's products with U (read as 1) and the rest; any other
+# row's products (U read as u) and none. c holds each product's coefficient at
+# its row's lam, c0 and cinf its end limits.
+Plan = namedtuple("Plan", "keys name mode lam exponent cert w c c0 cinf factors")
 # the catalog's most products per form and factors per product, read at one params
 _SLOTS = max(len(b.form(BoundParams(1.0)).rhs) for b in CATALOG.values())
 _WIDTH = max(len(prod) for b in CATALOG.values() for prod in b.form(BoundParams(1.0)).rhs)
@@ -377,34 +377,31 @@ _WIDTH = max(len(prod) for b in CATALOG.values() for prod in b.form(BoundParams(
 
 @lru_cache(maxsize=64)
 def _plan(reads: tuple) -> Plan:
-    """The plan of (name, params, mode) reads; th6's form refuses n > 15."""
-    keys, read_rows, rows, table, slots = {}, [], [], [], 1  # keys: key -> its V row
-    for r, (name, params, mode) in enumerate(reads):
+    """The plan of distinct reads, each in a mode of its bound; th6's form refuses n > 15."""
+    keys, rows, table, slots = {}, [], [], 1  # keys: key -> its V row
+    for name, params, mode in reads:
         bound = CATALOG[name]
         form, base = bound.form(params), WP if bound.product else W
         for key in bound.keys(form):
             keys.setdefault(key, len(keys))
-        modes = bound.modes if mode is None else (mode,) if mode in bound.modes else ()
-        read_rows.append(tuple(range(len(rows), len(rows) + len(modes))) if modes else None)
-        for m in modes:
-            cert = bound.implicit and m == MODE_CERTIFICATE
-            p = form.exponent / 2.0 if cert else form.exponent
-            rows.append((r, name, m, p, params.lam if bound.uses_lambda else math.nan, cert,
-                         keys["pow", base, p]))
-            u = -1 if cert else keys["pow", base, form.exponent / 2.0]  # V[-1] is ones
-            a = [j for j, prod in enumerate(form.rhs) if not cert or U in prod]
-            for part in a, [j for j in range(len(form.rhs)) if j not in a]:
-                for j in part:  # per product: c0, cinf, then its factors padded with ones
-                    prod = [u if f is U else keys[f] for f in form.rhs[j]] + [-1] * _WIDTH
-                    table += [form.ends[0][j], form.ends[-1][j], *prod[:_WIDTH]]
-                table += ([-0.0, -0.0] + [-1] * _WIDTH) * (_SLOTS - len(part))
-                slots = max(slots, len(part))
-    read, name, mode, exponent, lam, cert, w = zip(*rows) if rows else [()] * 7
+        cert = bound.implicit and mode == MODE_CERTIFICATE
+        p = form.exponent / 2.0 if cert else form.exponent
+        rows.append((name, mode, params.lam if bound.uses_lambda else math.nan, p, cert,
+                     keys["pow", base, p]))
+        u = -1 if cert else keys["pow", base, form.exponent / 2.0]  # V[-1] is ones
+        a = [j for j, prod in enumerate(form.rhs) if not cert or U in prod]
+        for part in a, [j for j in range(len(form.rhs)) if j not in a]:
+            for j in part:  # per product: c0, cinf, then its factors padded with ones
+                prod = [u if f is U else keys[f] for f in form.rhs[j]] + [-1] * _WIDTH
+                table += [form.ends[0][j], form.ends[-1][j], *prod[:_WIDTH]]
+            table += ([-0.0, -0.0] + [-1] * _WIDTH) * (_SLOTS - len(part))
+            slots = max(slots, len(part))
+    name, mode, lam, exponent, cert, w = zip(*rows) if rows else [()] * 6
     table = np.array(table).reshape(-1, 2, _SLOTS, 2 + _WIDTH).transpose(3, 2, 1, 0)[:, :slots]
-    lam = np.array(lam)  # nan: free of lam, so c is c0
+    lam = np.array(lam, dtype=np.float64)  # nan: free of lam, so c is c0
     c = np.where(np.isnan(lam), table[0], interpolate(table[0], table[1], lam))
-    return Plan(tuple(keys), tuple(read_rows), np.array(read, dtype=np.intp), name, mode,
-                exponent, np.array(cert).reshape(-1, 1) if any(cert) else None,
+    return Plan(tuple(keys), name, mode, lam, exponent,
+                np.array(cert).reshape(-1, 1) if any(cert) else None,
                 np.array(w, dtype=np.intp), c, *table[:2], table[2:].astype(np.intp))
 
 
@@ -426,18 +423,21 @@ def _rhs(plan: Plan, v: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # A request evaluated from its plan and V: w_power, rhs, slack and holds per
-# plan row and input; ``rows`` maps each read to its plan rows.
+# plan row and input; ``rows`` maps each read to its plan row.
 Evaluation = namedtuple("Evaluation", "plan v rows w_power rhs slack holds")
 
 
 def evaluate(requests) -> list[Evaluation]:
     """One Evaluation per request of [(terms, reads), ...], over its inputs, each
-    distinct read once. ValueError for a lam or mode a bound does not admit, and
-    OverflowError for a right side or w-power past the double range."""
+    distinct read once. ValueError, before any term is computed, for the first
+    read whose bound lacks its lam or mode; then OverflowError for the first
+    read whose right side or w-power leaves the double range."""
     for _, reads in requests:  # BoundParams holds lam >= 0
-        for name, params, _ in reads:
+        for name, params, mode in reads:
             if _spec(name).lam_positive:
                 _require_positive(params.lam)
+            if mode not in CATALOG[name].modes:
+                raise ValueError(f"bound {name!r} has no mode {mode!r}")
     requests = [(terms, tuple(dict.fromkeys(reads))) for terms, reads in requests]
     plans = [_plan(reads) for _, reads in requests]
     fill_terms([(terms, plan.keys) for (terms, _), plan in zip(requests, plans)])
@@ -447,14 +447,11 @@ def evaluate(requests) -> list[Evaluation]:
         rhs, w = _rhs(plan, v, plan.c), v[plan.w]
         with np.errstate(over="ignore", invalid="ignore"):
             slack = rhs - w
-        out.append(Evaluation(plan, v, dict(zip(reads, plan.reads)), w, rhs, slack,
+        out.append(Evaluation(plan, v, {read: i for i, read in enumerate(reads)}, w, rhs, slack,
                               slack >= -HOLDS_RTOL * rel_scale(rhs, w)))
-        bad = plan.read[~np.isfinite(slack).all(axis=1)].tolist()  # rhs - w: both finite
-        bad += [r for r, rows in enumerate(plan.reads) if rows is None]
-        if bad:  # the first read with no such mode, or a side past the double range
-            name, params, mode = reads[min(bad)]
-            if plan.reads[min(bad)] is None:
-                raise ValueError(f"bound {name!r} has no mode {mode!r}")
+        bad = np.flatnonzero(~np.isfinite(slack).all(axis=1))  # rhs - w: both finite
+        if len(bad):
+            name, params, _ = reads[bad[0]]
             raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
                                 f"alpha={params.alpha}: the right side or the w-power "
                                 "leaves the double range")
@@ -471,18 +468,18 @@ def _terms_for(bound: BoundSpec, t, s):
 
 def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
                    mode: str | None = None) -> tuple[BoundResult, ...]:
-    """Evaluate one catalog bound in the requested mode (or all its modes).
+    """Evaluate one catalog bound in the requested mode (or in each, in order).
 
     ``params.lam`` must be > 0 for a bound that takes lam; al_dolat admits
     lam = 0. Product bounds read ``s``; with s omitted the matrix is
     paired with itself.
     """
-    params = params if params is not None else BoundParams(lam=1.0)
-    read = Read(name, params, mode)
-    ev = evaluate([(_terms_for(_spec(name), t, s), [read])])[0]
+    bound, params = _spec(name), params if params is not None else BoundParams(lam=1.0)
+    modes = bound.modes if mode is None else (mode,)
+    ev = evaluate([(_terms_for(bound, t, s), [Read(name, params, m) for m in modes])])[0]
     return tuple(BoundResult(name, params, float(ev.rhs[i, 0]), ev.plan.exponent[i],
                              float(ev.w_power[i, 0]), float(ev.slack[i, 0]),
-                             bool(ev.holds[i, 0]), ev.plan.mode[i]) for i in ev.rows[read])
+                             bool(ev.holds[i, 0]), ev.plan.mode[i]) for i in range(len(modes)))
 
 
 # --------------------------------------------------------------------------
@@ -638,21 +635,21 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     # Both bounds of a chain are of one kind, single or product.
     reads = chain_reads(ch, params)
     ev = evaluate([(_terms_for(CATALOG[ch.refined], t, s), reads)])[0]
-    links, holds = chain_links(ev, *(ev.rows[read][0] for read in reads))
+    links, holds = chain_links(ev, *(ev.rows[read] for read in reads))
     return ChainResult(chain_name=chain_id, holds=bool(holds[0]),
                        links=tuple((name, float(v[0])) for name, v in links))
 
 
 def chain_reads(ch: ChainSpec, params: BoundParams) -> tuple[Read, Read]:
-    """The chain's refined bound in its mode, the classical in all modes."""
+    """The chain's refined bound in its mode, the classical in its first mode."""
     rp, cp = ch.refined_params(params), ch.classical_params(params)
-    return Read(ch.refined, rp, ch.mode), Read(ch.classical, cp, None)
+    return Read(ch.refined, rp, ch.mode), Read(ch.classical, cp, CATALOG[ch.classical].modes[0])
 
 
 def chain_links(ev: Evaluation, refined, classical):
     """The links (w-power, refined, classical) over the inputs of the chains with
-    refined and classical rows (one or an array) of ev, the classical in its
-    first mode, and whether each input's links ascend within CHAIN_RTOL."""
+    refined and classical rows (one or an array) of ev, and whether each
+    input's links ascend within CHAIN_RTOL."""
     links = (("w_power", ev.w_power[refined]), ("refined", ev.rhs[refined]),
              ("classical", ev.rhs[classical]))
     return links, np.logical_and.reduce([

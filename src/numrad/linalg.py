@@ -47,7 +47,7 @@ def as_matrix(m, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if stack and a.ndim == 2:
         a = a[None]
-    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"expected a square matrix{' stack' * stack}, got shape {a.shape}")
     if np.count_nonzero(np.isfinite(a)) != a.size:  # cheaper than .all() on small arrays
         raise ValueError("matrix entries must be finite")
@@ -323,8 +323,7 @@ def _start_rule(b: np.ndarray, re: np.ndarray, im: np.ndarray, tol: float):
     angles j 2pi / _START_CELLS it samples (a (k, _START_CELLS) mask), whether
     their cells are refined, and hi - lo for a matrix whose are not. In order:
 
-    * M = 0: no angle; lo = hi = 0.
-    * W(M) a disc about 0 (zero diagonal, _rotation_invariant): angle 0; lo = hi.
+    * W(M) a disc about 0 (zero diagonal, _rotation_invariant; M = 0 too): angle 0; lo = hi.
     * ||im||_F <= tol ||re||_F / sqrt(n): angles 0 and pi; hi = lo + ||im||_F.
     * Any other M: every angle, refined.
     """
@@ -337,7 +336,7 @@ def _start_rule(b: np.ndarray, re: np.ndarray, im: np.ndarray, tol: float):
     herm = ~disc & (sfro <= tol / math.sqrt(n) * rfro)
     # every step-th grid angle: all of them, 0 and pi, or 0 alone
     step = np.where(herm, _START_CELLS // 2, np.where(disc, _START_CELLS, 1))
-    grid = (np.arange(_START_CELLS) % step[:, None] == 0) & b.any(axis=(1, 2))[:, None]
+    grid = np.arange(_START_CELLS) % step[:, None] == 0
     return grid, grid.all(axis=1), np.where(herm, sfro, 0.0)
 
 
@@ -354,12 +353,12 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     hi - lo <= tol hi. Past MAX_LIVE_CELLS live cells (W(M) near a disc) the
     bounds reached are returned.
 
-    Three kinds of M skip the refinement (_start_rule). A zero matrix takes
-    no angle. If W(M) is a disc about 0, f is constant and angle 0 gives
-    lo = hi. A near-Hermitian M = R + iS (R, S Hermitian) with
-    ||S||_F <= tol ||R||_F / sqrt(n), so ||S||_F <= tol rho(R), takes the
-    angles 0 and pi: w is a norm, so rho(R) <= w <= rho(R) + ||S||_F, and
-    lo = max(f(0), f(pi)) = rho(R), hi = lo + ||S||_F.
+    Two kinds of M skip the refinement (_start_rule). If W(M) is a disc
+    about 0 (M = 0 among them), f is constant and angle 0 gives lo = hi. A
+    near-Hermitian M = R + iS (R, S Hermitian) with ||S||_F <= tol ||R||_F /
+    sqrt(n), so ||S||_F <= tol rho(R), takes the angles 0 and pi: w is a norm,
+    so rho(R) <= w <= rho(R) + ||S||_F, and lo = max(f(0), f(pi)) = rho(R),
+    hi = lo + ||S||_F.
 
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
@@ -373,7 +372,7 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     grid, refine, gap = _start_rule(b, re, im, tol)
     owner, j = np.nonzero(grid)  # by matrix, then angle
     t0 = j * (2.0 * np.pi / _START_CELLS)
-    f0 = _sweep(re, im, owner, t0) if len(owner) else t0
+    f0 = _sweep(re, im, owner, t0)
     np.maximum.at(lo, owner, f0)
     hi = lo + gap  # final where nothing is refined; the split raises the rest
     owner, t0, f0 = (x[refine[owner]] for x in (owner, t0, f0))

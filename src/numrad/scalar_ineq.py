@@ -77,16 +77,18 @@ class BoundParams:
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         require_exponent(self.r)
-        if int(self.n) != self.n or self.n < 1:
+        if not (1 <= self.n < math.inf and int(self.n) == self.n):  # inf and nan fail first
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         require_alpha(self.alpha)
+        fields = (self.lam, self.r, self.n, self.alpha)  # hashed once: reads hash params often
+        # lam -0.0 is not 0.0, so a report keeps each lam's sign
+        object.__setattr__(self, "_key", (fields, math.copysign(1.0, self.lam), hash(fields)))
 
-    def __hash__(self):  # once per instance: a config's reads hash their params often
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.lam, self.r, self.n, self.alpha)))
-        return self._hash
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is BoundParams else NotImplemented
+
+    def __hash__(self):
+        return self._key[2]
 
 
 def _require_positive(lam: float) -> float:

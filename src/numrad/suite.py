@@ -6,11 +6,12 @@ and collects the outcome per row. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
 A config is evaluated at a time, from one SVD and one bounds.evaluate call
-over its trials, one read per bound and lambda, with one engine call for its
-trials and pairs. Its rows stay columns (Columns) until the text: one lexsort
-orders them, each cell is a code into its column's table (w-power, rhs and
-slack hold each value once, by its bits), each table value is formatted once,
-and tuples are built on read.
+over its trials, one read per bound, lambda and mode, with one engine call
+for its trials and pairs. Each read is one plan row, and its report rows take
+their bound, mode, lambda and exponent from that row. The rows stay columns
+(Columns) until the text: one lexsort orders them, each cell is a code into
+its column's table (w-power, rhs and slack hold each value once, by its bits),
+each table value is formatted once, and tuples are built on read.
 
 Product bounds pair trial 2k with 2k+1; an odd trailing matrix is paired
 with itself. Rows are ordered by (trial, bound, lambda, mode).
@@ -118,9 +119,9 @@ def _as_columns(rows, kind) -> Columns:
 
 
 def _distinct(a) -> tuple[list, np.ndarray]:
-    """A float array as (table, codes), its values told apart by their bits
-    (so -0.0 and 0.0 keep their own text)."""
-    table, codes = np.unique(a.view(np.int64), return_inverse=True)
+    """Floats as (table, codes), their values told apart by their bits (so
+    -0.0 and 0.0 keep their own text)."""
+    table, codes = np.unique(np.asarray(a, np.float64).view(np.int64), return_inverse=True)
     return table.view(np.float64).tolist(), codes
 
 
@@ -162,8 +163,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
             raise ValueError(f"{kind} {repeated[0]!r} is requested more than once")
     lambda_grid = tuple(float(x) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-    # each lam checked once, with its index into (None, *grid)
-    grid = [(replace(params, lam=lam), j) for j, lam in enumerate(lambda_grid, 1)]
+    grid = [replace(params, lam=lam) for lam in lambda_grid]  # each lam checked once
     takes = [b for b, spec in sorted(zip(bounds, specs), key=lambda x: x[1].product)
              if spec.uses_lambda]  # the bounds that read the grid, single ones first
     if takes and not grid:
@@ -173,24 +173,23 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     pairs = np.arange(0, config.trials, 2)
     work, requests = [], []  # (row labels, bound reads, chains with their reads) per kind
     for product in (False, True):
-        # a bound the grid does not drive is read at lam = 1, as one row with lam None
-        reads = [(Read(b, p, None), j) for b, spec in zip(bounds, specs) if spec.product == product
-                 for p, j in (grid if spec.uses_lambda else [(params, 0)])]
+        # a bound the grid does not drive is read at lam = 1, its rows with lam None
+        reads = [Read(b, p, mode) for b, spec in zip(bounds, specs) if spec.product == product
+                 for p in (grid if spec.uses_lambda else [params]) for mode in spec.modes]
         links = [(c, chain_reads(ch, params)) for c, ch in zip(chains, chain_specs)
                  if CATALOG[ch.refined].product == product]
         work.append((pairs if product else np.arange(config.trials), reads, links))
         requests.append((PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
                          if product else terms,
-                         [read for read, _ in reads] + [r for _, pair in links for r in pair]))
+                         reads + [r for _, pair in links for r in pair]))
 
-    parts, chain_blocks = [], []  # (labels, evaluation, plan rows, lams); (labels, chain, holds)
+    parts, chain_blocks = [], []  # (labels, evaluation, plan rows); (labels, chain, holds)
     for (labels, reads, links), ev in zip(work, evaluate(requests)):  # one engine call
-        blocks = [(i, j) for read, j in reads for i in ev.rows[read]]
-        parts.append((labels, ev, [i for i, _ in blocks], [j for _, j in blocks]))
+        parts.append((labels, ev, [ev.rows[read] for read in reads]))
         if links:  # each chain's holds, a row of one stacked array
-            rows = np.array([[ev.rows[read][0] for read in pair] for _, pair in links])
+            rows = np.array([[ev.rows[read] for read in pair] for _, pair in links])
             chain_blocks += zip(repeat(labels), [c for c, _ in links], chain_links(ev, *rows.T)[1])
-    bound_rows, tightness, bound_violations = _bound_rows(parts, lambda_grid, r, n, alpha)
+    bound_rows, tightness, bound_violations = _bound_rows(parts, r, n, alpha)
     chain_rows, chain_violations = _chain_rows(chain_blocks)
     violations = bound_violations + chain_violations
     return SuiteReport(config=config, bounds=bounds, chains=chains,
@@ -199,32 +198,33 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
                        violations=violations, tightness=tightness)
 
 
-def _bound_rows(parts, grid, r, n, alpha):
-    """The rows of (labels, evaluation, plan rows, their lam indices into
-    (None, *grid)) parts, in the order a stable sort by (trial, bound, lam with
-    None first, mode) gives them, the tightness of each (bound, mode) over its
-    rows in that order, and the number of rows that do not hold."""
-    blocks = [(ev, i) for _, ev, rows, _ in parts for i in rows]
+def _bound_rows(parts, r, n, alpha):
+    """The rows of (labels, evaluation, plan rows) parts, each labelled by its
+    plan row, in the order a stable sort by (trial, bound, lam with None first,
+    mode) gives them, the tightness of each (bound, mode) over its rows in that
+    order, and the number of rows that do not hold."""
+    blocks = [(ev, i) for _, ev, rows in parts for i in rows]
     if not blocks:
         return (), (), 0
-    # a block is one plan row at one lam, with one row per input
-    bound, mode, p = ([getattr(ev.plan, f)[i] for ev, i in blocks]
-                      for f in ("name", "mode", "exponent"))
-    inputs = [len(labels) for labels, _, rows, _ in parts for _ in rows]
+    # a block is one plan row, with one row per input
+    bound, mode, lam, p = ([getattr(ev.plan, f)[i] for ev, i in blocks]
+                           for f in ("name", "mode", "lam", "exponent"))
+    inputs = [len(labels) for labels, _, rows in parts for _ in rows]
     block = np.repeat(np.arange(len(blocks)), inputs)
-    trial = np.concatenate([np.tile(labels, len(rows)) for labels, _, rows, _ in parts])
-    lam = np.repeat(np.array([j for *_, lams in parts for j in lams], dtype=np.intp), inputs)
+    trial = np.concatenate([np.tile(labels, len(rows)) for labels, _, rows in parts])
     (bounds, bound_of), (modes, mode_of) = _ranked(bound), _ranked(mode)
-    order = np.lexsort((mode_of[block], np.array([-np.inf, *grid])[lam], bound_of[block], trial))
+    lams, lam_of = _distinct(lam)  # nan: free of lam, shown as None and sorted first
+    order = np.lexsort((mode_of[block], np.where(np.isnan(lam), -np.inf, lam)[block],
+                        bound_of[block], trial))
     w, rhs, slack, holds = (np.concatenate([getattr(ev, f)[rows].ravel()
-                                            for _, ev, rows, _ in parts])[order]
+                                            for _, ev, rows in parts])[order]
                             for f in ("w_power", "rhs", "slack", "holds"))
     block, once = block[order], np.zeros(len(block), dtype=np.intp)
     rows = Columns(BoundRow, [  # trials count from 0
         (list(range(trial.max() + 1)), trial[order]), (bounds, bound_of[block]),
-        (modes, mode_of[block]), ([None, *grid], lam[order]), ([r], once), ([n], once),
-        ([alpha], once), (p, block), _distinct(w), _distinct(rhs), _distinct(slack),
-        ([False, True], holds.astype(np.intp))])
+        (modes, mode_of[block]), ([None if np.isnan(x) else x for x in lams], lam_of[block]),
+        ([r], once), ([n], once), ([alpha], once), (p, block), _distinct(w), _distinct(rhs),
+        _distinct(slack), ([False, True], holds.astype(np.intp))])
 
     # tightness: the rows' rel_slack grouped by (bound, mode), in row order;
     # each mean is a Python sum over its group (numpy's pairwise sum rounds

@@ -206,15 +206,16 @@ class TestTheoremBounds:
         ("th2", (), "empty lambda grid for bound 'th2'"),
     ])
     def test_evaluate_sides_refuses_lambdas(self, name, lams, message):
-        # one read per lam: BoundParams refuses lam < 0, evaluate lam = 0 where
-        # the bound needs lam > 0; an empty grid makes no read, so run_suite,
-        # which makes the reads, refuses it
+        # one read per lam and mode: BoundParams refuses lam < 0, evaluate lam = 0
+        # where the bound needs lam > 0; an empty grid makes no read, so
+        # run_suite, which makes the reads, refuses it
         terms = pair_terms(J, J) if name in ("th2", "al_dolat") else matrix_terms(J)
         with pytest.raises(ValueError) as exc:
             if not lams:
                 run_suite(EnsembleConfig("gue", 2, 2, 1), bounds=[name], chains=[],
                           lambda_grid=lams)
-            evaluate([(terms, [Read(name, BoundParams(lam), None) for lam in lams])])
+            evaluate([(terms, [Read(name, BoundParams(lam), mode) for lam in lams
+                               for mode in bound_modes(name)])])
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["lam", "r", "n", "alpha"])
@@ -231,7 +232,7 @@ class TestTheoremBounds:
 
     def test_evaluate_refuses_an_unknown_bound(self):
         with pytest.raises(UnknownBoundError, match="unknown bound 'nope'"):
-            evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), None)])])
+            evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), MODE_CERTIFICATE)])])
 
     def test_th3_identity(self):
         res = bound_th3(I2, 0.5, 1.0)
@@ -412,8 +413,8 @@ class TestForms:
         params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
         for name, bound in CATALOG.items():
             terms = pair_terms(t, s) if bound.product else matrix_terms(t)
-            evaluate([(terms, [Read(name, replace(params, lam=lam), None)
-                               for lam in (0.5, 2.0)])])
+            evaluate([(terms, [Read(name, replace(params, lam=lam), mode)
+                               for lam in (0.5, 2.0) for mode in bound.modes])])
             form, base = bound.form(params), WP if bound.product else W
             named = [f for prod in form.rhs for f in prod if f is not U] + [
                 ("pow", base, form.exponent), ("pow", base, form.exponent / 2.0)]
@@ -480,42 +481,64 @@ class TestStackedPass:
         terms = pair_terms(t[:3], t[3:]) if bound.product else matrix_terms(t[:3])
         params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
         lams = (0.3, 1.0, 7.0) + ((0.0,) if name == "al_dolat" else ())
-        reads = [Read(name, replace(params, lam=lam), None) for lam in lams]  # one per lam
+        reads = [Read(name, replace(params, lam=lam), mode)  # one per lam and mode
+                 for lam in lams for mode in bound.modes]
         ev = evaluate([(terms, reads)])[0]
         form, base = bound.form(params), WP if bound.product else W
         values = {key: v.tolist() for key, v in terms.values.items()}
-        for k, read in enumerate(reads):
-            assert [ev.plan.mode[i] for i in ev.rows[read]] == list(bound.modes)
-            for i in ev.rows[read]:
-                certificate = bound.implicit and ev.plan.mode[i] == MODE_CERTIFICATE
-                p = form.exponent / 2.0 if certificate else form.exponent
-                u = values["pow", base, form.exponent / 2.0]
-                rhs = _reference_rhs(form, values, lams, [1.0] * len(u) if certificate else u,
-                                     certificate)[:, k]
-                w = np.array(values["pow", base, p])
-                assert ev.plan.exponent[i] == p and np.array_equal(ev.w_power[i], w)
-                assert np.array_equal(ev.rhs[i], rhs), (name, ev.plan.mode[i], lams[k])
-                assert np.array_equal(ev.slack[i], rhs - w)
-                assert np.array_equal(ev.holds[i], rhs - w >= -bounds.HOLDS_RTOL
-                                      * bounds.rel_scale(rhs, w))
+        assert [ev.rows[read] for read in reads] == list(range(len(reads)))  # a row per read
+        for i, (_, read_params, mode) in enumerate(reads):
+            k = lams.index(read_params.lam)
+            assert ev.plan.mode[i] == mode
+            assert ev.plan.lam[i] == lams[k] if bound.uses_lambda else np.isnan(ev.plan.lam[i])
+            certificate = bound.implicit and mode == MODE_CERTIFICATE
+            p = form.exponent / 2.0 if certificate else form.exponent
+            u = values["pow", base, form.exponent / 2.0]
+            rhs = _reference_rhs(form, values, lams, [1.0] * len(u) if certificate else u,
+                                 certificate)[:, k]
+            w = np.array(values["pow", base, p])
+            assert ev.plan.exponent[i] == p and np.array_equal(ev.w_power[i], w)
+            assert np.array_equal(ev.rhs[i], rhs), (name, mode, lams[k])
+            assert np.array_equal(ev.slack[i], rhs - w)
+            assert np.array_equal(ev.holds[i], rhs - w >= -bounds.HOLDS_RTOL
+                                  * bounds.rel_scale(rhs, w))
 
-    def test_the_first_bad_read_names_the_error(self):
-        # a read is checked for its mode, then for overflow, in request order
+    def test_the_first_bad_read_names_the_error(self, monkeypatch):
+        # every read is checked for its lam and mode, in request order, before
+        # any term is computed; then for overflow, in request order
+        filled = []
+        monkeypatch.setattr(bounds, "fill_terms", lambda requests, fill=bounds.fill_terms:
+                            filled.append(requests) or fill(requests))
         t = matrix_terms(2.0 * I2)
         no_mode = Read("kittaneh", BoundParams(1.0), MODE_INEQUALITY)
-        overflow = Read("el_haddad", BoundParams(1.0, r=1e308), None)
-        with pytest.raises(ValueError, match="^bound 'kittaneh' has no mode 'inequality-check'$"):
+        overflow = Read("el_haddad", BoundParams(1.0, r=1e308), MODE_CERTIFICATE)
+        no_mode_message = "^bound 'kittaneh' has no mode 'inequality-check'$"
+        with pytest.raises(ValueError, match=no_mode_message):
             evaluate([(t, [no_mode, overflow])])
-        with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
+        with pytest.raises(ValueError, match=no_mode_message):
             evaluate([(t, [overflow, no_mode])])
-        with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
+        with pytest.raises(ValueError, match=no_mode_message):
             evaluate([(t, [overflow]), (matrix_terms(I2), [no_mode])])
+        assert filled == [] and t.values.keys() == {bounds.OP}
+        with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
+            evaluate([(t, [Read("kittaneh", BoundParams(1.0), MODE_CERTIFICATE), overflow])])
+        assert len(filled) == 1  # the spy sees the call that does compute terms
+
+    def test_evaluate_bound_gives_one_result_per_mode_in_catalog_order(self):
+        rng = np.random.default_rng(73)
+        t, s = ginibre(rng, 3), ginibre(rng, 3)
+        for name, bound in CATALOG.items():
+            results = evaluate_bound(name, t, s)
+            assert [res.mode for res in results] == list(bound.modes), name
+            for res in results:  # each the one its mode gives alone
+                assert res == evaluate_bound(name, t, s, mode=res.mode)[0], (name, res.mode)
 
     def test_the_plan_is_memoized_per_read_set(self):
         # the memo key is the reads, lam included: one plan per read set
         rng = np.random.default_rng(72)
         terms = [matrix_terms(ginibre(rng, 3)) for _ in range(2)]
-        plans = [evaluate([(t, [Read("th3", BoundParams(lam), None) for lam in lams])])[0].plan
+        plans = [evaluate([(t, [Read("th3", BoundParams(lam), mode) for lam in lams
+                                for mode in bound_modes("th3")])])[0].plan
                  for t, lams in zip(terms * 2, ((0.5, 2.0), (0.5, 2.0), (0.5,), (2.0, 0.5)))]
         assert plans[0] is plans[1]
         assert len({id(plan) for plan in plans}) == 3

@@ -21,6 +21,7 @@ from numrad import (
     numerical_radius_oracle,
     operator_norm,
 )
+from numrad.bounds import matrix_terms, pair_terms
 from numrad.ensembles import ENSEMBLES, EnsembleConfig, generate_ensemble
 from numrad.linalg import _abs_powers, abs_power, as_matrix, as_vector, inner
 
@@ -413,7 +414,7 @@ class TestStack:
         lo, hi = numerical_radius_enclosure(stack)
         for k, m in enumerate(stack):
             assert (lo[k], hi[k]) == numerical_radius_enclosure(m), k
-        assert lo[0] == hi[0] == 0.0
+        assert lo[0] == hi[0] == 0.0 and not np.signbit([lo[0], hi[0]]).any()
         assert lo[1] == hi[1] == pytest.approx(math.cos(math.pi / 6), rel=1e-14)
         skew = np.linalg.norm(stack[6] - stack[6].conj().T) / 2
         assert lo[6] == lo[2] and hi[6] == pytest.approx(lo[6] + skew, rel=1e-15)
@@ -431,6 +432,12 @@ class TestStack:
             numerical_radius(np.array([J, np.nan * J]))
         with pytest.raises(ValueError, match="square"):
             numerical_radius(np.zeros((2, 2, 3)))
+        empty = np.zeros((0, 2, 2))
+        for call in (numerical_radius, lambda a: abs_power(a, 0.5), matrix_terms,
+                     lambda a: pair_terms(a, a)):
+            with pytest.raises(ValueError, match=r"^expected a square matrix stack, "
+                                                 r"got shape \(0, 2, 2\)$"):
+                call(empty)
 
 
 class TestEngineBatches:

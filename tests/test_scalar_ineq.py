@@ -222,7 +222,7 @@ class TestBoundParams:
             BoundParams(**kwargs)
 
     def test_hash_is_the_fields_hash_and_kept(self):
-        # computed once per instance, on first use; equal params hash equal
+        # computed once per instance, when it is made; equal params hash equal
         a, b = BoundParams(1.0, r=2.0, n=3), BoundParams(1.0, r=2.0, n=3.0)
         assert a == b and hash(a) == hash(b) == hash((1.0, 2.0, 3, 0.5))
         assert hash(a) == hash(a) and {a: 1}[b] == 1 and a != BoundParams(2.0, r=2.0, n=3)

@@ -27,6 +27,7 @@ from numrad.bounds import (
     MODE_INEQUALITY,
     PRODUCT_BOUNDS,
     PRODUCT_CHAINS,
+    bound_modes,
     evaluate_bound,
     refinement_chain,
     uses_lambda,
@@ -181,7 +182,8 @@ def test_a_config_checks_its_lambda_grid_once(monkeypatch):
     assert [lam for lam in checked if lam != 1.0] == list(grid)
     for lam in grid:
         grid_reads = [read for read in calls[0] if read.params.lam == lam]
-        assert [read.name for read in grid_reads] == [b for b in ALL_BOUNDS if uses_lambda(b)]
+        assert [(read.name, read.mode) for read in grid_reads] == [
+            (b, mode) for b in ALL_BOUNDS if uses_lambda(b) for mode in bound_modes(b)]
         assert len({id(read.params) for read in grid_reads}) == 1
     assert not {"fill_terms", "_require_positive"} & set(vars(suite))
 
@@ -199,10 +201,10 @@ def test_every_grid_value_is_checked_before_the_ensemble(monkeypatch, lam):
 
 def test_a_config_evaluates_each_read_once(monkeypatch):
     # a chain reads what the config already reads: el_haddad at r = 2 once for
-    # th4/th5/bomi_elhaddad, th2 at r = 1 in inequality mode once for both th2
-    # chains, and th3_elhaddad's el_haddad at r = 1 is the config's own
-    # el_haddad block (each plan row is one read, at one lam, in one mode: th2
-    # is 5 grid lams in 2 modes and the chains' read)
+    # th4/th5/bomi_elhaddad, and th3_elhaddad's el_haddad at r = 1 and both th2
+    # chains' th2 at r = 1, lam 1 in inequality mode are the config's own rows
+    # (each plan row is one read, at one lam, in one mode: th2 is 5 grid lams
+    # in 2 modes)
     calls = Counter()
 
     def spy(requests, evaluate=bounds.evaluate):
@@ -212,7 +214,18 @@ def test_a_config_evaluates_each_read_once(monkeypatch):
 
     monkeypatch.setattr(suite, "evaluate", spy)
     run_suite(EnsembleConfig("ginibre", 3, 4, 1))
-    assert (calls["el_haddad"], calls["th2"], sum(calls.values())) == (2, 11, 68)
+    assert (calls["el_haddad"], calls["th2"], sum(calls.values())) == (2, 10, 63)
+
+
+def test_a_signed_zero_lambda_keeps_its_sign():
+    # rows take their lam from their plan row: -0.0 and 0.0 are two reads, so a
+    # plan memoized for one grid does not label the other's rows
+    config = EnsembleConfig("jordan", 2, 2, 0)
+    for grid in ((-0.0, 1.0), (0.0, 1.0), (0.0, -0.0)):
+        rep = run_suite(config, bounds=["al_dolat"], chains=[], lambda_grid=grid)
+        signs = [math.copysign(1.0, row.lam) for row in rep.bound_rows if row.lam == 0.0]
+        modes = len(bound_modes("al_dolat"))
+        assert signs == [math.copysign(1.0, lam) for lam in grid if lam == 0.0] * modes, grid
 
 
 def _forged_report():

@@ -62,7 +62,8 @@ HERMITIAN_FAULTS = MATRIX_FAULTS + [
 PSD_FAULTS = HERMITIAN_FAULTS + [("indefinite", np.diag([1.0, -1.0]), NotPSDError)]
 LAM_FAULTS = [(f"lam={v}", v, ValueError) for v in (0.0, -1.0, NAN, INF)]
 ORDER_FAULTS = [("n=0", 0, ValueError), ("n=1.5", 1.5, ValueError),
-                ("n=16", 16, OverflowError)]
+                ("n=16", 16, OverflowError), ("n=inf", INF, ValueError),
+                ("n=nan", NAN, ValueError)]
 ALPHA_FAULTS = [(f"alpha={v}", v, ValueError) for v in (0.0, 1.0, NAN)]
 R_FAULTS = [(f"r={v}", v, ValueError) for v in (0.5, NAN, INF)]
 H_ID_FAULTS = [("h_id=cube", "cube", UnknownFunctionError)]
