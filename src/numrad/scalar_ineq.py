@@ -72,8 +72,7 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("lam", "r", "n", "alpha"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool")
+            _refuse_bool(name, getattr(self, name))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         require_exponent(self.r)
@@ -91,7 +90,14 @@ class BoundParams:
         return self._key[2]
 
 
+def _refuse_bool(name: str, v) -> None:
+    """ValueError when v, the scalar ``name``, is a Python or numpy bool."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool")
+
+
 def _require_positive(lam: float) -> float:
+    _refuse_bool("lam", lam)
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and > 0, got {lam}")
@@ -99,14 +105,16 @@ def _require_positive(lam: float) -> float:
 
 
 def require_exponent(r: float) -> float:
-    """r, or ValueError unless it is finite and >= 1."""
+    """r, or ValueError unless it is a finite number >= 1 (not a bool)."""
+    _refuse_bool("r", r)
     if not (math.isfinite(r) and r >= 1):
         raise ValueError(f"r must be finite and >= 1, got {r}")
     return r
 
 
 def require_alpha(alpha: float) -> None:
-    """ValueError unless alpha lies in (0, 1)."""
+    """ValueError unless alpha is a number (not a bool) in (0, 1)."""
+    _refuse_bool("alpha", alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 

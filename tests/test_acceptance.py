@@ -95,6 +95,7 @@ def test_criterion_1_engine_correctness():
 
 
 def test_criterion_2_scalar_fuzz():
+    t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     count = 100_000
     failures = 0
@@ -123,12 +124,14 @@ def test_criterion_2_scalar_fuzz():
     eq_ok = eq.slack <= 1e-12
 
     ok = failures == 0 and eq_ok
-    _report(2, "scalar fuzz 1e5", ok, f"violations={failures}")
+    elapsed = time.perf_counter() - t0
+    _report(2, "scalar fuzz 1e5", ok, f"violations={failures}, {elapsed:.1f}s")
     assert failures == 0
     assert eq_ok, f"Buzano equality slack {eq.slack}"
 
 
 def test_criterion_3_operator_lemma_fuzz():
+    t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     per_predicate = 10_000
     failures = {"mccarthy": 0, "convex_norm": 0, "mixed_schwarz": 0, "jensen": 0}
@@ -149,7 +152,8 @@ def test_criterion_3_operator_lemma_fuzz():
             (gh + gh.conj().T) / 2, _unit(rng, n), h_ids[k % 4]).holds
 
     total = sum(failures.values())
-    _report(3, "operator-lemma fuzz 4x1e4", total == 0, str(failures))
+    elapsed = time.perf_counter() - t0
+    _report(3, "operator-lemma fuzz 4x1e4", total == 0, f"{failures}, {elapsed:.1f}s")
     assert total == 0, failures
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from numrad import (
+    BoundParams,
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -31,6 +32,7 @@ from numrad import (
     mixed_schwarz_check,
     young_amgm,
 )
+from numrad import linalg
 
 X = np.array([1.0, 2.0j])
 Y = np.array([0.5, -1.0 + 1.0j])
@@ -60,12 +62,12 @@ MATRIX_FAULTS = [
 HERMITIAN_FAULTS = MATRIX_FAULTS + [
     ("non-Hermitian", np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError)]
 PSD_FAULTS = HERMITIAN_FAULTS + [("indefinite", np.diag([1.0, -1.0]), NotPSDError)]
-LAM_FAULTS = [(f"lam={v}", v, ValueError) for v in (0.0, -1.0, NAN, INF)]
+LAM_FAULTS = [(f"lam={v}", v, ValueError) for v in (0.0, -1.0, NAN, INF, True)]
 ORDER_FAULTS = [("n=0", 0, ValueError), ("n=1.5", 1.5, ValueError),
                 ("n=16", 16, OverflowError), ("n=inf", INF, ValueError),
                 ("n=nan", NAN, ValueError)]
-ALPHA_FAULTS = [(f"alpha={v}", v, ValueError) for v in (0.0, 1.0, NAN)]
-R_FAULTS = [(f"r={v}", v, ValueError) for v in (0.5, NAN, INF)]
+ALPHA_FAULTS = [(f"alpha={v}", v, ValueError) for v in (0.0, 1.0, NAN, True)]
+R_FAULTS = [(f"r={v}", v, ValueError) for v in (0.5, NAN, INF, True)]
 H_ID_FAULTS = [("h_id=cube", "cube", UnknownFunctionError)]
 T_FAULTS = [(f"t={v}", v, ValueError) for v in (-0.1, 1.5, NAN)]
 NONNEG_FAULTS = [(f"{v}", v, ValueError) for v in (-1.0, NAN, INF)]
@@ -138,7 +140,7 @@ def _counting(monkeypatch, module, names) -> dict:
 
 @pytest.mark.parametrize("check,args,eigh,svd", [
     (mccarthy_check, (PSD, UNIT, 2.5), 1, 0),
-    (convex_norm_check, (PSD, PSD.T, 2.5), 3, 2),
+    (convex_norm_check, (PSD, PSD.T, 2.5), 3, 1),
     (mixed_schwarz_check, (GENERAL, X, Y, 0.3), 0, 1),
     (jensen_operator_check, (HERM, UNIT, "exp"), 1, 0),
 ])
@@ -146,6 +148,27 @@ def test_decompositions_per_predicate(monkeypatch, check, args, eigh, svd):
     counts = _counting(monkeypatch, np.linalg, ("eigh", "svd"))
     check(*args)
     assert counts == {"eigh": eigh, "svd": svd}
+
+
+@pytest.mark.parametrize("check,args,powers", [
+    (mccarthy_check, (PSD, UNIT, 2.5), 0),
+    (convex_norm_check, (PSD, PSD.T, 2.5), 2),
+    (mixed_schwarz_check, (GENERAL, X, Y, 0.3), 0),
+    (jensen_operator_check, (HERM, UNIT, "exp"), 0),
+])
+def test_matrix_powers_per_predicate(monkeypatch, check, args, powers):
+    """Sides are read from the spectrum; only convex_norm_check forms A^r and B^r."""
+    counts = _counting(monkeypatch, linalg.PSDPower, ("power",))
+    check(*args)
+    assert counts == {"power": powers}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_exponent_is_refused_as_bound_params_refuses_it(flag):
+    with pytest.raises(ValueError) as expected:
+        BoundParams(lam=1.0, r=flag)
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        mccarthy_check(PSD, UNIT, flag)
 
 
 @pytest.mark.parametrize("fn,args", [
