@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     UnknownBoundError,
     UnknownChainError,
 )
-from .linalg import _abs_powers, _h, as_matrix, numerical_radius, same_dim
+from .linalg import _h, _spectral_power, _svd, as_matrix, numerical_radius, same_dim
 from .scalar_ineq import BoundParams, _require_positive, binomial_order, interpolate
 
 HOLDS_RTOL = 1e-8
@@ -159,12 +159,15 @@ class _Terms:
 
 
 class MatrixTerms(_Terms):
-    """Terms of a checked stack of matrices T: A = |T| and B = |T*| from one SVD."""
+    """Terms of a checked stack of matrices T: A = |T| and B = |T*| from one SVD
+    T = U S V*, |T|^q = V S^q V* and |T*|^q = U S^q U*, each formed once per q."""
 
     def __init__(self, t: np.ndarray):
-        a, b = _abs_powers(t)
-        super().__init__(a.power, b.power, t)
-        self.values[OP] = a.values[:, 0]  # sigma_1: SVD values descend
+        u, s, vh = _svd(t)
+        v = _h(vh)
+        super().__init__(cache(lambda q: _spectral_power(s, v, q)),
+                         cache(lambda q: _spectral_power(s, u, q)), t)
+        self.values[OP] = s[:, 0]  # sigma_1: SVD values descend
 
 
 class PairTerms(_Terms):
@@ -427,17 +430,22 @@ def _rhs(plan: Plan, v: np.ndarray, c: np.ndarray) -> np.ndarray:
 Evaluation = namedtuple("Evaluation", "plan v rows w_power rhs slack holds")
 
 
+def check_reads(reads) -> None:
+    """ValueError for the first read whose bound lacks its lam (> 0 where the
+    bound needs it; BoundParams holds lam >= 0) or its mode."""
+    for name, params, mode in reads:
+        if _spec(name).lam_positive:
+            _require_positive(params.lam)
+        if mode not in CATALOG[name].modes:
+            raise ValueError(f"bound {name!r} has no mode {mode!r}")
+
+
 def evaluate(requests) -> list[Evaluation]:
     """One Evaluation per request of [(terms, reads), ...], over its inputs, each
-    distinct read once. ValueError, before any term is computed, for the first
-    read whose bound lacks its lam or mode; then OverflowError for the first
-    read whose right side or w-power leaves the double range."""
-    for _, reads in requests:  # BoundParams holds lam >= 0
-        for name, params, mode in reads:
-            if _spec(name).lam_positive:
-                _require_positive(params.lam)
-            if mode not in CATALOG[name].modes:
-                raise ValueError(f"bound {name!r} has no mode {mode!r}")
+    distinct read once. check_reads' ValueError, before any term is computed;
+    then OverflowError for the first read whose right side or w-power leaves
+    the double range."""
+    check_reads(read for _, reads in requests for read in reads)
     requests = [(terms, tuple(dict.fromkeys(reads))) for terms, reads in requests]
     plans = [_plan(reads) for _, reads in requests]
     fill_terms([(terms, plan.keys) for (terms, _), plan in zip(requests, plans)])

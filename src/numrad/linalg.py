@@ -193,27 +193,16 @@ def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-class PSDPower:
-    """Spectral powers V diag(s^q) V*, q >= 0, of the PSD matrix V diag(s) V*
-    (or a stack of them) given by orthonormal columns V and values s >= 0,
-    cached per q. The power of 0 is the full identity, zero values included."""
-
-    def __init__(self, vectors: np.ndarray, values: np.ndarray):
-        self.vectors, self.values = vectors, values
-        self._pows: dict[float, np.ndarray] = {}
-
-    def power(self, q: float) -> np.ndarray:
-        """The q-th power; past the double range, inf or NaN entries (numpy warns)."""
-        if q < 0:
-            raise ValueError("exponent must be >= 0")
-        if q not in self._pows:
-            v = self.vectors
-            if q == 0:
-                self._pows[q] = np.eye(v.shape[-1], dtype=np.complex128) + np.zeros_like(v)
-            else:  # halves first: no overflow near the top of the double range
-                r = (v * (self.values ** q)[..., None, :]) @ _h(v) / 2.0
-                self._pows[q] = r + _h(r)
-        return self._pows[q]
+def _spectral_power(values: np.ndarray, vectors: np.ndarray, q: float) -> np.ndarray:
+    """V diag(s^q) V*, q >= 0, of the PSD matrix V diag(s) V* (or a stack of
+    them) given by values s >= 0 and orthonormal columns V. The power of 0 is
+    the full identity, zero values included; past the double range, inf or
+    NaN entries (numpy warns)."""
+    if q == 0:
+        return np.eye(vectors.shape[-1], dtype=np.complex128) + np.zeros_like(vectors)
+    # halves first: no overflow near the top of the double range
+    r = (vectors * (values ** q)[..., None, :]) @ _h(vectors) / 2.0
+    return r + _h(r)
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,30 +226,24 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def _abs_powers(a: np.ndarray) -> tuple[PSDPower, PSDPower]:
-    """Powers of |M| and of |M*| from one SVD M = U S V* of a matrix or stack
-    as_matrix has checked: |M|^p = V S^p V* and |M*|^p = U S^p U*."""
-    u, s, vh = _svd(a)
-    return PSDPower(_h(vh), s), PSDPower(u, s)
-
-
 def abs_value(m) -> np.ndarray:
     """Positive-semidefinite square root of M*M (the matrix absolute value)."""
     return abs_power(m, 1.0)
 
 
 def abs_power(m, p: float) -> np.ndarray:
-    """|M|^p = (M*M)^(p/2) for finite p >= 0."""
-    return _power(_abs_powers(as_matrix(m, stack=np.ndim(m) == 3))[0], p, "abs_power")
+    """|M|^p = (M*M)^(p/2) = V S^p V* for finite p >= 0, from the SVD M = U S V*."""
+    _, s, vh = _svd(as_matrix(m, stack=np.ndim(m) == 3))
+    return _power(s, _h(vh), p, "abs_power")
 
 
-def _power(family: PSDPower, p: float, what: str) -> np.ndarray:
-    """family.power(p), or ValueError unless p is finite and >= 0, and
-    OverflowError naming ``what`` when the power leaves the double range."""
+def _power(values: np.ndarray, vectors: np.ndarray, p: float, what: str) -> np.ndarray:
+    """_spectral_power(values, vectors, p), or ValueError unless p is finite and
+    >= 0, and OverflowError naming ``what`` when the power leaves the double range."""
     if not (math.isfinite(p) and p >= 0):
         raise ValueError(f"exponent must be finite and >= 0, got {p}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = family.power(p)
+        out = _spectral_power(values, vectors, p)
     if np.count_nonzero(np.isfinite(out)) != out.size:
         raise OverflowError(f"{what}: the power leaves the double range")
     return out
@@ -273,13 +256,7 @@ def matrix_power_psd(a, p: float) -> np.ndarray:
     are clamped to 0 before powering; one below -1e-8 * ||A|| signals genuine
     indefiniteness and raises NotPSDError.
     """
-    return _power(_psd_powers(as_matrix(a)), p, "matrix_power_psd")
-
-
-def _psd_powers(a: np.ndarray) -> PSDPower:
-    """Powers of the validated a, with matrix_power_psd's checks."""
-    vals, vecs = _eigen(a, psd=True)
-    return PSDPower(vecs, vals)
+    return _power(*_eigen(as_matrix(a), psd=True), p, "matrix_power_psd")
 
 
 def operator_norm(m) -> float:

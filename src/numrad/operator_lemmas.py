@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import UnknownFunctionError
-from .linalg import _eigen, _fro, _psd_powers, _svd, _vectors, as_matrix, inner, same_dim
+from .linalg import _eigen, _fro, _spectral_power, _svd, _vectors, as_matrix, inner, same_dim
 from .scalar_ineq import InequalityRecord, require_alpha, require_exponent, require_unit
 
 CONVEX_FUNCTIONS = {
@@ -59,7 +59,8 @@ def convex_norm_check(a, b, r: float) -> InequalityRecord:
     try:  # means halve first: the mean of two doubles is a double
         with np.errstate(over="ignore", invalid="ignore"):
             top = _eigen(a / 2.0 + b / 2.0, psd=True)[0][-1]  # eigenvalues ascend
-            p = _psd_powers(a).power(r) / 2.0 + _psd_powers(b).power(r) / 2.0
+            pa, pb = (_spectral_power(*_eigen(x, psd=True), r) for x in (a, b))
+            p = pa / 2.0 + pb / 2.0
             rhs = _svd(p)[1][0] if np.isfinite(p).all() else math.inf  # inf: past the range
             lhs = top**r
     except OverflowError as exc:  # an eigenvalue or a norm past the double range

@@ -1,8 +1,11 @@
 """Batch verification suites and report emission.
 
 run_suite evaluates a set of catalog bounds (in every mode they support)
-and refinement chains over one ensemble, at every value of a lambda grid,
-and collects the outcome per row. Violations are recorded, never fatal: a
+over one ensemble, a bound that takes lambda at every value of a lambda
+grid, and refinement chains once each, at lambda = 1 and the request's
+(r, n, alpha) mapped by the chain's ChainSpec; the grid drives bound rows
+only. It collects the outcome per row. Every read is checked before the
+ensemble is generated. Violations are recorded, never fatal: a
 counterexample is the tool's most valuable output.
 
 A config is evaluated at a time, from one SVD and one bounds.evaluate call
@@ -37,6 +40,7 @@ from .bounds import (
     _spec,
     chain_links,
     chain_reads,
+    check_reads,
     evaluate,
     matrix_terms,
     rel_scale,
@@ -169,9 +173,8 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     if takes and not grid:
         raise ValueError(f"empty lambda grid for bound {takes[0]!r}")
 
-    terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
     pairs = np.arange(0, config.trials, 2)
-    work, requests = [], []  # (row labels, bound reads, chains with their reads) per kind
+    work = []  # (row labels, bound reads, chains with their reads) per kind
     for product in (False, True):
         # a bound the grid does not drive is read at lam = 1, its rows with lam None
         reads = [Read(b, p, mode) for b, spec in zip(bounds, specs) if spec.product == product
@@ -179,12 +182,14 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
         links = [(c, chain_reads(ch, params)) for c, ch in zip(chains, chain_specs)
                  if CATALOG[ch.refined].product == product]
         work.append((pairs if product else np.arange(config.trials), reads, links))
-        requests.append((PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
-                         if product else terms,
-                         reads + [r for _, pair in links for r in pair]))
+    kinds = [reads + [r for _, pair in links for r in pair] for _, reads, links in work]
+    check_reads(read for kind in kinds for read in kind)  # before the ensemble is generated
+    terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
+    paired = PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
+    evs = evaluate(list(zip((terms, paired), kinds)))  # one engine call
 
     parts, chain_blocks = [], []  # (labels, evaluation, plan rows); (labels, chain, holds)
-    for (labels, reads, links), ev in zip(work, evaluate(requests)):  # one engine call
+    for (labels, reads, links), ev in zip(work, evs):
         parts.append((labels, ev, [ev.rows[read] for read in reads]))
         if links:  # each chain's holds, a row of one stacked array
             rows = np.array([[ev.rows[read] for read in pair] for _, pair in links])

@@ -32,7 +32,7 @@ from numrad import (
     resolve_implicit_quadratic,
     run_suite,
 )
-from numrad import bounds, linalg
+from numrad import bounds
 from numrad.bounds import (
     CATALOG,
     U,
@@ -181,6 +181,12 @@ class TestProductClassical:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bound_product_classical(J, np.eye(3), "dragomir")
+
+    @pytest.mark.parametrize("name", ["kittaneh", "th2"])
+    def test_only_classical_product_bounds(self, name):
+        # kittaneh is classical but single-matrix; th2 is a product bound that needs lam > 0
+        with pytest.raises(UnknownBoundError, match=f"unknown classical product bound '{name}'"):
+            bound_product_classical(I2, I2, name)
 
 
 class TestTheoremBounds:
@@ -555,13 +561,13 @@ class TestStackedPass:
         assert bounds._plan.cache_info().misses - after.misses == 2
 
     def test_pairs_read_the_trial_family_powers(self, monkeypatch):
-        formed, power = [], linalg.PSDPower.power
+        formed, power = [], bounds._spectral_power
 
-        def spy(family, q):
-            formed.extend([q] if q not in family._pows else [])
-            return power(family, q)
+        def spy(values, vectors, q):  # the term tables call it once per family and q
+            formed.append(q)
+            return power(values, vectors, q)
 
-        monkeypatch.setattr(linalg.PSDPower, "power", spy)
+        monkeypatch.setattr(bounds, "_spectral_power", spy)
         rng = np.random.default_rng(73)
         trials = matrix_terms(np.array([ginibre(rng, 3) for _ in range(6)]))
         pairs = bounds.PairTerms(trials, [0, 2, 4], [1, 3, 5])
@@ -597,6 +603,11 @@ class TestOneSpectralPass:
         shapes = _svd_shapes(monkeypatch)
         terms = pair_terms(t[:4], t[4:])
         assert shapes == [(8, 3, 3)] and len(terms.t) == len(terms.s) == 4
+
+    def test_pair_terms_refuse_stacks_of_different_shapes(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^shapes \(1, 2, 2\) and \(1, 3, 3\) differ$"):
+            pair_terms(J, np.eye(3))
 
     def test_norm_sums_are_the_norms_of_hermitian_sums(self):
         # the engine's near-Hermitian rule gives max|lambda| of each input; not
@@ -652,6 +663,10 @@ class TestSoundnessSweep:
 
 
 class TestOptimizeLambda:
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'newton'$"):
+            optimize_lambda("th3", J, method="newton")
+
     def test_th4_jordan_boundary_zero(self):
         opt = optimize_lambda("th4", J)
         assert opt.infimum == pytest.approx(1.0 / 16.0, abs=1e-10)

@@ -23,7 +23,7 @@ from numrad import (
 )
 from numrad.bounds import matrix_terms, pair_terms
 from numrad.ensembles import ENSEMBLES, EnsembleConfig, generate_ensemble
-from numrad.linalg import _abs_powers, abs_power, as_matrix, as_vector, inner
+from numrad.linalg import abs_power, as_matrix, as_vector, inner
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -136,8 +136,8 @@ class TestAbsValue:
         rng = np.random.default_rng(15)
         for n in (2, 3, 5):
             m = ginibre(rng, n)
-            _, abs_adj = _abs_powers(as_matrix(m))
-            assert abs_adj.power(p) == pytest.approx(abs_power(m.conj().T, p), abs=1e-12)
+            abs_adj = matrix_terms(m)._b(p)[0]  # the term tables' |M*|^p
+            assert abs_adj == pytest.approx(abs_power(m.conj().T, p), abs=1e-12)
 
 
 class TestMatrixPowerPsd:
@@ -156,6 +156,16 @@ class TestMatrixPowerPsd:
 
     def test_zero_exponent_gives_full_identity(self):
         assert matrix_power_psd(np.diag([0.0, 2.0]), 0.0) == pytest.approx(np.eye(2))
+
+    def test_zero_exponent_is_exactly_the_identity(self):
+        # a roundoff singular value included; V diag(s^0) V* = V V* misses I in its last bits
+        rng = np.random.default_rng(5)
+        g = ginibre(rng, 3)
+        singular = np.array([[1, 2, 0], [2j, 4j, 0], [3, 6, 1]]) @ g  # rank 2
+        eye = np.eye(3, dtype=complex)
+        assert np.array_equal(abs_power(singular, 0.0), eye)
+        assert np.array_equal(abs_power(np.array([g, singular]), 0.0), np.array([eye, eye]))
+        assert np.array_equal(matrix_power_psd(np.diag([0.0, 2.0]), 0.0), np.eye(2))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):

@@ -199,6 +199,15 @@ def test_every_grid_value_is_checked_before_the_ensemble(monkeypatch, lam):
     assert generated == []
 
 
+def test_a_zero_lambda_is_refused_before_the_ensemble(monkeypatch):
+    # 0 is a valid grid value, refused by the read of th2, which needs lam > 0
+    generated = []
+    monkeypatch.setattr(suite, "generate_ensemble", lambda config: generated.append(config))
+    with pytest.raises(ValueError, match=r"^lam must be finite and > 0, got 0\.0$"):
+        run_suite(EnsembleConfig("ginibre", 3, 4, 1), bounds=["th2"], lambda_grid=(0.0, 1.0))
+    assert generated == []
+
+
 def test_a_config_evaluates_each_read_once(monkeypatch):
     # a chain reads what the config already reads: el_haddad at r = 2 once for
     # th4/th5/bomi_elhaddad, and th3_elhaddad's el_haddad at r = 1 and both th2

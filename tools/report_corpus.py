@@ -30,7 +30,10 @@ runs `numrad` in-process, for the numrad found on PYTHONPATH:
   for a product bound):
   - `bound` for every bound x mode x lambda in {0.5, 2};
   - `optimize --method auto|golden-section` for every bound that takes
-    lambda, in each of its modes.
+    lambda, in each of its modes;
+* `radius` on those 4 matrices and on two more written the same way, the
+  4x4 Jordan block j4 and a 3x3 Hermitian matrix h3 (`gue`, seed 11), each
+  without and with `--oracle-samples 4 --seed 1`.
 
 One line per run goes to OUTDIR/runs.txt: "NAME EXIT stdout | stderr". Every
 file is written under a relative name from inside OUTDIR, so no output names
@@ -107,6 +110,18 @@ def single_runs(partners):
                                ["optimize", *pair, "--mode", MODES[mode], "--method", method])
 
 
+def radius_runs(partners) -> list:
+    """(name, arguments) of every radius run; writes j4.json and h3.json."""
+    for name, ens, dim in (("j4", "jordan", 4), ("h3", "gue", 3)):
+        jsonio.save_matrix(generate_ensemble(EnsembleConfig(ens, dim, 1, 11))[0], f"{name}.json")
+    runs = []
+    for matrix in [*partners, "j4", "h3"]:
+        base = ["radius", "--matrix", f"{matrix}.json"]
+        runs += [(f"radius_{matrix}", base),
+                 (f"radius_{matrix}_oracle", base + ["--oracle-samples", "4", "--seed", "1"])]
+    return runs
+
+
 def run(argv) -> str:
     """"EXIT stdout | stderr" of one cli call."""
     out, err = io.StringIO(), io.StringIO()
@@ -124,10 +139,13 @@ def main(argv) -> int:
     lines = [f"{name} {fmt} " + run(["verify", *args, "--out", f"{name}.{fmt}", "--format", fmt])
              for name, args in configs() for fmt in ("json", "csv")]
     reports = len(lines)
-    lines += [f"{name} " + run(args) for name, args in single_runs(matrices())]
+    partners = matrices()
+    lines += [f"{name} " + run(args)
+              for name, args in [*single_runs(partners), *radius_runs(partners)]]
     with open("runs.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"{reports} reports and {len(lines) - reports} bound and optimize runs in {os.getcwd()}")
+    print(f"{reports} reports and {len(lines) - reports} bound, optimize and radius runs "
+          f"in {os.getcwd()}")
     return 0
 
 
