@@ -16,11 +16,11 @@ Each CATALOG entry is one form: a function of BoundParams giving, in plain
 data, the bound's exponent, its right side over term keys and its
 coefficients' end limits c(0), c(inf), c(lam) = (c(0) + c(inf) lam)/(1 + lam),
 so a right side is monotone in lam in every mode. fill_terms computes every
-term once, into one table per stack of inputs. evaluate, the one evaluation
-path, checks its reads (one bound at one BoundParams in one of its modes
-each), fills their terms and evaluates every distinct read in one stacked pass
-from a plan memoized on the reads, one row per read holding its lam and its
-coefficients there: per config for the suite, at k = 1 for other callers.
+term once, into one table per stack of inputs. _plan, memoized on a request's
+reads (one bound at one BoundParams in one of its modes each), checks them and
+gives one row per distinct read, holding its lam and its coefficients there;
+evaluate, the one evaluation path, fills the terms of (terms, plan) pairs and
+evaluates each plan in one stacked pass, per config or at k = 1.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def bound_modes(name: str) -> tuple[str, ...]:
 
 
 def uses_lambda(name: str) -> bool:
-    return name in CATALOG and CATALOG[name].uses_lambda
+    return _spec(name).uses_lambda
 
 
 def _coefficients(name: str, lam: float, n: int = 1) -> tuple[float, ...]:
@@ -365,14 +365,14 @@ def al_dolat_coefficients(lam: float) -> tuple[float, float]:
 # A read: one bound at one BoundParams in one of its modes.
 Read = namedtuple("Read", "name params mode")
 
-# The plan of a request's distinct reads, one row per read, with its lam (nan
-# for a bound free of lam). A row's w-power and factors are rows of V:
-# terms.values[key] for each of ``keys``, then ones. It sums its products in
+# The plan of a request, ``rows`` mapping each distinct read to its row, with
+# its lam (nan for a bound free of lam). A row's w-power and factors are rows of
+# V: terms.values[key] for each of ``keys``, then ones. It sums its products in
 # two parts, a and b, each in catalog order and padded with -0.0 (x + -0.0 ==
 # x): a certificate's products with U (read as 1) and the rest; any other
 # row's products (U read as u) and none. c holds each product's coefficient at
 # its row's lam, c0 and cinf its end limits.
-Plan = namedtuple("Plan", "keys name mode lam exponent cert w c c0 cinf factors")
+Plan = namedtuple("Plan", "keys rows name mode lam exponent cert w c c0 cinf factors")
 # the catalog's most products per form and factors per product, read at one params
 _SLOTS = max(len(b.form(BoundParams(1.0)).rhs) for b in CATALOG.values())
 _WIDTH = max(len(prod) for b in CATALOG.values() for prod in b.form(BoundParams(1.0)).rhs)
@@ -380,7 +380,15 @@ _WIDTH = max(len(prod) for b in CATALOG.values() for prod in b.form(BoundParams(
 
 @lru_cache(maxsize=64)
 def _plan(reads: tuple) -> Plan:
-    """The plan of distinct reads, each in a mode of its bound; th6's form refuses n > 15."""
+    """The plan of a request's reads, a row per distinct read. ValueError for the
+    first read whose bound lacks its lam (> 0 where it needs it) or its mode,
+    before any form is read (th6's refuses n > 15); a refusal is not memoized."""
+    reads = tuple(dict.fromkeys(reads))
+    for name, params, mode in reads:
+        if _spec(name).lam_positive:
+            _require_positive(params.lam)
+        if mode not in CATALOG[name].modes:
+            raise ValueError(f"bound {name!r} has no mode {mode!r}")
     keys, rows, table, slots = {}, [], [], 1  # keys: key -> its V row
     for name, params, mode in reads:
         bound = CATALOG[name]
@@ -403,9 +411,9 @@ def _plan(reads: tuple) -> Plan:
     table = np.array(table).reshape(-1, 2, _SLOTS, 2 + _WIDTH).transpose(3, 2, 1, 0)[:, :slots]
     lam = np.array(lam, dtype=np.float64)  # nan: free of lam, so c is c0
     c = np.where(np.isnan(lam), table[0], interpolate(table[0], table[1], lam))
-    return Plan(tuple(keys), name, mode, lam, exponent,
-                np.array(cert).reshape(-1, 1) if any(cert) else None,
-                np.array(w, dtype=np.intp), c, *table[:2], table[2:].astype(np.intp))
+    return Plan(tuple(keys), {read: i for i, read in enumerate(reads)}, name, mode, lam,
+                exponent, np.array(cert, dtype=bool).reshape(-1, 1), np.array(w, dtype=np.intp),
+                c, *table[:2], table[2:].astype(np.intp))
 
 
 def _rhs(plan: Plan, v: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -417,8 +425,6 @@ def _rhs(plan: Plan, v: np.ndarray, c: np.ndarray) -> np.ndarray:
         for f in v[plan.factors]:  # per factor: products x 2 x rows x inputs
             prods = prods * f
         a, b = reduce(np.add, prods)  # (x_0 + x_1) + x_2 ...
-        if plan.cert is None:  # no certificate: every b is empty
-            return a
         rhs = a + b  # a, b >= 0: finite iff both are; if not, the reported rhs
     resolve = plan.cert & np.isfinite(rhs)
     rhs[resolve] = resolve_implicit_quadratic(a[resolve], b[resolve])
@@ -426,52 +432,40 @@ def _rhs(plan: Plan, v: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # A request evaluated from its plan and V: w_power, rhs, slack and holds per
-# plan row and input; ``rows`` maps each read to its plan row.
-Evaluation = namedtuple("Evaluation", "plan v rows w_power rhs slack holds")
-
-
-def check_reads(reads) -> None:
-    """ValueError for the first read whose bound lacks its lam (> 0 where the
-    bound needs it; BoundParams holds lam >= 0) or its mode."""
-    for name, params, mode in reads:
-        if _spec(name).lam_positive:
-            _require_positive(params.lam)
-        if mode not in CATALOG[name].modes:
-            raise ValueError(f"bound {name!r} has no mode {mode!r}")
+# plan row and input.
+Evaluation = namedtuple("Evaluation", "plan v w_power rhs slack holds")
 
 
 def evaluate(requests) -> list[Evaluation]:
-    """One Evaluation per request of [(terms, reads), ...], over its inputs, each
-    distinct read once. check_reads' ValueError, before any term is computed;
-    then OverflowError for the first read whose right side or w-power leaves
+    """One Evaluation per request of [(terms, plan), ...], over its inputs:
+    every term in one fill_terms call, then each plan's rows in one stacked
+    pass; OverflowError for the first row whose right side or w-power leaves
     the double range."""
-    check_reads(read for _, reads in requests for read in reads)
-    requests = [(terms, tuple(dict.fromkeys(reads))) for terms, reads in requests]
-    plans = [_plan(reads) for _, reads in requests]
-    fill_terms([(terms, plan.keys) for (terms, _), plan in zip(requests, plans)])
+    fill_terms([(terms, plan.keys) for terms, plan in requests])
     out = []
-    for (terms, reads), plan in zip(requests, plans):
+    for terms, plan in requests:
         v = np.array([terms.values[key] for key in plan.keys] + [np.ones(len(terms.t))])
         rhs, w = _rhs(plan, v, plan.c), v[plan.w]
         with np.errstate(over="ignore", invalid="ignore"):
             slack = rhs - w
-        out.append(Evaluation(plan, v, {read: i for i, read in enumerate(reads)}, w, rhs, slack,
-                              slack >= -HOLDS_RTOL * rel_scale(rhs, w)))
+        out.append(Evaluation(plan, v, w, rhs, slack, slack >= -HOLDS_RTOL * rel_scale(rhs, w)))
         bad = np.flatnonzero(~np.isfinite(slack).all(axis=1))  # rhs - w: both finite
         if len(bad):
-            name, params, _ = reads[bad[0]]
+            name, params, _ = list(plan.rows)[bad[0]]
             raise OverflowError(f"bound {name!r} with r={params.r}, n={params.n}, "
                                 f"alpha={params.alpha}: the right side or the w-power "
                                 "leaves the double range")
     return out
 
 
-def _terms_for(bound: BoundSpec, t, s):
-    """Terms of one matrix, or one pair (T with itself for s None), each checked once."""
+def _evaluate_one(bound: BoundSpec, t, s, reads) -> Evaluation:
+    """The reads of one matrix, or one pair (T with itself for s None): each
+    matrix checked once, its terms built before the reads are planned."""
     ms = [as_matrix(t)] + ([] if s is None or not bound.product else [as_matrix(s)])
     same_dim(*ms)
     terms = MatrixTerms(np.array(ms))  # one SVD
-    return PairTerms(terms, [0], [len(ms) - 1]) if bound.product else terms
+    terms = PairTerms(terms, [0], [len(ms) - 1]) if bound.product else terms
+    return evaluate([(terms, _plan(tuple(reads)))])[0]
 
 
 def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
@@ -484,7 +478,7 @@ def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
     """
     bound, params = _spec(name), params if params is not None else BoundParams(lam=1.0)
     modes = bound.modes if mode is None else (mode,)
-    ev = evaluate([(_terms_for(bound, t, s), [Read(name, params, m) for m in modes])])[0]
+    ev = _evaluate_one(bound, t, s, [Read(name, params, m) for m in modes])
     return tuple(BoundResult(name, params, float(ev.rhs[i, 0]), ev.plan.exponent[i],
                              float(ev.w_power[i, 0]), float(ev.slack[i, 0]),
                              bool(ev.holds[i, 0]), ev.plan.mode[i]) for i in range(len(modes)))
@@ -574,8 +568,8 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     if method not in ("auto", "closed-form", "golden-section"):
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
-    terms, mode = _terms_for(bound, t, s), bound.modes[0] if mode is None else mode
-    plan, v, *_ = evaluate([(terms, [Read(name, params, mode)])])[0]  # fills, checks
+    mode = bound.modes[0] if mode is None else mode
+    plan, v, *_ = _evaluate_one(bound, t, s, [Read(name, params, mode)])
 
     def f(sigma: float) -> float:
         c = interpolate(plan.c0, plan.cinf, math.exp(sigma)) if bound.uses_lambda else plan.c0
@@ -642,8 +636,8 @@ def refinement_chain(t, s, chain_id: str, params: BoundParams) -> ChainResult:
     ch = _chain(chain_id)
     # Both bounds of a chain are of one kind, single or product.
     reads = chain_reads(ch, params)
-    ev = evaluate([(_terms_for(CATALOG[ch.refined], t, s), reads)])[0]
-    links, holds = chain_links(ev, *(ev.rows[read] for read in reads))
+    ev = _evaluate_one(CATALOG[ch.refined], t, s, reads)
+    links, holds = chain_links(ev, *(ev.plan.rows[read] for read in reads))
     return ChainResult(chain_name=chain_id, holds=bool(holds[0]),
                        links=tuple((name, float(v[0])) for name, v in links))
 

@@ -90,15 +90,15 @@ class BoundParams:
         return self._key[2]
 
 
-def _refuse_bool(name: str, v) -> None:
-    """ValueError when v, the scalar ``name``, is a Python or numpy bool."""
+def _refuse_bool(name: str, v):
+    """v, or ValueError when v, the scalar ``name``, is a Python or numpy bool."""
     if isinstance(v, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool")
+    return v
 
 
 def _require_positive(lam: float) -> float:
-    _refuse_bool("lam", lam)
-    lam = float(lam)
+    lam = float(_refuse_bool("lam", lam))
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and > 0, got {lam}")
     return lam

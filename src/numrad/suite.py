@@ -5,8 +5,8 @@ over one ensemble, a bound that takes lambda at every value of a lambda
 grid, and refinement chains once each, at lambda = 1 and the request's
 (r, n, alpha) mapped by the chain's ChainSpec; the grid drives bound rows
 only. It collects the outcome per row. Every read is checked before the
-ensemble is generated. Violations are recorded, never fatal: a
-counterexample is the tool's most valuable output.
+ensemble is generated, when its plan is first built. Violations are recorded,
+never fatal: a counterexample is the tool's most valuable output.
 
 A config is evaluated at a time, from one SVD and one bounds.evaluate call
 over its trials, one read per bound, lambda and mode, with one engine call
@@ -37,16 +37,16 @@ from .bounds import (
     PairTerms,
     Read,
     _chain,
+    _plan,
     _spec,
     chain_links,
     chain_reads,
-    check_reads,
     evaluate,
     matrix_terms,
     rel_scale,
 )
 from .ensembles import EnsembleConfig, generate_ensemble
-from .scalar_ineq import BoundParams
+from .scalar_ineq import BoundParams, _refuse_bool
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.5, 1.0, 2.0, 100.0)
 
@@ -165,7 +165,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
         repeated = [x for x in names if names.count(x) > 1]  # its rows would count twice
         if repeated:
             raise ValueError(f"{kind} {repeated[0]!r} is requested more than once")
-    lambda_grid = tuple(float(x) for x in lambda_grid)
+    lambda_grid = tuple(float(_refuse_bool("lam", x)) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     grid = [replace(params, lam=lam) for lam in lambda_grid]  # each lam checked once
     takes = [b for b, spec in sorted(zip(bounds, specs), key=lambda x: x[1].product)
@@ -183,16 +183,16 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
                  if CATALOG[ch.refined].product == product]
         work.append((pairs if product else np.arange(config.trials), reads, links))
     kinds = [reads + [r for _, pair in links for r in pair] for _, reads, links in work]
-    check_reads(read for kind in kinds for read in kind)  # before the ensemble is generated
+    plans = [_plan(tuple(kind)) for kind in kinds]  # checked before the ensemble is made
     terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
     paired = PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
-    evs = evaluate(list(zip((terms, paired), kinds)))  # one engine call
+    evs = evaluate(list(zip((terms, paired), plans)))  # one engine call
 
     parts, chain_blocks = [], []  # (labels, evaluation, plan rows); (labels, chain, holds)
     for (labels, reads, links), ev in zip(work, evs):
-        parts.append((labels, ev, [ev.rows[read] for read in reads]))
+        parts.append((labels, ev, [ev.plan.rows[read] for read in reads]))
         if links:  # each chain's holds, a row of one stacked array
-            rows = np.array([[ev.rows[read] for read in pair] for _, pair in links])
+            rows = np.array([[ev.plan.rows[read] for read in pair] for _, pair in links])
             chain_blocks += zip(repeat(labels), [c for c, _ in links], chain_links(ev, *rows.T)[1])
     bound_rows, tightness, bound_violations = _bound_rows(parts, r, n, alpha)
     chain_rows, chain_violations = _chain_rows(chain_blocks)

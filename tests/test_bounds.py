@@ -212,7 +212,7 @@ class TestTheoremBounds:
         ("th2", (), "empty lambda grid for bound 'th2'"),
     ])
     def test_evaluate_sides_refuses_lambdas(self, name, lams, message):
-        # one read per lam and mode: BoundParams refuses lam < 0, evaluate lam = 0
+        # one read per lam and mode: BoundParams refuses lam < 0, the plan lam = 0
         # where the bound needs lam > 0; an empty grid makes no read, so
         # run_suite, which makes the reads, refuses it
         terms = pair_terms(J, J) if name in ("th2", "al_dolat") else matrix_terms(J)
@@ -220,8 +220,9 @@ class TestTheoremBounds:
             if not lams:
                 run_suite(EnsembleConfig("gue", 2, 2, 1), bounds=[name], chains=[],
                           lambda_grid=lams)
-            evaluate([(terms, [Read(name, BoundParams(lam), mode) for lam in lams
-                               for mode in bound_modes(name)])])
+            evaluate([(terms, bounds._plan(tuple(Read(name, BoundParams(lam), mode)
+                                                 for lam in lams
+                                                 for mode in bound_modes(name))))])
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["lam", "r", "n", "alpha"])
@@ -238,7 +239,8 @@ class TestTheoremBounds:
 
     def test_evaluate_refuses_an_unknown_bound(self):
         with pytest.raises(UnknownBoundError, match="unknown bound 'nope'"):
-            evaluate([(matrix_terms(J), [Read("nope", BoundParams(1.0), MODE_CERTIFICATE)])])
+            evaluate([(matrix_terms(J),
+                       bounds._plan((Read("nope", BoundParams(1.0), MODE_CERTIFICATE),)))])
 
     def test_th3_identity(self):
         res = bound_th3(I2, 0.5, 1.0)
@@ -413,14 +415,20 @@ class TestForms:
         assert bound_modes(name) == ((MODE_INEQUALITY, MODE_CERTIFICATE) if any(map(any, u_at))
                                      else (MODE_CERTIFICATE,))
 
+    @pytest.mark.parametrize("ask", [uses_lambda, bound_modes])
+    def test_an_unknown_name_is_refused(self, ask):
+        with pytest.raises(UnknownBoundError, match="^\"unknown bound 'nope'; catalog: "):
+            ask("nope")
+
     def test_evaluate_fills_every_key_its_reads_name(self):
         rng = np.random.default_rng(35)
         t, s = ginibre(rng, 3), ginibre(rng, 3)
         params = BoundParams(1.0, r=1.5, n=2, alpha=0.3)
         for name, bound in CATALOG.items():
             terms = pair_terms(t, s) if bound.product else matrix_terms(t)
-            evaluate([(terms, [Read(name, replace(params, lam=lam), mode)
-                               for lam in (0.5, 2.0) for mode in bound.modes])])
+            evaluate([(terms, bounds._plan(tuple(Read(name, replace(params, lam=lam), mode)
+                                                 for lam in (0.5, 2.0)
+                                                 for mode in bound.modes)))])
             form, base = bound.form(params), WP if bound.product else W
             named = [f for prod in form.rhs for f in prod if f is not U] + [
                 ("pow", base, form.exponent), ("pow", base, form.exponent / 2.0)]
@@ -489,10 +497,10 @@ class TestStackedPass:
         lams = (0.3, 1.0, 7.0) + ((0.0,) if name == "al_dolat" else ())
         reads = [Read(name, replace(params, lam=lam), mode)  # one per lam and mode
                  for lam in lams for mode in bound.modes]
-        ev = evaluate([(terms, reads)])[0]
+        ev = evaluate([(terms, bounds._plan(tuple(reads)))])[0]
         form, base = bound.form(params), WP if bound.product else W
         values = {key: v.tolist() for key, v in terms.values.items()}
-        assert [ev.rows[read] for read in reads] == list(range(len(reads)))  # a row per read
+        assert [ev.plan.rows[read] for read in reads] == list(range(len(reads)))  # row per read
         for i, (_, read_params, mode) in enumerate(reads):
             k = lams.index(read_params.lam)
             assert ev.plan.mode[i] == mode
@@ -510,8 +518,9 @@ class TestStackedPass:
                                   * bounds.rel_scale(rhs, w))
 
     def test_the_first_bad_read_names_the_error(self, monkeypatch):
-        # every read is checked for its lam and mode, in request order, before
-        # any term is computed; then for overflow, in request order
+        # every read is checked for its lam and mode, in request order, when its
+        # plan is built, before any term is computed; then for overflow, in
+        # request order
         filled = []
         monkeypatch.setattr(bounds, "fill_terms", lambda requests, fill=bounds.fill_terms:
                             filled.append(requests) or fill(requests))
@@ -520,14 +529,15 @@ class TestStackedPass:
         overflow = Read("el_haddad", BoundParams(1.0, r=1e308), MODE_CERTIFICATE)
         no_mode_message = "^bound 'kittaneh' has no mode 'inequality-check'$"
         with pytest.raises(ValueError, match=no_mode_message):
-            evaluate([(t, [no_mode, overflow])])
+            evaluate([(t, bounds._plan((no_mode, overflow)))])
         with pytest.raises(ValueError, match=no_mode_message):
-            evaluate([(t, [overflow, no_mode])])
+            evaluate([(t, bounds._plan((overflow, no_mode)))])
         with pytest.raises(ValueError, match=no_mode_message):
-            evaluate([(t, [overflow]), (matrix_terms(I2), [no_mode])])
+            evaluate([(t, bounds._plan((overflow,))), (matrix_terms(I2), bounds._plan((no_mode,)))])
         assert filled == [] and t.values.keys() == {bounds.OP}
         with pytest.raises(OverflowError, match=r"^bound 'el_haddad' with r=1e\+308, n=1, "):
-            evaluate([(t, [Read("kittaneh", BoundParams(1.0), MODE_CERTIFICATE), overflow])])
+            evaluate([(t, bounds._plan((Read("kittaneh", BoundParams(1.0), MODE_CERTIFICATE),
+                                        overflow)))])
         assert len(filled) == 1  # the spy sees the call that does compute terms
 
     def test_evaluate_bound_gives_one_result_per_mode_in_catalog_order(self):
@@ -543,8 +553,9 @@ class TestStackedPass:
         # the memo key is the reads, lam included: one plan per read set
         rng = np.random.default_rng(72)
         terms = [matrix_terms(ginibre(rng, 3)) for _ in range(2)]
-        plans = [evaluate([(t, [Read("th3", BoundParams(lam), mode) for lam in lams
-                                for mode in bound_modes("th3")])])[0].plan
+        plans = [evaluate([(t, bounds._plan(tuple(Read("th3", BoundParams(lam), mode)
+                                                  for lam in lams
+                                                  for mode in bound_modes("th3"))))])[0].plan
                  for t, lams in zip(terms * 2, ((0.5, 2.0), (0.5, 2.0), (0.5,), (2.0, 0.5)))]
         assert plans[0] is plans[1]
         assert len({id(plan) for plan in plans}) == 3
@@ -721,14 +732,28 @@ class TestOptimizeLambda:
                 assert golden.infimum - opt.infimum <= 1e-7 * scale, (name, opt, golden)
                 # the grid as one read per lam
                 terms = pair_terms(t, s) if name in ("th2", "al_dolat") else matrix_terms(t)
-                ev = evaluate([(terms, [Read(name, BoundParams(lam), MODE_CERTIFICATE)
-                                        for lam in grid])])[0]
+                ev = evaluate([(terms, bounds._plan(tuple(
+                    Read(name, BoundParams(lam), MODE_CERTIFICATE) for lam in grid)))])[0]
                 assert len(ev.rhs) == len(grid), name
                 assert (opt.infimum <= ev.rhs[:, 0] + 1e-12 * scale).all(), (name, opt)
 
     def test_unknown_bound(self):
         with pytest.raises(UnknownBoundError):
             optimize_lambda("nope", J)
+
+    def test_an_infinite_lambda_end(self, monkeypatch):
+        # no catalog bound is least at lam -> inf beyond roundoff; this one's
+        # c(inf) end is kittaneh's right side, its c(0) end twice that
+        monkeypatch.setitem(bounds.CATALOG, "kittaneh_at_inf", bounds.BoundSpec(
+            lambda p: bounds.Form(1.0, ((1.0,), (0.5,)), ((ns(1.0),),))))
+        t = ginibre(np.random.default_rng(74), 3)
+        kittaneh = bound_classical(t, "kittaneh").rhs_value
+        opt = optimize_lambda("kittaneh_at_inf", t)
+        assert (opt.boundary, opt.lambda_star) == ("lambda->inf", None)
+        assert opt.infimum == kittaneh  # bitwise: the c(inf) end itself
+        golden = optimize_lambda("kittaneh_at_inf", t, method="golden-section")
+        assert golden.boundary == "lambda->inf"
+        assert golden.infimum == pytest.approx(kittaneh, rel=1e-8)
 
 
 class TestChains:

@@ -111,6 +111,42 @@ class TestHermitianEigen:
             hermitian_eigen(1e160 * J)
 
 
+class TestLapackFailures:
+    # LAPACK's own failures and a decomposition that misses its checks, each
+    # named as NoConvergenceError
+    @staticmethod
+    def _eigh(monkeypatch, change):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: change(*eigh(h)))
+
+    def test_eigensolver_failure(self, monkeypatch):
+        def fail(vals, vecs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        self._eigh(monkeypatch, fail)
+        with pytest.raises(NoConvergenceError,
+                           match="^eigensolver failed: Eigenvalues did not converge$"):
+            hermitian_eigen(np.diag([3.0, 1.0]))
+
+    def test_eigenvectors_off_unitary(self, monkeypatch):
+        self._eigh(monkeypatch, lambda vals, vecs: (vals, 2.0 * vecs))  # residual still 0
+        with pytest.raises(NoConvergenceError, match="^eigendecomposition unitarity error "):
+            matrix_power_psd(np.diag([3.0, 1.0]), 0.5)
+
+    def test_eigenvalues_off_the_residual(self, monkeypatch):
+        self._eigh(monkeypatch, lambda vals, vecs: (vals + 1.0, vecs))
+        with pytest.raises(NoConvergenceError, match="^eigendecomposition residual "):
+            hermitian_eigen(np.diag([3.0, 1.0]))
+
+    def test_svd_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConvergenceError, match="^SVD failed: SVD did not converge$"):
+            abs_value(J)
+
+
 class TestAbsValue:
     def test_jordan_block(self):
         assert abs_value(J) == pytest.approx(np.diag([0.0, 1.0]))

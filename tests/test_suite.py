@@ -171,7 +171,7 @@ def test_a_config_checks_its_lambda_grid_once(monkeypatch):
         post_init(params)
 
     def keep(requests, evaluate=bounds.evaluate):
-        calls.append([read for _, reads in requests for read in reads])
+        calls.append([read for _, plan in requests for read in plan.rows])
         return evaluate(requests)
 
     monkeypatch.setattr(BoundParams, "__post_init__", spy)
@@ -206,6 +206,35 @@ def test_a_zero_lambda_is_refused_before_the_ensemble(monkeypatch):
     with pytest.raises(ValueError, match=r"^lam must be finite and > 0, got 0\.0$"):
         run_suite(EnsembleConfig("ginibre", 3, 4, 1), bounds=["th2"], lambda_grid=(0.0, 1.0))
     assert generated == []
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_grid_value_is_refused_before_the_ensemble(monkeypatch, flag):
+    # float() would read it as lam = 1, as no BoundParams field takes a bool
+    generated = []
+    monkeypatch.setattr(suite, "generate_ensemble", lambda config: generated.append(config))
+    with pytest.raises(ValueError, match="^lam must be a number, not a bool$"):
+        run_suite(EnsembleConfig("ginibre", 2, 2, 1), bounds=["th2"], chains=[],
+                  lambda_grid=(flag, 2.0))
+    assert generated == []
+
+
+def test_th6_past_its_order_cap_is_refused_before_the_ensemble(monkeypatch):
+    generated = []
+    monkeypatch.setattr(suite, "generate_ensemble", lambda config: generated.append(config))
+    with pytest.raises(OverflowError, match=r"^n > 15 not supported \(binomial exactness cap\)$"):
+        run_suite(EnsembleConfig("ginibre", 3, 4, 1), bounds=["th6"], n=16)
+    assert generated == []
+
+
+def test_a_planned_request_is_not_checked_again(monkeypatch):
+    # the reads are checked when their plan is built; a repeated request finds
+    # its plans memoized
+    config, checked = EnsembleConfig("ginibre", 2, 3, 4), []
+    run_suite(config, lambda_grid=(0.125, 8.0))
+    monkeypatch.setattr(bounds, "_require_positive", lambda lam: checked.append(lam))
+    run_suite(config, lambda_grid=(0.125, 8.0))
+    assert checked == []
 
 
 def test_a_config_evaluates_each_read_once(monkeypatch):
