@@ -181,8 +181,8 @@ class PairTerms(_Terms):
 
 def fill_terms(requests) -> None:
     """Compute the terms [(terms, keys), ...] need into terms.values, as no other
-    code does: every w and norm sum (a Hermitian matrix's w) in one engine call,
-    each distinct matrix once, then each pow and binom; inf past the double range."""
+    code does: every w and norm sum (a Hermitian matrix's w) in one engine call
+    over every finite input, then each pow and binom; inf past the double range."""
     jobs = [(terms, src) for terms, keys in requests for src in dict.fromkeys(
         src for key in keys for src in _sources(key)) if src not in terms.values]
     if jobs:
@@ -190,10 +190,7 @@ def fill_terms(requests) -> None:
             x = np.concatenate([terms._input(key) for terms, key in jobs])
         finite = np.isfinite(x).all(axis=(1, 2))
         out = np.full(len(x), math.inf)
-        # once per distinct matrix, by its bytes (-0.0 != 0.0): results are per matrix
-        rows = x.reshape(-1, x.shape[1] * x.shape[2]).view(np.dtype((np.void, x.strides[0])))
-        _, first, inverse = np.unique(rows[finite, 0], return_index=True, return_inverse=True)
-        out[finite] = numerical_radius(x[finite][first])[inverse]
+        out[finite] = numerical_radius(x[finite])
         ends = np.cumsum([len(terms.t) for terms, _ in jobs])
         for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
             terms.values[key] = part
@@ -531,6 +528,7 @@ def bound_cor_bomi(t, lam: float) -> BoundResult:
 # Lambda optimization
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+OPTIMIZE_METHODS = ("auto", "closed-form", "golden-section")
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
@@ -565,7 +563,7 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     searches lam = exp(sigma), sigma in [-20, 20], to 1e-9 in sigma.
     """
     bound = _spec(name)
-    if method not in ("auto", "closed-form", "golden-section"):
+    if method not in OPTIMIZE_METHODS:
         raise ValueError(f"unknown method {method!r}")
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     mode = bound.modes[0] if mode is None else mode

@@ -24,6 +24,7 @@ from .bounds import (
     CHAIN_IDS,
     MODE_CERTIFICATE,
     MODE_INEQUALITY,
+    OPTIMIZE_METHODS,
     evaluate_bound,
     optimize_lambda,
 )
@@ -82,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", parents=[one_bound, params],
                            help="minimize a bound's rhs over lambda")
-    p_opt.add_argument("--method", choices=("auto", "closed-form", "golden-section"),
-                       default="auto")
+    p_opt.add_argument("--method", choices=OPTIMIZE_METHODS, default="auto")
 
     p_rad = sub.add_parser("radius", help="numerical radius of a matrix file")
     p_rad.add_argument("--matrix", required=True)

@@ -22,6 +22,7 @@ vectors, computes the sides and builds the record for all six.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("lam", "r", "n", "alpha"):
-            _refuse_bool(name, getattr(self, name))
+            _require_number(name, getattr(self, name))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         require_exponent(self.r)
@@ -90,15 +91,15 @@ class BoundParams:
         return self._key[2]
 
 
-def _refuse_bool(name: str, v):
-    """v, or ValueError when v, the scalar ``name``, is a Python or numpy bool."""
-    if isinstance(v, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool")
+def _require_number(name: str, v):
+    """v, or ValueError unless v, the scalar ``name``, is a real number and not a bool."""
+    if type(v) not in (float, int) and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise ValueError(f"{name} must be a number, not a {type(v).__name__}")
     return v
 
 
 def _require_positive(lam: float) -> float:
-    lam = float(_refuse_bool("lam", lam))
+    lam = float(_require_number("lam", lam))
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and > 0, got {lam}")
     return lam
@@ -106,7 +107,7 @@ def _require_positive(lam: float) -> float:
 
 def require_exponent(r: float) -> float:
     """r, or ValueError unless it is a finite number >= 1 (not a bool)."""
-    _refuse_bool("r", r)
+    _require_number("r", r)
     if not (math.isfinite(r) and r >= 1):
         raise ValueError(f"r must be finite and >= 1, got {r}")
     return r
@@ -114,7 +115,7 @@ def require_exponent(r: float) -> float:
 
 def require_alpha(alpha: float) -> None:
     """ValueError unless alpha is a number (not a bool) in (0, 1)."""
-    _refuse_bool("alpha", alpha)
+    _require_number("alpha", alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 

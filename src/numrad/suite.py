@@ -46,7 +46,7 @@ from .bounds import (
     rel_scale,
 )
 from .ensembles import EnsembleConfig, generate_ensemble
-from .scalar_ineq import BoundParams, _refuse_bool
+from .scalar_ineq import BoundParams, _require_number
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.5, 1.0, 2.0, 100.0)
 
@@ -165,7 +165,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
         repeated = [x for x in names if names.count(x) > 1]  # its rows would count twice
         if repeated:
             raise ValueError(f"{kind} {repeated[0]!r} is requested more than once")
-    lambda_grid = tuple(float(_refuse_bool("lam", x)) for x in lambda_grid)
+    lambda_grid = tuple(float(_require_number("lam", x)) for x in lambda_grid)
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     grid = [replace(params, lam=lam) for lam in lambda_grid]  # each lam checked once
     takes = [b for b, spec in sorted(zip(bounds, specs), key=lambda x: x[1].product)

@@ -226,9 +226,11 @@ class TestTheoremBounds:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["lam", "r", "n", "alpha"])
-    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("flag", [True, np.True_, "0.5"])
     def test_params_refuse_bools(self, field, flag):
-        with pytest.raises(ValueError, match=f"^{field} must be a number, not a bool$"):
+        # and strings, which math.isfinite and < would refuse with a bare TypeError
+        kind = type(flag).__name__
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not a {kind}$"):
             BoundParams(**{"lam": 1.0, field: flag})
 
     def test_overflowing_power_exponent_is_named(self):

@@ -456,11 +456,15 @@ class TestStack:
             self.padded(1e200 * g8),
             np.eye(16, k=1) + 1e-15 * g16,  # near-disc: stops at the cell cap
             h + h.conj().T + s,  # near-Hermitian: angles 0 and pi
+            h + h.conj().T,  # a repeat of row 2
+            -np.zeros((16, 16)),  # entries -0.0
         ])
         lo, hi = numerical_radius_enclosure(stack)
         for k, m in enumerate(stack):
             assert (lo[k], hi[k]) == numerical_radius_enclosure(m), k
-        assert lo[0] == hi[0] == 0.0 and not np.signbit([lo[0], hi[0]]).any()
+        for k in 0, 8:
+            assert lo[k] == hi[k] == 0.0 and not np.signbit([lo[k], hi[k]]).any()
+        assert (lo[7], hi[7]) == (lo[2], hi[2])
         assert lo[1] == hi[1] == pytest.approx(math.cos(math.pi / 6), rel=1e-14)
         skew = np.linalg.norm(stack[6] - stack[6].conj().T) / 2
         assert lo[6] == lo[2] and hi[6] == pytest.approx(lo[6] + skew, rel=1e-15)

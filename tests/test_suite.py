@@ -208,12 +208,13 @@ def test_a_zero_lambda_is_refused_before_the_ensemble(monkeypatch):
     assert generated == []
 
 
-@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("flag", [True, np.True_, "0.5"])
 def test_a_bool_grid_value_is_refused_before_the_ensemble(monkeypatch, flag):
-    # float() would read it as lam = 1, as no BoundParams field takes a bool
+    # float() would read a bool as lam = 1 and parse a string, as no BoundParams
+    # field takes either
     generated = []
     monkeypatch.setattr(suite, "generate_ensemble", lambda config: generated.append(config))
-    with pytest.raises(ValueError, match="^lam must be a number, not a bool$"):
+    with pytest.raises(ValueError, match=f"^lam must be a number, not a {type(flag).__name__}$"):
         run_suite(EnsembleConfig("ginibre", 2, 2, 1), bounds=["th2"], chains=[],
                   lambda_grid=(flag, 2.0))
     assert generated == []
@@ -437,14 +438,19 @@ def test_rows_match_single_evaluations(ensemble):
                                                                 min(rel))
 
 
-def test_a_config_takes_few_eigvalsh_batches(monkeypatch):
-    # per config, not per row: one engine call, the norm sums included, so one
-    # batch per engine round (the row-at-a-time suite made 456 here)
+@pytest.mark.parametrize("config", [
+    pytest.param(EnsembleConfig("ginibre", 8, 10, 42), id="ginibre"),
+    pytest.param(EnsembleConfig("jordan", 8, 10, 42), id="jordan"),  # one matrix, repeated
+])
+def test_a_config_takes_few_eigvalsh_batches(monkeypatch, config):
+    # per config, not per row: one engine call over every input as named, the
+    # norm sums included, so one batch per engine round (the row-at-a-time
+    # suite made 456 here)
     calls, engine_calls = [], []
     eigvalsh, radius = np.linalg.eigvalsh, bounds.numerical_radius
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(len(h)) or eigvalsh(h))
     monkeypatch.setattr(bounds, "numerical_radius", lambda m: engine_calls.append(m) or radius(m))
-    rep = run_suite(EnsembleConfig("ginibre", 8, 10, 42))
+    rep = run_suite(config)
     assert rep.violations == 0 and len(rep.chain_rows) == 50
     assert len(calls) <= 40
     # per trial w, w2, 2 wc and 3 ns; per pair wp, wc and 2 ns

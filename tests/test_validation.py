@@ -62,12 +62,12 @@ MATRIX_FAULTS = [
 HERMITIAN_FAULTS = MATRIX_FAULTS + [
     ("non-Hermitian", np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError)]
 PSD_FAULTS = HERMITIAN_FAULTS + [("indefinite", np.diag([1.0, -1.0]), NotPSDError)]
-LAM_FAULTS = [(f"lam={v}", v, ValueError) for v in (0.0, -1.0, NAN, INF, True)]
+LAM_FAULTS = [(f"lam={v!r}", v, ValueError) for v in (0.0, -1.0, NAN, INF, True, "0.5")]
 ORDER_FAULTS = [("n=0", 0, ValueError), ("n=1.5", 1.5, ValueError),
                 ("n=16", 16, OverflowError), ("n=inf", INF, ValueError),
-                ("n=nan", NAN, ValueError)]
-ALPHA_FAULTS = [(f"alpha={v}", v, ValueError) for v in (0.0, 1.0, NAN, True)]
-R_FAULTS = [(f"r={v}", v, ValueError) for v in (0.5, NAN, INF, True)]
+                ("n=nan", NAN, ValueError), ("n='2'", "2", ValueError)]
+ALPHA_FAULTS = [(f"alpha={v!r}", v, ValueError) for v in (0.0, 1.0, NAN, True, "0.5")]
+R_FAULTS = [(f"r={v!r}", v, ValueError) for v in (0.5, NAN, INF, True, "2")]
 H_ID_FAULTS = [("h_id=cube", "cube", UnknownFunctionError)]
 T_FAULTS = [(f"t={v}", v, ValueError) for v in (-0.1, 1.5, NAN)]
 NONNEG_FAULTS = [(f"{v}", v, ValueError) for v in (-1.0, NAN, INF)]

@@ -12,10 +12,12 @@ in odd-numbered ones, one run at a time. T defaults to `run_seconds` in
 BENCHMARK.json.
 
 For each end-to-end metric of BENCHMARK.json it prints the median of each
-side, the interquartile range of REV's runs and in how many pairs the working
-tree did better, by the metric's `better` direction. It exits 0 when every
-run was correct, 1 when some were not (each named, by side and seed), and 2
-when REV cannot be extracted.
+side, the interquartile range of REV's runs, in how many pairs the working
+tree did better, by the metric's `better` direction, how far the working
+tree's median moved from REV's, relative to REV's and signed so that positive
+is worse, and whether that move is inside the metric's `bound` (no worse than
+it). It exits 0 when every run was correct, 1 when some were not (each named,
+by side and seed), and 2 when REV cannot be extracted.
 """
 
 import argparse
@@ -44,22 +46,28 @@ def parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def extract_src(rev: str, root: str) -> bool:
+    """Extract REV's src/ into root with `git archive`; False, with git's message
+    printed, when REV cannot be extracted."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode().strip(), file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(root, filter="data")
+    return True
+
+
 def make_side(tmp: str, name: str, rev: str | None) -> str | None:
     """A checkout of bench/ and src/ (REV's, or the working tree's for None);
-    None, with git's message printed, when REV cannot be extracted."""
+    None when REV cannot be extracted."""
     root = os.path.join(tmp, name)
     skip = shutil.ignore_patterns("__pycache__", ".bench_build")
     shutil.copytree(os.path.join(ROOT, "bench"), os.path.join(root, "bench"), ignore=skip)
     if rev is None:
         shutil.copytree(os.path.join(ROOT, "src"), os.path.join(root, "src"), ignore=skip)
         return root
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"], capture_output=True)
-    if archive.returncode:
-        print(archive.stderr.decode().strip(), file=sys.stderr)
-        return None
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(root, filter="data")
-    return root
+    return root if extract_src(rev, root) else None
 
 
 def run(root: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -106,7 +114,7 @@ def main(argv) -> int:
     print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}; rev is {args.rev}, tree the working tree")
     print(f"{'metric':<22} {'better':<7} {'rev median':>12} {'tree median':>12} "
-          f"{'rev IQR':>10} {'tree won':>9}")
+          f"{'rev IQR':>10} {'tree won':>9} {'worse by':>9} {'bound':>6} {'inside':>6}")
     good = [i for i in range(args.pairs)
             if all(results[side][i] and results[side][i]["correct"] for side in SIDES)]
     for metric in spec["end_to_end"]:
@@ -117,9 +125,11 @@ def main(argv) -> int:
             print(f"{name:<22} {metric['better']:<7} {'(not in every run)':>12}")
             continue
         won = sum(sign * (t - r) > 0 for r, t in zip(values["rev"], values["tree"]))
-        print(f"{name:<22} {metric['better']:<7} {statistics.median(values['rev']):>12.6g} "
-              f"{statistics.median(values['tree']):>12.6g} {iqr(values['rev']):>10.4g} "
-              f"{won:>4}/{len(good)}")
+        rev, tree = statistics.median(values["rev"]), statistics.median(values["tree"])
+        worse = sign * (rev - tree) / rev  # relative to REV's median; > 0 is worse
+        print(f"{name:<22} {metric['better']:<7} {rev:>12.6g} {tree:>12.6g} "
+              f"{iqr(values['rev']):>10.4g} {won:>4}/{len(good):<4} {worse:>+9.2%} "
+              f"{metric['bound']:>6.0%} {'yes' if worse <= metric['bound'] else 'NO':>6}")
     for side, seed in bad:
         print(f"not correct: {side} seed {seed}")
     return 1 if bad else 0

@@ -2,23 +2,22 @@
 
     python3 tools/corpus_diff.py REV
 
-extracts REV's `src/` with `git archive` into a temporary directory (the
-repository and its working tree are left as they are), runs the working
-tree's `tools/report_corpus.py` once with REV's `src` and once with the
-working tree's `src` on PYTHONPATH, and compares the two corpora file by
-file. It exits 0 when they are identical, 1 when they differ (naming the
-first differing files) and 2 when a corpus cannot be made.
+extracts REV's `src/` with `git archive` (through `bench_pairs.py`'s helper)
+into a temporary directory, leaving the repository and its working tree as
+they are. It runs the working tree's `tools/report_corpus.py` once with REV's
+`src` and once with the working tree's `src` on PYTHONPATH, and compares the
+two corpora file by file. It exits 0 when they are identical, 1 when they
+differ (naming the first differing files) and 2 when a corpus cannot be made.
 """
 
 import filecmp
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench_pairs import ROOT, extract_src
+
 SHOWN = 10  # differing files named at most
 
 
@@ -40,13 +39,8 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="corpus-diff-") as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", argv[0], "src"],
-                                 capture_output=True)
-        if archive.returncode:
-            print(archive.stderr.decode().strip(), file=sys.stderr)
+        if not extract_src(argv[0], os.path.join(tmp, "rev")):
             return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(os.path.join(tmp, "rev"), filter="data")
         srcs = {"rev": os.path.join(tmp, "rev", "src"), "tree": os.path.join(ROOT, "src")}
         runs = {name: subprocess.Popen(
             [sys.executable, "-B", os.path.join(ROOT, "tools", "report_corpus.py"),
