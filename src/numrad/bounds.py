@@ -181,8 +181,9 @@ class PairTerms(_Terms):
 
 def fill_terms(requests) -> None:
     """Compute the terms [(terms, keys), ...] need into terms.values, as no other
-    code does: every w and norm sum (a Hermitian matrix's w) in one engine call
-    over every finite input, then each pow and binom; inf past the double range."""
+    code does: every w and norm sum in one engine call over every finite input,
+    then each pow and binom; inf past the double range. A norm sum's input is
+    exactly Hermitian, so the engine's near-Hermitian rule gives its norm, hi = lo."""
     jobs = [(terms, src) for terms, keys in requests for src in dict.fromkeys(
         src for key in keys for src in _sources(key)) if src not in terms.values]
     if jobs:

@@ -29,12 +29,12 @@ from .bounds import (
     optimize_lambda,
 )
 from .ensembles import ENSEMBLES, EnsembleConfig
-from .errors import InvalidConfigError, UnknownBoundError, UnknownChainError
+from .errors import UnknownBoundError, UnknownChainError
 from .linalg import DEFAULT_RADIUS_TOL, numerical_radius_enclosure, numerical_radius_oracle
 from .scalar_ineq import BoundParams
-from .suite import CSV_HEADER, DEFAULT_LAMBDA_GRID, emit_report, run_suite
+from .suite import CSV_HEADER, DEFAULT_LAMBDA_GRID, REPORT_FORMATS, emit_report, run_suite
 
-_MODES = {"inequality": MODE_INEQUALITY, "certificate": MODE_CERTIFICATE}
+MODES = {"inequality": MODE_INEQUALITY, "certificate": MODE_CERTIFICATE}  # --mode: catalog mode
 
 
 def _csv_list(text: str) -> list[str]:
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     one_bound.add_argument("--matrix2", default=None,
                            help="second matrix for product bounds (default: pair with itself)")
     one_bound.add_argument("--bound", required=True)
-    one_bound.add_argument("--mode", choices=tuple(_MODES), default=None)
+    one_bound.add_argument("--mode", choices=tuple(MODES), default=None)
 
     p_verify = sub.add_parser("verify", parents=[params],
                               help="batch-verify bounds and chains on an ensemble")
@@ -75,15 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lambda-grid", type=_csv_floats, dest="lambda_grid",
                           default=DEFAULT_LAMBDA_GRID)
     p_verify.add_argument("--out", required=True)
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
+    p_verify.add_argument("--format", choices=tuple(REPORT_FORMATS),
+                          default=next(iter(REPORT_FORMATS)))
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_bound = sub.add_parser("bound", parents=[one_bound, params],
                              help="evaluate one bound on a matrix file")
     p_bound.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p_bound.set_defaults(handler=_cmd_bound)
 
     p_opt = sub.add_parser("optimize", parents=[one_bound, params],
                            help="minimize a bound's rhs over lambda")
     p_opt.add_argument("--method", choices=OPTIMIZE_METHODS, default="auto")
+    p_opt.set_defaults(handler=_cmd_optimize)
 
     p_rad = sub.add_parser("radius", help="numerical radius of a matrix file")
     p_rad.add_argument("--matrix", required=True)
@@ -92,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default: {DEFAULT_RADIUS_TOL:g})")
     p_rad.add_argument("--oracle-samples", dest="oracle_samples", type=int, default=None)
     p_rad.add_argument("--seed", type=int, default=0)
+    p_rad.set_defaults(handler=_cmd_radius)
 
     return parser
 
@@ -116,20 +121,22 @@ def _result_dict(res) -> dict:
                                      res.slack, res.holds)))
 
 
+def _one_bound(args) -> tuple:
+    """T, S (None without --matrix2) and the catalog mode (None without --mode)."""
+    return (jsonio.load_matrix(args.matrix),
+            jsonio.load_matrix(args.matrix2) if args.matrix2 else None, MODES.get(args.mode))
+
+
 def _cmd_bound(args) -> int:
-    t = jsonio.load_matrix(args.matrix)
-    s = jsonio.load_matrix(args.matrix2) if args.matrix2 else None
+    t, s, mode = _one_bound(args)
     params = BoundParams(lam=args.lam, r=args.r, n=args.n, alpha=args.alpha)
-    mode = _MODES[args.mode] if args.mode else None
     results = evaluate_bound(args.bound, t, s, params, mode=mode)
     print(jsonio.dumps({"results": [_result_dict(res) for res in results]}))
     return 0 if all(res.holds for res in results) else 1
 
 
 def _cmd_optimize(args) -> int:
-    t = jsonio.load_matrix(args.matrix)
-    s = jsonio.load_matrix(args.matrix2) if args.matrix2 else None
-    mode = _MODES[args.mode] if args.mode else None
+    t, s, mode = _one_bound(args)
     opt = optimize_lambda(args.bound, t, s, r=args.r, n=args.n,
                           alpha=args.alpha, mode=mode, method=args.method)
     print(jsonio.dumps({
@@ -156,19 +163,12 @@ def _cmd_radius(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "verify": _cmd_verify,
-        "bound": _cmd_bound,
-        "optimize": _cmd_optimize,
-        "radius": _cmd_radius,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnknownBoundError, UnknownChainError, InvalidConfigError, ValueError,
-            OverflowError) as exc:
+    except (UnknownBoundError, UnknownChainError, ValueError, OverflowError) as exc:
         # KeyError subclasses repr() their message; print it bare
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

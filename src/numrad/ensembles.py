@@ -20,6 +20,9 @@ ENSEMBLES = ("ginibre", "gue", "nilpotent", "normal", "rank_one", "jordan")
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """dim >= 2, trials >= 1 and seed < 2^64 are Python or numpy integers (not
+    a float or a bool), or InvalidConfigError."""
+
     ensemble: str
     dim: int
     trials: int

@@ -32,19 +32,17 @@ def fmt_floats(values) -> list[str]:
 
 
 def matrix_to_dict(m) -> dict:
-    a = as_matrix(m)
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [[z.real, z.imag] for z in a.ravel()],
-    }
+    return _to_dict(as_matrix(m))
 
 
 def vector_to_dict(v) -> dict:
-    a = as_vector(v)
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [[z.real, z.imag] for z in a],
-    }
+    return _to_dict(as_vector(v))
+
+
+def _to_dict(a: np.ndarray) -> dict:
+    """The ``{"dim": n, "entries": [[re, im], ...]}`` object of a checked
+    matrix (entries row-major) or vector."""
+    return {"dim": int(a.shape[0]), "entries": [[z.real, z.imag] for z in a.ravel()]}
 
 
 def _number(x) -> bool:

@@ -11,14 +11,11 @@ each angle gives a support line of the numerical range W(M), and the
 polygon they cut out bounds w(M) from above (C. R. Johnson, SIAM J. Numer.
 Anal. 1978; F. Uhlig, Numer. Algorithms 2009).
 
-A sampling oracle provides an independent lower bound for cross-checking
-the engine: random unit vectors, each improved by projected-gradient ascent
-of |<Mx, x>| on the unit sphere with matrix-vector products only. Its steps
-take the Barzilai-Borwein length (J. Barzilai & J. M. Borwein, IMA J.
-Numer. Anal. 1988) clipped to [1, 100] / ||M||_F, and x is normalised after
-each. They are not monotone, so the oracle keeps the best value seen at any
-step, always that of a unit vector. An ascent stops when its tangent falls
-to 1e-8 ||M||_F, or after 100 steps.
+A sampling oracle, numerical_radius_oracle, gives an independent lower
+bound for cross-checking the engine, with matrix-vector products only.
+
+Public functions check each input once (as_matrix, _vectors); the private
+helpers take checked arrays and check nothing twice.
 """
 
 from __future__ import annotations
@@ -43,7 +40,8 @@ _ORACLE_STEPS = 100  # the sampling oracle's step cap
 
 def as_matrix(m, stack: bool = False) -> np.ndarray:
     """Coerce to a square complex128 matrix with finite entries; with
-    ``stack``, to a (k, n, n) stack of them, where one matrix gives k = 1."""
+    ``stack``, to a (k, n, n) stack of them, where one matrix gives k = 1
+    and k = 0 is refused."""
     a = np.asarray(m, dtype=np.complex128)
     if stack and a.ndim == 2:
         a = a[None]
@@ -322,13 +320,13 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
 
     f(theta) = lambda_max(H(theta)) supports W(M) in the direction
     e^{-i theta} and w(M) = max f, so lo is the largest f seen. f is sampled
-    at 16 grid angles to start, whose cells are then refined. On a cell
-    [t0, t1], W(M) lies in the wedge of the support lines at t0 and t1, so
-    f <= |v| there for their corner v if -arg v lies in the cell, else
-    f <= max(f0, f1). Cells bounded by lo (1 + tol) are dropped, the others
-    split at -arg v (clipped to their middle 80%) until none is left:
-    hi - lo <= tol hi. Past MAX_LIVE_CELLS live cells (W(M) near a disc) the
-    bounds reached are returned.
+    at the _START_CELLS equispaced grid angles to start, whose cells are then
+    refined. On a cell [t0, t1], W(M) lies in the wedge of the support lines
+    at t0 and t1, so f <= |v| there for their corner v if -arg v lies in the
+    cell, else f <= max(f0, f1). Cells bounded by lo (1 + tol) are dropped,
+    the others split at -arg v (clipped to their middle 80%) until none is
+    left: hi - lo <= tol hi. Past MAX_LIVE_CELLS live cells (W(M) near a
+    disc) the bounds reached are returned.
 
     Two kinds of M skip the refinement (_start_rule). If W(M) is a disc
     about 0 (M = 0 among them), f is constant and angle 0 gives lo = hi. A
@@ -339,7 +337,8 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
 
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
-    for all cells, each result bitwise the one its matrix gives alone.
+    for all cells, each result bitwise the one its matrix gives alone. tol
+    must be finite and > 0, or ValueError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -408,19 +407,22 @@ def numerical_radius_oracle(m, samples: int, seed: int) -> float:
     the upper end of the engine's enclosure beyond roundoff.
 
     The ascents run in lockstep as the columns of one (n, samples) block:
-    a step costs one [A; A*] X product for all of them. Each column steps
-    along its tangent t with the Barzilai-Borwein length
-    <s, s> / Re <s, t_prev - t>, s = x - x_prev, clipped to [1, 100] / ||A||_F
-    (the first step is 1 / ||A||_F; with no positive curvature behind it, a
-    step is the longest), and is normalised after each step. The
-    steps are not monotone, so the best value is taken at every step. A
-    column stops when |t| <= 1e-8 ||A||_F (near a maximum the value's gap
-    falls like |t|^2, so past that only roundoff is left); the block stops
-    after 100 steps.
+    a step costs one [A; A*] X product for all of them. The starts (drawn
+    sample after sample), the step rule and the stops are those of one
+    ascent per sample, so the result matches that loop within 1e-12
+    relative. Each column steps along its tangent t with the Barzilai-Borwein
+    length <s, s> / Re <s, t_prev - t>, s = x - x_prev (J. Barzilai & J. M.
+    Borwein, IMA J. Numer. Anal. 1988), clipped to [1, 100] / ||A||_F (the
+    first step is 1 / ||A||_F; with no positive curvature behind it, a step
+    is the longest), and is normalised after each step. The steps are not
+    monotone, so the best value is taken at every step. A column stops when
+    |t| <= 1e-8 ||A||_F (near a maximum the value's gap falls like |t|^2, so
+    past that only roundoff is left); the block stops after 100 steps.
 
-    A given seed, a non-negative integer, fixes the start vectors and so the
-    result. Different seeds draw different start vectors, but their results
-    may coincide once the ascent reaches the maximiser.
+    samples is an integer >= 1 and seed a non-negative integer (Python or
+    numpy, not a bool), or ValueError. A given seed fixes the start vectors
+    and so the result. Different seeds draw different start vectors, but
+    their results may coincide once the ascent reaches the maximiser.
     """
     if not _integer(samples) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")

@@ -1,10 +1,11 @@
 """Operator-level inequality predicates.
 
-Four checks used as building blocks by the bound catalog: the McCarthy
-power inequality for positive operators, the norm inequality for convex
-functions of positive operators, the mixed Schwarz inequality with the
-power pair (s^alpha, s^(1-alpha)), and the operator Jensen inequality for
-a small closed registry of convex functions.
+Four lemma checks, independent of the bound catalog (which reads none of
+them) and fuzzed by acceptance criterion 3 and the lemma-fuzz benchmark: the
+McCarthy power inequality for positive operators, the norm inequality for
+convex functions of positive operators, the mixed Schwarz inequality with
+the power pair (s^alpha, s^(1-alpha)), and the operator Jensen inequality
+for a small closed registry of convex functions.
 
 By the spectral theorem, each side that holds a matrix function is read
 from the checked eigen- or singular data of its argument; only

@@ -16,7 +16,8 @@ with xy = |x||y|, ip = |<x,y>|, b = |<x,e><e,y>| and s = xy + ip,
   P = 4^-n xy^2n and B is the binomial sum.
 
 buzano's right side, s/2, takes no lam. One private body validates the
-vectors, computes the sides and builds the record for all six.
+vectors, computes the sides and builds the record for all six. Each
+evaluator checks lam, then n, then the vectors, then e.
 """
 
 from __future__ import annotations

@@ -157,7 +157,13 @@ class SuiteReport:
 def run_suite(config: EnsembleConfig, bounds=None, chains=None,
               lambda_grid=DEFAULT_LAMBDA_GRID, r: float = 1.0, n: int = 1,
               alpha: float = 0.5) -> SuiteReport:
-    """Evaluate the requested bounds and chains over one ensemble."""
+    """Evaluate the requested bounds and chains over one ensemble.
+
+    A bound or chain named twice is refused. Each grid value is checked once,
+    as a BoundParams lam, whether or not a requested bound reads the grid; an
+    empty grid is refused when a requested bound takes lambda, naming the
+    first (single-matrix bounds first). All before the ensemble is generated.
+    """
     bounds = tuple(CATALOG if bounds is None else bounds)
     chains = tuple(CHAINS if chains is None else chains)
     specs, chain_specs = [_spec(b) for b in bounds], [_chain(c) for c in chains]
@@ -327,11 +333,13 @@ def report_to_csv(report: SuiteReport) -> str:
     return ",".join(CSV_HEADER) + "\n" + _rows_text(seps, cells, "\n")
 
 
+REPORT_FORMATS = {"json": report_to_json, "csv": report_to_csv}
+
+
 def emit_report(report: SuiteReport, format: str, path) -> None:
-    """Write the report as json (full object) or csv (flattened bound rows)."""
-    formats = {"json": report_to_json, "csv": report_to_csv}
-    if format not in formats:
-        raise ValueError(f"unknown format {format!r}; use 'json' or 'csv'")
-    text = formats[format](report)
+    """Write the report in a format of REPORT_FORMATS (the first is verify's default)."""
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown format {format!r}; use {' or '.join(map(repr, REPORT_FORMATS))}")
+    text = REPORT_FORMATS[format](report)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

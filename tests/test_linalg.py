@@ -570,7 +570,7 @@ class TestNearHermitian:
     def test_just_above_the_threshold_refines(self, monkeypatch, seed, n):
         r, m = self.split(seed, n, 1 + 1e-6)
         (lo, hi), counts = self.angles(monkeypatch, m)
-        assert counts[0] == 16
+        assert counts[0] == linalg._START_CELLS
         rho = np.abs(np.linalg.eigvalsh(r)).max()
         # lo samples angles 0 and pi too; w <= rho + ||S||_F
         assert rho * (1 - 1e-14) <= lo <= rho + np.linalg.norm(m - m.conj().T) / 2
@@ -579,7 +579,7 @@ class TestNearHermitian:
     def test_skew_hermitian_is_not_near_hermitian(self, monkeypatch):
         g = ginibre(np.random.default_rng(4), 4)
         (lo, hi), counts = self.angles(monkeypatch, 1j * (g + g.conj().T))
-        assert counts[0] == 16
+        assert counts[0] == linalg._START_CELLS
         assert lo == pytest.approx(np.abs(np.linalg.eigvalsh(g + g.conj().T)).max(), rel=1e-12)
 
 

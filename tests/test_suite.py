@@ -396,7 +396,7 @@ def test_overflow_names_every_power_parameter():
 def test_emit_report_rejects_unknown_format(tmp_path):
     cfg = EnsembleConfig("gue", 3, 1, 3)
     rep = run_suite(cfg, bounds=[], chains=[])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown format 'xml'; use 'json' or 'csv'$"):
         emit_report(rep, "xml", tmp_path / "rep.xml")
 
 
