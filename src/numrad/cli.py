@@ -8,7 +8,7 @@ Subcommands:
             with the oracle
 
 Exit status: 0 on success with zero violations, 1 when violations were
-found, 2 on usage or I/O errors.
+found, 2 on usage or I/O errors and when an eigensolver or SVD fails.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bounds import (
     optimize_lambda,
 )
 from .ensembles import ENSEMBLES, EnsembleConfig
-from .errors import UnknownBoundError, UnknownChainError
+from .errors import NoConvergenceError, UnknownBoundError, UnknownChainError
 from .linalg import DEFAULT_RADIUS_TOL, numerical_radius_enclosure, numerical_radius_oracle
 from .scalar_ineq import BoundParams
 from .suite import CSV_HEADER, DEFAULT_LAMBDA_GRID, REPORT_FORMATS, emit_report, run_suite
@@ -168,7 +168,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnknownBoundError, UnknownChainError, ValueError, OverflowError) as exc:
+    except (UnknownBoundError, UnknownChainError, ValueError, OverflowError,
+            NoConvergenceError) as exc:
         # KeyError subclasses repr() their message; print it bare
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2

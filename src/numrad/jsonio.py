@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import _integer, _require_number, as_matrix, as_vector
 
 
 def fmt_float(x: float) -> str:
@@ -45,27 +45,21 @@ def _to_dict(a: np.ndarray) -> dict:
     return {"dim": int(a.shape[0]), "entries": [[z.real, z.imag] for z in a.ravel()]}
 
 
-def _number(x) -> bool:
-    """Whether x is a JSON number (bool is an int in Python, not in JSON)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _entries(obj, kind: str, size) -> tuple[int, np.ndarray]:
     """dim and the size(dim) entries of a ``{"dim": n, "entries": [[re, im],
     ...]}`` object; ValueError naming the kind for any other JSON value."""
     try:
         dim, entries = obj["dim"], obj["entries"]
-        if isinstance(dim, bool) or not isinstance(dim, int):
+        if not _integer(dim):
             raise TypeError(f"dim must be an integer, got {dim!r}")
-        if dim < 1 or len(entries) != size(dim):
-            raise ValueError(f"expected {size(dim)} entries for dim {dim}, got {len(entries)}")
-        if not all(isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_number, e))
-                   for e in entries):
-            raise TypeError("each entry must be a pair [re, im] of numbers")
-        flat = [complex(re, im) for re, im in entries]
-    except (KeyError, TypeError) as exc:
+        # a pair [re, im] of numbers (not bools: bool is an int in Python, not in JSON)
+        flat = [complex(_require_number("re", re), _require_number("im", im))
+                for re, im in entries]
+    except (KeyError, TypeError, ValueError) as exc:
         msg = f'expected a {kind} object {{"dim": n, "entries": [[re, im], ...]}}'
         raise ValueError(msg) from exc
+    if dim < 1 or len(flat) != size(dim):
+        raise ValueError(f"expected {size(dim)} entries for dim {dim}, got {len(flat)}")
     return dim, np.array(flat, dtype=np.complex128)
 
 

@@ -21,6 +21,7 @@ helpers take checked arrays and check nothing twice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,24 @@ def _fro(a: np.ndarray) -> np.floating:
 def _integer(x) -> bool:
     """Whether x is a Python or numpy integer (a bool or a float is not)."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _require_number(name: str, v):
+    """v, or ValueError unless v, the scalar ``name``, is a real number (a
+    bool or a string is not)."""
+    if type(v) not in (float, int) and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise ValueError(f"{name} must be a number, not a {type(v).__name__}")
+    return v
+
+
+def _require_min(name: str, v, low, strict: bool = False):
+    """v, or ValueError unless v, the scalar ``name``, is a number
+    (_require_number) that is finite and >= low (> low with ``strict``)."""
+    if type(v) not in (float, int):
+        _require_number(name, v)
+    if not (math.isfinite(v) and (v > low if strict else v >= low)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low}, got {v}")
+    return v
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
@@ -236,10 +255,10 @@ def abs_power(m, p: float) -> np.ndarray:
 
 
 def _power(values: np.ndarray, vectors: np.ndarray, p: float, what: str) -> np.ndarray:
-    """_spectral_power(values, vectors, p), or ValueError unless p is finite and
-    >= 0, and OverflowError naming ``what`` when the power leaves the double range."""
-    if not (math.isfinite(p) and p >= 0):
-        raise ValueError(f"exponent must be finite and >= 0, got {p}")
+    """_spectral_power(values, vectors, p), or ValueError unless p, the
+    exponent, is a finite number >= 0, and OverflowError naming ``what`` when
+    the power leaves the double range."""
+    _require_min("exponent", p, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _spectral_power(values, vectors, p)
     if np.count_nonzero(np.isfinite(out)) != out.size:
@@ -338,10 +357,9 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
     for all cells, each result bitwise the one its matrix gives alone. tol
-    must be finite and > 0, or ValueError.
+    must be a finite number > 0, or ValueError.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _require_min("tol", tol, 0, strict=True)
     b, e = _pow2_scaled(as_matrix(m, stack=True))  # exact, so w(2^k M) = 2^k w(M)
     re, im = (b + _h(b)) / 2.0, (b - _h(b)) / 2j
     lo = np.zeros(len(b))

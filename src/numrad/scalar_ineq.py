@@ -23,13 +23,12 @@ evaluator checks lam, then n, then the vectors, then e.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotUnitVectorError
-from .linalg import _pow2_scaled, _vectors, inner
+from .linalg import _pow2_scaled, _require_min, _require_number, _vectors, inner
 
 HOLDS_RTOL = 1e-10
 
@@ -73,12 +72,10 @@ class BoundParams:
     alpha: float = 0.5
 
     def __post_init__(self):
-        for name in ("lam", "r", "n", "alpha"):
-            _require_number(name, getattr(self, name))
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        _require_min("lam", self.lam, 0)
         require_exponent(self.r)
-        if not (1 <= self.n < math.inf and int(self.n) == self.n):  # inf and nan fail first
+        n = _require_number("n", self.n)
+        if not (1 <= n < math.inf and int(n) == n):  # inf and nan fail first
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         require_alpha(self.alpha)
         fields = (self.lam, self.r, self.n, self.alpha)  # hashed once: reads hash params often
@@ -92,26 +89,14 @@ class BoundParams:
         return self._key[2]
 
 
-def _require_number(name: str, v):
-    """v, or ValueError unless v, the scalar ``name``, is a real number and not a bool."""
-    if type(v) not in (float, int) and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-        raise ValueError(f"{name} must be a number, not a {type(v).__name__}")
-    return v
-
-
 def _require_positive(lam: float) -> float:
-    lam = float(_require_number("lam", lam))
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
-    return lam
+    """lam as a float, or ValueError unless it is a finite number > 0."""
+    return float(_require_min("lam", lam, 0, strict=True))
 
 
 def require_exponent(r: float) -> float:
     """r, or ValueError unless it is a finite number >= 1 (not a bool)."""
-    _require_number("r", r)
-    if not (math.isfinite(r) and r >= 1):
-        raise ValueError(f"r must be finite and >= 1, got {r}")
-    return r
+    return _require_min("r", r, 1)
 
 
 def require_alpha(alpha: float) -> None:
@@ -254,9 +239,8 @@ def young_amgm(a: float, b: float, t: float) -> InequalityRecord:
 
     0^0 counts as 1 (so a^0 b = b), while a = b = 0 gives lhs 0.
     """
-    a, b, t = float(a), float(b), float(t)
-    if not (0 <= a < math.inf and 0 <= b < math.inf):
-        raise ValueError("a and b must be finite and non-negative")
+    a, b = float(_require_min("a", a, 0)), float(_require_min("b", b, 0))
+    t = float(_require_number("t", t))
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     lhs = a**t * b ** (1.0 - t)  # Python: 0.0**0.0 == 1.0, 0.0**positive == 0.0

@@ -46,12 +46,10 @@ from .bounds import (
     rel_scale,
 )
 from .ensembles import EnsembleConfig, generate_ensemble
-from .scalar_ineq import BoundParams, _require_number
+from .linalg import _require_number
+from .scalar_ineq import BoundParams
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.5, 1.0, 2.0, 100.0)
-
-CSV_HEADER = ("trial", "bound", "mode", "lambda", "r", "n", "alpha",
-              "exponent_p", "w_power", "rhs", "slack", "holds")
 
 
 class BoundRow(NamedTuple):
@@ -71,6 +69,10 @@ class BoundRow(NamedTuple):
     @property
     def rel_slack(self) -> float:
         return float(self.slack / rel_scale(self.rhs, self.w_power))
+
+
+# the report's column names: BoundRow's fields, lam written out as lambda
+CSV_HEADER = tuple("lambda" if field == "lam" else field for field in BoundRow._fields)
 
 
 class ChainRow(NamedTuple):
@@ -314,8 +316,7 @@ def report_to_json(report: SuiteReport) -> str:
 def report_from_json(text: str) -> SuiteReport:
     obj = json.loads(text)
     req = obj["request"]
-    bound_rows = tuple(BoundRow(**{"lam" if key == "lambda" else key: value
-                                   for key, value in row.items()}) for row in obj["bound_rows"])
+    bound_rows = tuple(BoundRow._make(row[key] for key in CSV_HEADER) for row in obj["bound_rows"])
     return SuiteReport(config=EnsembleConfig(**obj["config"]), bounds=tuple(req["bounds"]),
                        chains=tuple(req["chains"]), lambda_grid=tuple(req["lambda_grid"]),
                        r=req["r"], n=req["n"], alpha=req["alpha"], bound_rows=bound_rows,

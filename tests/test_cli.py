@@ -181,6 +181,20 @@ def test_radius_infinite_tol_exits_two(jordan_file, capsys):
     assert capsys.readouterr().err == "error: tol must be finite and > 0, got inf\n"
 
 
+def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
+    # exit 1 means violations found; a failed SVD is a refusal, as a bad argument is
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    out_path = tmp_path / "report.json"
+    code = cli.main(["verify", "--ensemble", "ginibre", "--dim", "2", "--trials", "1",
+                     "--seed", "0", "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: SVD failed: SVD did not converge\n"
+    assert not out_path.exists()
+
+
 def test_verify_repeated_bound_exits_two(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = cli.main(["verify", "--ensemble", "ginibre", "--dim", "2", "--trials", "2",

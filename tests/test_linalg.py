@@ -226,6 +226,14 @@ class TestMatrixPowerPsd:
         with pytest.raises(ValueError, match="^exponent must be finite and >= 0, got "):
             abs_power(2.0 * np.eye(2), p)
 
+    @pytest.mark.parametrize("p, kind", [(True, "bool"), ("2", "str")])
+    def test_rejects_non_number_exponent(self, p, kind):
+        # float() would read True as 1 and parse "2"; math.isfinite raises a bare TypeError
+        with pytest.raises(ValueError, match=f"^exponent must be a number, not a {kind}$"):
+            matrix_power_psd(np.eye(2), p)
+        with pytest.raises(ValueError, match=f"^exponent must be a number, not a {kind}$"):
+            abs_power(2.0 * np.eye(2), p)
+
     def test_abs_power_matches_power_of_abs(self):
         rng = np.random.default_rng(9)
         m = ginibre(rng, 4)
@@ -290,6 +298,12 @@ class TestNumericalRadius:
         # tol = inf would return a loose enclosure: (1.707..., 1.732...) here
         with pytest.raises(ValueError, match="^tol must be finite and > 0, got "):
             numerical_radius_enclosure([[1, 2], [0, 1j]], tol)
+
+    @pytest.mark.parametrize("tol, kind", [(True, "bool"), ("1e-10", "str")])
+    def test_rejects_non_number_tol(self, tol, kind):
+        # True would be read as tol = 1, a loose enclosure
+        with pytest.raises(ValueError, match=f"^tol must be a number, not a {kind}$"):
+            numerical_radius_enclosure([[1, 2], [0, 1]], tol)
 
     def test_norm_sandwich(self):
         rng = np.random.default_rng(7)

@@ -69,8 +69,8 @@ ORDER_FAULTS = [("n=0", 0, ValueError), ("n=1.5", 1.5, ValueError),
 ALPHA_FAULTS = [(f"alpha={v!r}", v, ValueError) for v in (0.0, 1.0, NAN, True, "0.5")]
 R_FAULTS = [(f"r={v!r}", v, ValueError) for v in (0.5, NAN, INF, True, "2")]
 H_ID_FAULTS = [("h_id=cube", "cube", UnknownFunctionError)]
-T_FAULTS = [(f"t={v}", v, ValueError) for v in (-0.1, 1.5, NAN)]
-NONNEG_FAULTS = [(f"{v}", v, ValueError) for v in (-1.0, NAN, INF)]
+T_FAULTS = [(f"t={v!r}", v, ValueError) for v in (-0.1, 1.5, NAN, True, "0.5")]
+NONNEG_FAULTS = [(f"{v!r}", v, ValueError) for v in (-1.0, NAN, INF, True, "2")]
 
 # Each evaluator and predicate: valid arguments and the faults of each.
 SIGNATURES = {
@@ -112,6 +112,16 @@ def test_each_fault_raises_its_class(fn, pos, bad, exc):
     with pytest.raises(exc) as info:
         fn(*args)
     assert type(info.value) is exc
+
+
+@pytest.mark.parametrize("pos,name", [(0, "a"), (1, "b"), (2, "t")])
+@pytest.mark.parametrize("bad,kind", [(True, "bool"), ("0.5", "str")])
+def test_young_amgm_names_a_non_number(pos, name, bad, kind):
+    # float() would read True as 1 and parse the string
+    args = [2.0, 3.0, 0.3]
+    args[pos] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be a number, not a {kind}$"):
+        young_amgm(*args)
 
 
 @pytest.mark.parametrize("check,args", [

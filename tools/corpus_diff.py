@@ -8,6 +8,8 @@ they are. It runs the working tree's `tools/report_corpus.py` once with REV's
 `src` and once with the working tree's `src` on PYTHONPATH, and compares the
 two corpora file by file. It exits 0 when they are identical, 1 when they
 differ (naming the first differing files) and 2 when a corpus cannot be made.
+REV must be 17ec045 or later: the corpus reads the report formats and the
+--mode names from `numrad.suite.REPORT_FORMATS` and `numrad.cli.MODES`.
 """
 
 import filecmp

@@ -48,11 +48,7 @@ import sys
 from numrad import ALL_BOUNDS, ENSEMBLES, EnsembleConfig, cli, generate_ensemble, jsonio, suite
 from numrad.bounds import PRODUCT_BOUNDS, bound_modes, uses_lambda
 
-try:  # the tables the CLI runs from
-    FORMATS, CLI_MODES = suite.REPORT_FORMATS, cli.MODES
-except AttributeError:  # a numrad from before they were public (870e554 and older)
-    FORMATS, CLI_MODES = ("json", "csv"), cli._MODES
-MODES = {mode: name for name, mode in CLI_MODES.items()}  # catalog mode -> --mode value
+MODES = {mode: name for name, mode in cli.MODES.items()}  # catalog mode -> --mode value
 LAMBDA_CHECKS = (("emptygrid", "th2,th3", ""), ("emptyfree", "kittaneh,op_norm", ""),
                  ("lamzero", "al_dolat,kittaneh", "0,1"),
                  ("lamzeropos", "al_dolat,kittaneh,th2", "0,1"))
@@ -141,7 +137,7 @@ def main(argv) -> int:
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
     lines = [f"{name} {fmt} " + run(["verify", *args, "--out", f"{name}.{fmt}", "--format", fmt])
-             for name, args in configs() for fmt in FORMATS]
+             for name, args in configs() for fmt in suite.REPORT_FORMATS]
     reports = len(lines)
     partners = matrices()
     lines += [f"{name} " + run(args)
