@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import jsonio
@@ -165,13 +164,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownBoundError, UnknownChainError, ValueError, OverflowError,
-            NoConvergenceError) as exc:
+    except (OSError, ValueError, OverflowError, NoConvergenceError, UnknownBoundError,
+            UnknownChainError) as exc:  # ValueError holds json.JSONDecodeError
         # KeyError subclasses repr() their message; print it bare
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

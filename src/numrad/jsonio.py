@@ -99,18 +99,23 @@ def dumps(obj) -> str:
     return "".join(parts)
 
 
-def _emit(obj, parts: list[str]) -> None:
+def token(obj) -> str:
+    """The JSON text dumps gives a scalar: a bool, None, an int, a float or a string."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
     if isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit(obj, parts: list[str]) -> None:
+    if isinstance(obj, dict):
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
@@ -127,4 +132,4 @@ def _emit(obj, parts: list[str]) -> None:
             _emit(v, parts)
         parts.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        parts.append(token(obj))

@@ -88,16 +88,22 @@ def _integer(x) -> bool:
 
 def _require_number(name: str, v):
     """v, or ValueError unless v, the scalar ``name``, is a real number (a
-    bool or a string is not)."""
-    if type(v) not in (float, int) and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-        raise ValueError(f"{name} must be a number, not a {type(v).__name__}")
+    bool or a string is not) that converts to a float (an int past the double
+    range does not)."""
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must be a number, not a {type(v).__name__}")
+        try:
+            float(v)
+        except OverflowError:
+            raise ValueError(f"{name} leaves the double range") from None
     return v
 
 
 def _require_min(name: str, v, low, strict: bool = False):
     """v, or ValueError unless v, the scalar ``name``, is a number
     (_require_number) that is finite and >= low (> low with ``strict``)."""
-    if type(v) not in (float, int):
+    if type(v) is not float:
         _require_number(name, v)
     if not (math.isfinite(v) and (v > low if strict else v >= low)):
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low}, got {v}")
@@ -194,14 +200,22 @@ def _eigen(a: np.ndarray, psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return (np.maximum(vals, 0.0) if psd else vals), vecs
 
 
+def _lapack(name: str, a: np.ndarray):
+    """np.linalg.<name>(a), looked up at each call (so a replaced np.linalg
+    function is the one called); a LAPACK failure raises NoConvergenceError
+    "SVD failed: ..." for svd and "eigensolver failed: ..." for the others."""
+    try:
+        return getattr(np.linalg, name)(a)
+    except np.linalg.LinAlgError as exc:
+        what = "SVD" if name == "svd" else "eigensolver"
+        raise NoConvergenceError(f"{what} failed: {exc}") from exc
+
+
 def _checked_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of the exactly Hermitian h;
     NoConvergenceError if LAPACK fails or the residual ||hV - V diag(vals)|| or
     the unitarity error ||V*V - I|| exceeds 1e-10 relative to max(1, ||h||)."""
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+    vals, vecs = _lapack("eigh", h)
     gram = vecs.conj().T @ vecs
     gram.ravel()[:: len(gram) + 1] -= 1.0  # V*V - I, in place
     for err, what in ((_fro(h @ vecs - vecs * vals), "residual"), (_fro(gram), "unitarity error")):
@@ -230,10 +244,7 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stack, in the norm of them all); the residual is scaled before its norm is
     taken, so inputs near the double range do not overflow.
     """
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"SVD failed: {exc}") from exc
+    u, s, vh = _lapack("svd", a)
     top = float(s.flat[s.argmax()])  # s descends: the largest s_1
     if not math.isfinite(top):
         raise OverflowError("operator norm leaves the double range")
@@ -288,7 +299,7 @@ def _sweep(re: np.ndarray, im: np.ndarray, owner: np.ndarray, thetas: np.ndarray
     h *= np.cos(thetas)[:, None, None]
     x *= np.sin(thetas)[:, None, None]
     h -= x
-    return np.linalg.eigvalsh(h)[:, -1]
+    return _lapack("eigvalsh", h)[:, -1]
 
 
 def _rotation_invariant(a: np.ndarray) -> bool:
@@ -357,7 +368,8 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
     for all cells, each result bitwise the one its matrix gives alone. tol
-    must be a finite number > 0, or ValueError.
+    must be a finite number > 0, or ValueError; NoConvergenceError if the
+    eigensolver fails.
     """
     _require_min("tol", tol, 0, strict=True)
     b, e = _pow2_scaled(as_matrix(m, stack=True))  # exact, so w(2^k M) = 2^k w(M)

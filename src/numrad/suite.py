@@ -271,11 +271,12 @@ def _chain_rows(blocks):
 # --------------------------------------------------------------------------
 # Serialization
 
-def _cells(rows, kind, fmts) -> list[list[str]]:
-    """The columns of rows of kind as text, each table value formatted once by
-    its column's fmt; fmt float is jsonio.fmt_floats (which refuses NaN and inf)."""
-    return [_take(jsonio.fmt_floats(table) if fmt is float else list(map(fmt, table)), codes)
-            for fmt, (table, codes) in zip(fmts, _as_columns(rows, kind).columns)]
+def _cells(rows, kind, token=jsonio.token) -> list[list[str]]:
+    """The columns of rows of kind as text, each table value written once by token;
+    a table of floats alone takes one jsonio.fmt_floats call (the same text, no NaN or inf)."""
+    return [_take(jsonio.fmt_floats(table) if {*map(type, table)} <= {float}
+                  else list(map(token, table)), codes)
+            for table, codes in _as_columns(rows, kind).columns]
 
 
 def _rows_text(seps, columns, end: str) -> str:
@@ -302,13 +303,11 @@ def report_to_json(report: SuiteReport) -> str:
                "lambda_grid": list(report.lambda_grid), "r": report.r, "n": report.n,
                "alpha": report.alpha}
     head = jsonio.dumps({"config": vars(report.config), "request": request})
-    name, value = json.dumps, jsonio.dumps
-    bound_rows = _json_objects(CSV_HEADER, _cells(report.bound_rows, BoundRow, (
-        str, name, name, value, float, value, *[float] * 5, value)))
-    chain_rows = _json_objects(ChainRow._fields, _cells(report.chain_rows, ChainRow,
-                                                        (str, name, value)))
-    tightness = _json_objects(TightnessRow._fields, _cells(report.tightness, TightnessRow,
-                                                           (name, name, str, float, float)))
+    bound_rows, chain_rows, tightness = (
+        _json_objects(keys, _cells(rows, kind)) for rows, kind, keys in (
+            (report.bound_rows, BoundRow, CSV_HEADER),
+            (report.chain_rows, ChainRow, ChainRow._fields),
+            (report.tightness, TightnessRow, TightnessRow._fields)))
     return (f'{head[:-1]},"bound_rows":{bound_rows},"chain_rows":{chain_rows},'
             f'"violations":{jsonio.dumps(report.violations)},"tightness":{tightness}}}\n')
 
@@ -326,11 +325,11 @@ def report_from_json(text: str) -> SuiteReport:
 
 
 def report_to_csv(report: SuiteReport) -> str:
-    """The bound rows as CSV (no cell needs quoting), one line per row."""
-    seps = ("",) + (",",) * (len(CSV_HEADER) - 1)
-    cells = _cells(report.bound_rows, BoundRow, (str, str, str, lambda x: "" if x is None else
-                                                 jsonio.fmt_float(x), float, str, *[float] * 5,
-                                                 jsonio.dumps))
+    """The bound rows as CSV, one line per row: each cell is its JSON token,
+    a string without its quotes (no cell needs quoting) and null empty."""
+    cells = _cells(report.bound_rows, BoundRow,
+                   lambda x: x if type(x) is str else "" if x is None else jsonio.token(x))
+    seps = ["", *[","] * (len(cells) - 1)]
     return ",".join(CSV_HEADER) + "\n" + _rows_text(seps, cells, "\n")
 
 

@@ -195,6 +195,15 @@ def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert not out_path.exists()
 
 
+def test_engine_eigensolver_failure_exits_two(jordan_file, monkeypatch, capsys):
+    def failing(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert cli.main(["radius", "--matrix", jordan_file]) == 2
+    assert capsys.readouterr().err == "error: eigensolver failed: Eigenvalues did not converge\n"
+
+
 def test_verify_repeated_bound_exits_two(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = cli.main(["verify", "--ensemble", "ginibre", "--dim", "2", "--trials", "2",

@@ -46,7 +46,7 @@ BAD_ENTRIES = [{"dim": 1, "entries": [[1, 2, 3]]}, {"dim": 1, "entries": [[1]]},
 
 @pytest.mark.parametrize("obj", [[[0, 200000], [0, 0]], {"dim": 2}, {"entries": []}, 3,
                                  {"dim": 1, "entries": 5}, {"dim": 1, "entries": [7]},
-                                 *BAD_DIMS, *BAD_ENTRIES])
+                                 *BAD_DIMS, *BAD_ENTRIES, {"dim": 1, "entries": [[10**400, 0]]}])
 def test_matrix_from_dict_rejects_other_json(obj):
     with pytest.raises(ValueError, match="expected a matrix object"):
         jsonio.matrix_from_dict(obj)

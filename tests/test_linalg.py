@@ -146,6 +146,18 @@ class TestLapackFailures:
         with pytest.raises(NoConvergenceError, match="^SVD failed: SVD did not converge$"):
             abs_value(J)
 
+    @pytest.mark.parametrize("m", [[[1, 2], [0, 1j]], J, np.diag([3.0, 1.0])],
+                             ids=["general", "disc", "hermitian"])
+    def test_engine_eigensolver_failure(self, monkeypatch, m):
+        # every start rule reaches the engine's eigvalsh
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergenceError,
+                           match="^eigensolver failed: Eigenvalues did not converge$"):
+            numerical_radius(m)
+
 
 class TestAbsValue:
     def test_jordan_block(self):

@@ -293,8 +293,9 @@ def _forged_report():
     lambda: run_suite(EnsembleConfig("jordan", 3, 4, 8), lambda_grid=(0.0, 1.0), chains=[],
                       bounds=["al_dolat", "kittaneh"]),
     lambda: _as_tuples(run_suite(EnsembleConfig("ginibre", 3, 3, 5), r=1.5, n=2)),
+    lambda: run_suite(EnsembleConfig("ginibre", 2, 3, 5), n=2.0),
 ], ids=["duplicate-lambda", "r-n-alpha", "odd-trials-product", "forged", "lambda-free",
-        "one-trial", "no-bounds", "lambda-zero", "rows-as-tuples"])
+        "one-trial", "no-bounds", "lambda-zero", "rows-as-tuples", "float-n"])
 def test_bulk_serializers_match_generic_json(make):
     rep = make()
     request = {"bounds": list(rep.bounds), "chains": list(rep.chains),

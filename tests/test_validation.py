@@ -30,6 +30,7 @@ from numrad import (
     jensen_operator_check,
     mccarthy_check,
     mixed_schwarz_check,
+    numerical_radius_enclosure,
     young_amgm,
 )
 from numrad import operator_lemmas
@@ -62,15 +63,19 @@ MATRIX_FAULTS = [
 HERMITIAN_FAULTS = MATRIX_FAULTS + [
     ("non-Hermitian", np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError)]
 PSD_FAULTS = HERMITIAN_FAULTS + [("indefinite", np.diag([1.0, -1.0]), NotPSDError)]
-LAM_FAULTS = [(f"lam={v!r}", v, ValueError) for v in (0.0, -1.0, NAN, INF, True, "0.5")]
+PAST_DOUBLE = 10**400  # an int float() cannot convert
+LAM_FAULTS = [(f"lam={v!r}", v, ValueError) for v in (0.0, -1.0, NAN, INF, True, "0.5")] + [
+    ("lam=10**400", PAST_DOUBLE, ValueError)]
 ORDER_FAULTS = [("n=0", 0, ValueError), ("n=1.5", 1.5, ValueError),
                 ("n=16", 16, OverflowError), ("n=inf", INF, ValueError),
                 ("n=nan", NAN, ValueError), ("n='2'", "2", ValueError)]
 ALPHA_FAULTS = [(f"alpha={v!r}", v, ValueError) for v in (0.0, 1.0, NAN, True, "0.5")]
-R_FAULTS = [(f"r={v!r}", v, ValueError) for v in (0.5, NAN, INF, True, "2")]
+R_FAULTS = [(f"r={v!r}", v, ValueError) for v in (0.5, NAN, INF, True, "2")] + [
+    ("r=10**400", PAST_DOUBLE, ValueError)]
 H_ID_FAULTS = [("h_id=cube", "cube", UnknownFunctionError)]
 T_FAULTS = [(f"t={v!r}", v, ValueError) for v in (-0.1, 1.5, NAN, True, "0.5")]
-NONNEG_FAULTS = [(f"{v!r}", v, ValueError) for v in (-1.0, NAN, INF, True, "2")]
+NONNEG_FAULTS = [(f"{v!r}", v, ValueError) for v in (-1.0, NAN, INF, True, "2")] + [
+    ("10**400", PAST_DOUBLE, ValueError)]
 
 # Each evaluator and predicate: valid arguments and the faults of each.
 SIGNATURES = {
@@ -122,6 +127,18 @@ def test_young_amgm_names_a_non_number(pos, name, bad, kind):
     args[pos] = bad
     with pytest.raises(ValueError, match=f"^{name} must be a number, not a {kind}$"):
         young_amgm(*args)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: BoundParams(lam=PAST_DOUBLE), "lam"), (lambda: BoundParams(1.0, r=PAST_DOUBLE), "r"),
+    (lambda: BoundParams(1.0, n=PAST_DOUBLE), "n"),
+    (lambda: young_amgm(2.0, PAST_DOUBLE, 0.3), "b"),
+    (lambda: numerical_radius_enclosure(np.eye(2), PAST_DOUBLE), "tol"),
+], ids=["lam", "r", "n", "b", "tol"])
+def test_an_int_past_the_double_range_is_refused_by_name(make, name):
+    # math.isfinite and float() would raise a bare OverflowError
+    with pytest.raises(ValueError, match=f"^{name} leaves the double range$"):
+        make()
 
 
 @pytest.mark.parametrize("check,args", [
