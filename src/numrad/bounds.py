@@ -171,11 +171,12 @@ class MatrixTerms(_Terms):
 
 
 class PairTerms(_Terms):
-    """Terms of a stack of pairs (T, S) of a product bound, T and S rows i and j
-    of the stack of ``terms``: A = |T| and B = |S| are those rows of its |T|^q."""
+    """Terms of a stack of pairs (T, S) of a product bound, T rows ``first`` of the stack
+    of ``terms`` and S each next row (T at the last): A = |T|, B = |S| its |T|^q rows."""
 
-    def __init__(self, terms: MatrixTerms, i, j):
-        a = terms._a
+    def __init__(self, terms: MatrixTerms, first):
+        a, i = terms._a, np.asarray(first)
+        j = np.minimum(i + 1, len(terms.t) - 1)
         super().__init__(lambda q: a(q)[i], lambda q: a(q)[j], terms.t[i], terms.t[j])
 
 
@@ -206,12 +207,12 @@ def matrix_terms(t) -> MatrixTerms:
 
 
 def pair_terms(t, s) -> PairTerms:
-    """Terms of one pair (T, S) (k = 1) or of two (k, n, n) stacks: one SVD of both."""
+    """Terms of one pair (T, S) (k = 1) or of two (k, n, n) stacks: one SVD, T_i before S_i."""
     a, b = as_matrix(t, stack=True), as_matrix(s, stack=True)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    i = np.arange(len(a))
-    return PairTerms(MatrixTerms(np.concatenate((a, b))), i, i + len(a))
+    pairs = np.stack((a, b), axis=1).reshape(-1, *a.shape[1:])
+    return PairTerms(MatrixTerms(pairs), np.arange(0, len(pairs), 2))
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def _evaluate_one(bound: BoundSpec, t, s, reads) -> Evaluation:
     ms = [as_matrix(t)] + ([] if s is None or not bound.product else [as_matrix(s)])
     same_dim(*ms)
     terms = MatrixTerms(np.array(ms))  # one SVD
-    terms = PairTerms(terms, [0], [len(ms) - 1]) if bound.product else terms
+    terms = PairTerms(terms, [0]) if bound.product else terms
     return evaluate([(terms, _plan(tuple(reads)))])[0]
 
 

@@ -117,7 +117,7 @@ def _result_dict(res) -> dict:
     p = res.params
     return dict(zip(CSV_HEADER[1:], (res.bound_name, res.mode, p.lam, p.r, p.n, p.alpha,
                                      res.exponent_p, res.w_power_value, res.rhs_value,
-                                     res.slack, res.holds)))
+                                     res.slack, res.holds), strict=True))
 
 
 def _one_bound(args) -> tuple:

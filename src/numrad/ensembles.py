@@ -43,8 +43,9 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussians: the real parts drawn first, then the imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def trial_matrix(config: EnsembleConfig, index: int) -> np.ndarray:
@@ -55,22 +56,19 @@ def trial_matrix(config: EnsembleConfig, index: int) -> np.ndarray:
         return np.eye(n, k=1, dtype=np.complex128)  # the shift matrix, every trial
     rng = _trial_rng(config.seed, index)
     if kind == "ginibre":
-        return _ginibre(rng, n)
+        return _gaussian(rng, (n, n))
     if kind == "gue":
-        g = _ginibre(rng, n)
+        g = _gaussian(rng, (n, n))
         return (g + g.conj().T) / 2.0
     if kind == "nilpotent":
-        return np.triu(_ginibre(rng, n), k=1)
+        return np.triu(_gaussian(rng, (n, n)), k=1)
     if kind == "normal":
-        q, r = np.linalg.qr(_ginibre(rng, n))
+        q, r = np.linalg.qr(_gaussian(rng, (n, n)))
         d = np.where(np.diagonal(r) == 0, 1.0, np.diagonal(r))
         u = q * (d / np.abs(d))[None, :]  # phase fix makes Q Haar-distributed
-        eigs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        return (u * eigs) @ u.conj().T
+        return (u * _gaussian(rng, n)) @ u.conj().T  # U diag(eigenvalues) U*
     if kind == "rank_one":
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        return np.outer(x, y.conj())
+        return np.outer(_gaussian(rng, n), _gaussian(rng, n).conj())  # x y*, x drawn before y
     raise InvalidConfigError(kind)
 
 

@@ -58,8 +58,9 @@ def _entries(obj, kind: str, size) -> tuple[int, np.ndarray]:
     except (KeyError, TypeError, ValueError) as exc:
         msg = f'expected a {kind} object {{"dim": n, "entries": [[re, im], ...]}}'
         raise ValueError(msg) from exc
+    # neither dim nor size(dim) in the text: either may pass Python's int-to-str limit
     if dim < 1 or len(flat) != size(dim):
-        raise ValueError(f"expected {size(dim)} entries for dim {dim}, got {len(flat)}")
+        raise ValueError(f"{kind} dim must be >= 1 and fit its {len(flat)} entries")
     return dim, np.array(flat, dtype=np.complex128)
 
 

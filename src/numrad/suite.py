@@ -16,8 +16,8 @@ their bound, mode, lambda and exponent from that row. The rows stay columns
 its column's table (w-power, rhs and slack hold each value once, by its bits),
 each table value is formatted once, and tuples are built on read.
 
-Product bounds pair trial 2k with 2k+1; an odd trailing matrix is paired
-with itself. Rows are ordered by (trial, bound, lambda, mode).
+Product bounds pair the trials by bounds.PairTerms' rule: trial 2k with 2k+1,
+an odd last trial with itself. Rows are ordered by (trial, bound, lambda, mode).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -94,26 +95,25 @@ class Columns(Sequence):
     table[codes[i]], and the text formats each table value once. It reads as
     the tuple of its kind's rows, which is built on the first read of a row."""
 
-    def __init__(self, kind, columns, rows=None):
-        self.kind, self.columns, self._rows = kind, columns, rows
+    def __init__(self, kind, columns):
+        self.kind, self.columns = kind, columns
 
+    @cached_property
     def rows(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(map(self.kind._make, zip(*(_take(*c) for c in self.columns))))
-        return self._rows
+        return tuple(map(self.kind._make, zip(*(_take(*c) for c in self.columns))))
 
     def __len__(self):
         return len(self.columns[0][1])
 
     def __getitem__(self, i):
-        return self.rows()[i]
+        return self.rows[i]
 
     def __eq__(self, other):
         rows = isinstance(other, (tuple, Columns))
-        return self.rows() == tuple(other) if rows else NotImplemented
+        return self.rows == tuple(other) if rows else NotImplemented
 
     def __hash__(self):
-        return hash(self.rows())
+        return hash(self.rows)
 
 
 def _as_columns(rows, kind) -> Columns:
@@ -121,7 +121,7 @@ def _as_columns(rows, kind) -> Columns:
     if isinstance(rows, Columns):
         return rows
     columns = np.array(rows, dtype=object).reshape(len(rows), len(kind._fields)).T
-    return Columns(kind, [(c.tolist(), np.arange(len(rows))) for c in columns], tuple(rows))
+    return Columns(kind, [(c.tolist(), np.arange(len(rows))) for c in columns])
 
 
 def _distinct(a) -> tuple[list, np.ndarray]:
@@ -193,7 +193,7 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
     kinds = [reads + [r for _, pair in links for r in pair] for _, reads, links in work]
     plans = [_plan(tuple(kind)) for kind in kinds]  # checked before the ensemble is made
     terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
-    paired = PairTerms(terms, pairs, np.minimum(pairs + 1, config.trials - 1))
+    paired = PairTerms(terms, pairs)
     evs = evaluate(list(zip((terms, paired), plans)))  # one engine call
 
     parts, chain_blocks = [], []  # (labels, evaluation, plan rows); (labels, chain, holds)

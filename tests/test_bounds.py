@@ -1,6 +1,9 @@
 """Bound catalog: frozen values, coefficient identities, homographic
 structure, certificates, the lambda optimizer and refinement chains."""
 
+import ast
+import importlib
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -583,7 +586,7 @@ class TestStackedPass:
         monkeypatch.setattr(bounds, "_spectral_power", spy)
         rng = np.random.default_rng(73)
         trials = matrix_terms(np.array([ginibre(rng, 3) for _ in range(6)]))
-        pairs = bounds.PairTerms(trials, [0, 2, 4], [1, 3, 5])
+        pairs = bounds.PairTerms(trials, [0, 2, 4])
         fill_terms([(trials, [ns(2.0)]), (pairs, [ns(2.0), ns(3.0), wc(3.0)])])
         # |T|^2 and |T*|^2 for the trials; the pairs' A and B are rows of their
         # |T| powers, of which only |T|^3 is new
@@ -653,6 +656,14 @@ class TestOneSpectralPass:
         shapes = _svd_shapes(monkeypatch)
         terms = pair_terms(t[:4], t[4:])
         assert shapes == [(8, 3, 3)] and len(terms.t) == len(terms.s) == 4
+
+    @pytest.mark.parametrize("trials,first,partners", [
+        (1, [0], [0]), (2, [0], [1]), (5, [0, 2, 4], [1, 3, 4]), (6, [0, 2, 4], [1, 3, 5])])
+    def test_pairs_take_the_next_input_or_the_last_itself(self, trials, first, partners):
+        rng = np.random.default_rng(44)
+        t = np.array([ginibre(rng, 2) for _ in range(trials)])
+        pairs = bounds.PairTerms(matrix_terms(t), first)
+        assert np.array_equal(pairs.t, t[first]) and np.array_equal(pairs.s, t[partners])
 
     def test_pair_terms_refuse_stacks_of_different_shapes(self):
         with pytest.raises(DimensionMismatchError,
@@ -855,6 +866,30 @@ class TestChains:
                                   "refined": refined.rhs_value,
                                   "classical": classical.rhs_value}
 
+    @pytest.mark.parametrize("chain_id", CHAIN_IDS)
+    def test_both_bounds_are_of_one_kind(self, chain_id):
+        # run_suite pairs a chain's inputs by its refined bound's kind alone
+        ch = bounds.CHAINS[chain_id]
+        assert CATALOG[ch.refined].product == CATALOG[ch.classical].product
+
     def test_unknown_chain(self):
         with pytest.raises(UnknownChainError):
             refinement_chain(J, None, "nope", BoundParams(lam=1.0))
+
+
+def _tracer_names() -> dict:
+    """LAYER_FUNCTIONS and TERM_CLASSES of bench/tracing.py, read from its source."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("LAYER_FUNCTIONS", "TERM_CLASSES")}
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # the tracer replaces functions and term classes by name: a missing one fails a traced run
+    names = _tracer_names()
+    wrapped = [(module, name) for module, functions in names["LAYER_FUNCTIONS"].values()
+               for name in functions] + [("numrad.bounds", c) for c in names["TERM_CLASSES"]]
+    assert len(wrapped) > 20
+    assert [m for m in wrapped if not hasattr(importlib.import_module(m[0]), m[1])] == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from numrad import cli, jsonio
-from numrad.suite import report_from_json
+from numrad.suite import CSV_HEADER, report_from_json
 
 J = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -42,6 +42,12 @@ def test_bound_single_mode(jordan_file, capsys):
     (res,) = out["results"]
     assert res["rhs"] == pytest.approx(0.5)
     assert res["holds"] is True
+
+
+def test_bound_result_keys_are_the_report_columns(jordan_file, capsys):
+    assert cli.main(["bound", "--matrix", jordan_file, "--bound", "th2"]) == 0
+    (res, _) = json.loads(capsys.readouterr().out)["results"]
+    assert tuple(res) == CSV_HEADER[1:]
 
 
 def test_bound_dual_modes_default(jordan_file, capsys):
@@ -243,6 +249,13 @@ def test_malformed_matrix_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["radius", "--matrix", str(bad)]) == 2
+
+
+def test_matrix_file_with_a_huge_dim_exits_two(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 1' + "0" * 3000 + ', "entries": [[1, 0]]}')
+    assert cli.main(["radius", "--matrix", str(big)]) == 2
+    assert capsys.readouterr().err == "error: matrix dim must be >= 1 and fit its 1 entries\n"
 
 
 def test_matrix_file_not_an_object_exits_two(tmp_path, capsys):

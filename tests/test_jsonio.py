@@ -33,6 +33,9 @@ def test_entry_count_validation():
         jsonio.matrix_from_dict({"dim": 2, "entries": [[1, 0]]})
     with pytest.raises(ValueError):
         jsonio.vector_from_dict({"dim": 0, "entries": []})
+    # dim * dim has 6001 digits, past Python's int-to-text limit: the message formats neither
+    with pytest.raises(ValueError, match=r"^matrix dim must be >= 1 and fit its 1 entries$"):
+        jsonio.matrix_from_dict({"dim": 10**3000, "entries": [[1, 0]]})
 
 
 PAIRS4 = [[1, 0], [0, 0], [0, 0], [1, 0]]
