@@ -292,14 +292,17 @@ def operator_norm(m) -> float:
     return float(_svd(as_matrix(m))[1][0])
 
 
-def _sweep(re: np.ndarray, im: np.ndarray, owner: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(H(theta)) per cell, of the matrix M = re + i im of the stack
-    that ``owner`` names: re and im are Hermitian, H = cos(theta) re - sin(theta) im."""
+def _sweep(re: np.ndarray, im: np.ndarray, owner: np.ndarray, thetas: np.ndarray):
+    """(lambda_min, lambda_max) of H(theta) per cell, of the matrix M = re + i im
+    of the stack that ``owner`` names: re and im are Hermitian, H = cos(theta) re
+    - sin(theta) im. H(theta + pi) = -H(theta), so the one solve gives f(theta) =
+    lambda_max and f(theta + pi) = -lambda_min."""
     h, x = re[owner], im[owner]  # in place from here: a stack holds many cells
     h *= np.cos(thetas)[:, None, None]
     x *= np.sin(thetas)[:, None, None]
     h -= x
-    return _lapack("eigvalsh", h)[:, -1]
+    vals = _lapack("eigvalsh", h)
+    return vals[:, 0], vals[:, -1]
 
 
 def _rotation_invariant(a: np.ndarray) -> bool:
@@ -324,13 +327,17 @@ def _rotation_invariant(a: np.ndarray) -> bool:
 
 
 def _start_rule(b: np.ndarray, re: np.ndarray, im: np.ndarray, tol: float):
-    """Per matrix M = re + i im of the stack b: which of the _START_CELLS grid
-    angles j 2pi / _START_CELLS it samples (a (k, _START_CELLS) mask), whether
-    their cells are refined, and hi - lo for a matrix whose are not. In order:
+    """Per matrix M = re + i im of the stack b: which of the first
+    _START_CELLS // 2 grid angles j 2pi / _START_CELLS it solves at (a
+    (k, _START_CELLS // 2) mask; each solve gives f at j 2pi / _START_CELLS and
+    at that plus pi), whether its cells are refined, and hi - lo for a matrix
+    whose are not. In order:
 
-    * W(M) a disc about 0 (zero diagonal, _rotation_invariant; M = 0 too): angle 0; lo = hi.
-    * ||im||_F <= tol ||re||_F / sqrt(n): angles 0 and pi; hi = lo + ||im||_F.
-    * Any other M: every angle, refined.
+    * W(M) a disc about 0 (zero diagonal, _rotation_invariant; M = 0 too):
+      one solve, at angle 0; lo = hi.
+    * ||im||_F <= tol ||re||_F / sqrt(n): one solve, at angle 0 (f(0) and
+      f(pi)); hi = lo + ||im||_F.
+    * Any other M: every half-grid angle, so all _START_CELLS cells, refined.
     """
     k, n = b.shape[:2]
     parts = (a.reshape(k, -1).view(np.float64) for a in (re, im))
@@ -339,10 +346,9 @@ def _start_rule(b: np.ndarray, re: np.ndarray, im: np.ndarray, tol: float):
     for i in np.flatnonzero(disc):
         disc[i] = _rotation_invariant(b[i])
     herm = ~disc & (sfro <= tol / math.sqrt(n) * rfro)
-    # every step-th grid angle: all of them, 0 and pi, or 0 alone
-    step = np.where(herm, _START_CELLS // 2, np.where(disc, _START_CELLS, 1))
-    grid = np.arange(_START_CELLS) % step[:, None] == 0
-    return grid, grid.all(axis=1), np.where(herm, sfro, 0.0)
+    refine = ~(disc | herm)
+    grid = (np.arange(_START_CELLS // 2) == 0) | refine[:, None]
+    return grid, refine, np.where(herm, sfro, 0.0)
 
 
 def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
@@ -351,19 +357,22 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     f(theta) = lambda_max(H(theta)) supports W(M) in the direction
     e^{-i theta} and w(M) = max f, so lo is the largest f seen. f is sampled
     at the _START_CELLS equispaced grid angles to start, whose cells are then
-    refined. On a cell [t0, t1], W(M) lies in the wedge of the support lines
-    at t0 and t1, so f <= |v| there for their corner v if -arg v lies in the
-    cell, else f <= max(f0, f1). Cells bounded by lo (1 + tol) are dropped,
-    the others split at -arg v (clipped to their middle 80%) until none is
-    left: hi - lo <= tol hi. Past MAX_LIVE_CELLS live cells (W(M) near a
-    disc) the bounds reached are returned.
+    refined. H(theta + pi) = -H(theta), so one eigvalsh solve at theta gives
+    f(theta) = lambda_max and f(theta + pi) = -lambda_min: the start solves
+    at the first _START_CELLS // 2 grid angles only. On a cell [t0, t1], W(M)
+    lies in the wedge of the support lines at t0 and t1, so f <= |v| there
+    for their corner v if -arg v lies in the cell, else f <= max(f0, f1).
+    Cells bounded by lo (1 + tol) are dropped, the others split at -arg v
+    (clipped to their middle 80%) until none is left: hi - lo <= tol hi. Past
+    MAX_LIVE_CELLS live cells (W(M) near a disc) the bounds reached are
+    returned.
 
-    Two kinds of M skip the refinement (_start_rule). If W(M) is a disc
-    about 0 (M = 0 among them), f is constant and angle 0 gives lo = hi. A
-    near-Hermitian M = R + iS (R, S Hermitian) with ||S||_F <= tol ||R||_F /
-    sqrt(n), so ||S||_F <= tol rho(R), takes the angles 0 and pi: w is a norm,
-    so rho(R) <= w <= rho(R) + ||S||_F, and lo = max(f(0), f(pi)) = rho(R),
-    hi = lo + ||S||_F.
+    Two kinds of M skip the refinement (_start_rule) and take one solve, at
+    angle 0. If W(M) is a disc about 0 (M = 0 among them), f is constant and
+    lo = hi. A near-Hermitian M = R + iS (R, S Hermitian) with ||S||_F <= tol
+    ||R||_F / sqrt(n), so ||S||_F <= tol rho(R): w is a norm, so rho(R) <= w
+    <= rho(R) + ||S||_F, and lo = max(f(0), f(pi)) = rho(R), the ends of the
+    spectrum of H(0) = R, hi = lo + ||S||_F.
 
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round
@@ -374,16 +383,21 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     _require_min("tol", tol, 0, strict=True)
     b, e = _pow2_scaled(as_matrix(m, stack=True))  # exact, so w(2^k M) = 2^k w(M)
     re, im = (b + _h(b)) / 2.0, (b - _h(b)) / 2j
-    lo = np.zeros(len(b))
     grid, refine, gap = _start_rule(b, re, im, tol)
     owner, j = np.nonzero(grid)  # by matrix, then angle
-    t0 = j * (2.0 * np.pi / _START_CELLS)
-    f0 = _sweep(re, im, owner, t0)
-    np.maximum.at(lo, owner, f0)
+    cell = 2.0 * np.pi / _START_CELLS
+    low, top = _sweep(re, im, owner, j * cell)
+    back = 0.0 - low  # f(theta_j + pi); +0.0, not -0.0, where low is 0
+    lo = np.zeros(len(b))
+    np.maximum.at(lo, owner, np.maximum(top, back))
     hi = lo + gap  # final where nothing is refined; the split raises the rest
-    owner, t0, f0 = (x[refine[owner]] for x in (owner, t0, f0))
-    t1 = t0 + 2.0 * np.pi / _START_CELLS
-    f1 = np.roll(f0.reshape(-1, _START_CELLS), -1, axis=1).ravel()
+    # a refined matrix's f at the grid angles in order: f(theta_j), then f(theta_j + pi)
+    keep, half = refine[owner], _START_CELLS // 2
+    f0 = np.concatenate((top[keep].reshape(-1, half), back[keep].reshape(-1, half)), axis=1)
+    owner = np.repeat(np.flatnonzero(refine), _START_CELLS)
+    t0 = np.tile(np.arange(_START_CELLS) * cell, len(f0))
+    t1 = t0 + cell
+    f0, f1 = f0.ravel(), np.roll(f0, -1, axis=1).ravel()
     ended = [(owner[:0], f0[:0])]  # (owner, bound) of the cells each round drops
     while len(owner):
         d = t1 - t0
@@ -401,7 +415,7 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
         if not len(owner):
             break
         mid = t0 + np.clip(peak, 0.1 * d, 0.9 * d)
-        fm = _sweep(re, im, owner, mid)
+        fm = _sweep(re, im, owner, mid)[1]
         np.maximum.at(lo, owner, fm)
         owner = np.concatenate((owner, owner))
         t0, t1 = np.concatenate((t0, mid)), np.concatenate((mid, t1))

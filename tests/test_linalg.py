@@ -519,7 +519,8 @@ class TestStack:
 class TestEngineBatches:
     """Deterministic cost guards: eigvalsh batches per engine call."""
 
-    def batches(self, monkeypatch, m):
+    @staticmethod
+    def batches(monkeypatch, m):
         sizes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(len(h)) or eigvalsh(h))
@@ -538,7 +539,7 @@ class TestEngineBatches:
 
     def test_hermitian_single_batch(self, monkeypatch):
         g = ginibre(np.random.default_rng(0), 8)
-        assert self.batches(monkeypatch, g + g.conj().T) == [2]
+        assert self.batches(monkeypatch, g + g.conj().T) == [1]
 
     def test_jordan_single_solve(self, monkeypatch):
         assert self.batches(monkeypatch, np.eye(8, k=1)) == [1]
@@ -546,7 +547,8 @@ class TestEngineBatches:
 
 class TestNearHermitian:
     """M = R + iS with ||S||_F <= tol ||R||_F / sqrt(n) takes the angles 0 and
-    pi alone: rho(R) <= w <= rho(R) + ||S||_F encloses w within tol."""
+    pi alone, from one solve at 0: rho(R) <= w <= rho(R) + ||S||_F encloses w
+    within tol."""
 
     TOL = 1e-10
 
@@ -584,7 +586,7 @@ class TestNearHermitian:
     def test_two_angles_enclose_w(self, monkeypatch, seed, n, c):
         r, m = self.split(seed, n, c)
         (lo, hi), counts = self.angles(monkeypatch, m)
-        assert counts == [2]
+        assert counts == [1]
         rho = np.abs(np.linalg.eigvalsh(r)).max()
         assert lo == pytest.approx(rho, rel=1e-14)
         assert hi == pytest.approx(lo + np.linalg.norm(m - m.conj().T) / 2, rel=1e-15, abs=0.0)
@@ -596,7 +598,7 @@ class TestNearHermitian:
     def test_just_above_the_threshold_refines(self, monkeypatch, seed, n):
         r, m = self.split(seed, n, 1 + 1e-6)
         (lo, hi), counts = self.angles(monkeypatch, m)
-        assert counts[0] == linalg._START_CELLS
+        assert counts[0] == linalg._START_CELLS // 2
         rho = np.abs(np.linalg.eigvalsh(r)).max()
         # lo samples angles 0 and pi too; w <= rho + ||S||_F
         assert rho * (1 - 1e-14) <= lo <= rho + np.linalg.norm(m - m.conj().T) / 2
@@ -605,8 +607,61 @@ class TestNearHermitian:
     def test_skew_hermitian_is_not_near_hermitian(self, monkeypatch):
         g = ginibre(np.random.default_rng(4), 4)
         (lo, hi), counts = self.angles(monkeypatch, 1j * (g + g.conj().T))
-        assert counts[0] == linalg._START_CELLS
+        assert counts[0] == linalg._START_CELLS // 2
         assert lo == pytest.approx(np.abs(np.linalg.eigvalsh(g + g.conj().T)).max(), rel=1e-12)
+
+
+class TestStartSolves:
+    """H(theta + pi) = -H(theta): one solve at each of the first _START_CELLS // 2
+    grid angles gives f at all _START_CELLS of them."""
+
+    KINDS = ("ginibre", "nilpotent", "rank_one")
+
+    @staticmethod
+    def stack(kind, n, k=3):
+        return generate_ensemble(EnsembleConfig(kind, n, k, 100 + n))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_one_start_batch_of_half_the_grid(self, monkeypatch, kind, n):
+        stack = self.stack(kind, n)
+        # a 2x2 nilpotent matrix has W a disc about 0: one solve, at angle 0
+        per_matrix = 1 if (kind, n) == ("nilpotent", 2) else linalg._START_CELLS // 2
+        assert TestEngineBatches.batches(monkeypatch, stack)[0] == len(stack) * per_matrix
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_bottom_end_is_f_half_a_turn_on(self, kind, n):
+        theta = np.arange(linalg._START_CELLS // 2) * (2 * np.pi / linalg._START_CELLS)
+        owner = np.zeros(len(theta), dtype=int)
+        u = np.finfo(float).eps / 2
+        for m in self.stack(kind, n):
+            re, im = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+            low, _ = linalg._sweep(re[None], im[None], owner, theta)
+            _, direct = linalg._sweep(re[None], im[None], owner, theta + np.pi)
+            assert np.abs(-low - direct).max() <= 8 * n * u * np.linalg.norm(m)
+
+    def test_stack_contains_the_known_radii(self):
+        # the ellipse, Jordan and weighted-shift cases of TestEnclosure, padded
+        # to one size (W(M + 0) = W(M) here: each W(M) holds 0) and run as one stack
+        cases = []
+        for c in (0.1, 1.0, 3.0):
+            for phi in (0.1, 1.0, 2.5):
+                cases.append((np.exp(1j * phi) * np.array([[1, c], [0, -1]]),
+                              math.sqrt(4 + c * c) / 2))
+        for n in (2, 3, 5, 8):
+            cases.append((np.eye(n, k=1), math.cos(math.pi / (n + 1))))
+        for n in (2, 3, 4, 7):
+            s = np.diag(np.sqrt([k * (n - k) for k in range(1, n)]), k=1)
+            u = haar_unitary(np.random.default_rng(n), n)
+            cases += [(x, (n - 1) / 2) for x in (s, 1j * s, u @ s @ u.conj().T)]
+        stack = np.array([TestStack.padded(m, 8) for m, _ in cases])
+        lo, hi = numerical_radius_enclosure(stack)
+        w = np.array([w for _, w in cases])
+        assert (lo <= w * (1 + 1e-13)).all() and (w <= hi * (1 + 1e-13)).all()
+        # the ellipses reach tol; a unitary copy of a shift, a disc with no
+        # zero pattern, stops at the cell cap
+        assert (hi - lo <= 1e-10 * hi)[:9].all()
 
 
 def oracle_corpus_matrix(rng, kind, n):
