@@ -1,4 +1,4 @@
-"""`tools/corpus_diff.py --explain` on hand-written corpora: its exit codes."""
+"""`tools/corpus_diff.py` on hand-written corpora: its exit codes."""
 
 import importlib
 import json
@@ -30,10 +30,13 @@ RUNS = ("r json 0 0 violation(s) in 2 bound rows and 1 chain rows -> r.json | \n
 
 
 @pytest.fixture
-def explain(monkeypatch, capsys):
+def corpus_diff(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
-    corpus_diff = importlib.import_module("corpus_diff")
+    return importlib.import_module("corpus_diff")
 
+
+@pytest.fixture
+def explain(corpus_diff, capsys):
     def run(rev, tree):
         code = corpus_diff.explain(str(rev), str(tree))
         return code, capsys.readouterr().out
@@ -81,3 +84,9 @@ def test_run_lines_are_matched_by_name(explain, tmp_path):
     assert code == 3
     assert "runs.txt radius: 1 of 1 rows moved" in out
     assert "runs.txt stdout ('r json',): \"0 violation(s)" in out
+
+
+def test_usage_exits_two(corpus_diff, capsys):
+    assert corpus_diff.main([]) == 2
+    assert corpus_diff.main(["HEAD", "--explain"]) == 2
+    assert "corpus_diff.py REV" in capsys.readouterr().err

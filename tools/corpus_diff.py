@@ -1,26 +1,24 @@
-"""Compare the report corpus of the working tree with that of a git revision.
+"""Compare the report corpus of the working tree with that of a git revision, value by value.
 
-    python3 tools/corpus_diff.py REV [--explain]
+    python3 tools/corpus_diff.py REV
 
 extracts REV's `src/` with `git archive` (through `bench_pairs.py`'s helper)
 into a temporary directory, leaving the repository and its working tree as
 they are. It runs the working tree's `tools/report_corpus.py` once with REV's
 `src` and once with the working tree's `src` on PYTHONPATH, and compares the
-two corpora file by file. It exits 0 when they are identical, 1 when they
-differ (naming the first differing files) and 2 when a corpus cannot be made.
-REV must be 17ec045 or later: the corpus reads the report formats and the
---mode names from `numrad.suite.REPORT_FORMATS` and `numrad.cli.MODES`.
+two corpora. REV must be 17ec045 or later: the corpus reads the report
+formats and the --mode names from `numrad.suite.REPORT_FORMATS` and
+`numrad.cli.MODES`.
 
-With --explain, differing corpora are compared value by value. Rows are
-matched by key: bound rows by (file, trial, bound, mode, lambda), chain rows
-by (file, trial, chain), tightness rows by (file, bound, mode) and the lines
-of runs.txt by name (the words before the exit code). Per file and column, and
-then per column over the whole corpus, it prints how many rows moved and the
-largest move in ulps, relative and absolute. It names every verdict that
-changed: a `holds` (a bound row's, a chain row's or a `bound` run's), a
-violation count, a run's exit code or error text, and a row or file that is
-in one corpus only. It names every other change that is not a number moving
-(an `optimize` boundary, a null) apart. It exits 0 when the corpora are
+Rows are matched by key: bound rows by (file, trial, bound, mode, lambda),
+chain rows by (file, trial, chain), tightness rows by (file, bound, mode) and
+the lines of runs.txt by name (the words before the exit code). Per file and
+column, and then per column over the whole corpus, it prints how many rows
+moved and the largest move in ulps, relative and absolute. It names every
+verdict that changed: a `holds` (a bound row's, a chain row's or a `bound`
+run's), a violation count, a run's exit code or error text, and a row or file
+that is in one corpus only. It names every other change that is not a number
+moving (an `optimize` boundary, a null) apart. It exits 0 when the corpora are
 identical, 1 when they differ and no verdict changed, 3 when a verdict
 changed and 2 when a corpus cannot be made.
 """
@@ -38,25 +36,11 @@ import tempfile
 
 from bench_pairs import ROOT, extract_src
 
-SHOWN = 10  # differing files named at most
 KEYS = {"bound_rows": ("trial", "bound", "mode", "lambda"), "chain_rows": ("trial", "chain"),
         "tightness": ("bound", "mode")}  # the fields that name a report table's row
 # a column ending in one of these is a verdict, not a value: runs.txt keeps
 # a stdout that is not JSON (verify's violation count) and stderr as text
 VERDICTS = ("holds", "violations", "exit", "stdout", "stderr")
-
-
-def differences(a: str, b: str, path: str = "") -> list[str]:
-    """Relative names of the files that differ between trees a and b, or are in one only."""
-    cmp = filecmp.dircmp(os.path.join(a, path), os.path.join(b, path))
-    out = [os.path.join(path, name) for name in sorted(cmp.left_only + cmp.right_only
-                                                         + cmp.common_funny)]
-    _, mismatch, errors = filecmp.cmpfiles(os.path.join(a, path), os.path.join(b, path),
-                                           cmp.common_files, shallow=False)
-    out += [os.path.join(path, name) for name in sorted(mismatch + errors)]
-    for sub in sorted(cmp.common_dirs):
-        out += differences(a, b, os.path.join(path, sub))
-    return out
 
 
 def leaves(obj, column: str = "", row: tuple = ()) -> dict:
@@ -178,7 +162,7 @@ def files(root: str) -> set[str]:
 
 def explain(rev: str, tree: str) -> int:
     """Print what differs between the corpora in the directories rev and
-    tree, value by value; the --explain exit code."""
+    tree, value by value; the exit code."""
     total, changes, differ = {}, {"verdict": [], "other": []}, False
     for name in sorted(files(rev) | files(tree)):
         paths = os.path.join(rev, name), os.path.join(tree, name)
@@ -211,12 +195,11 @@ def explain(rev: str, tree: str) -> int:
 
 
 def main(argv) -> int:
-    args = [arg for arg in argv if arg != "--explain"]
-    if len(args) != 1 or len(argv) > 2:  # REV, and --explain at most once
+    if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="corpus-diff-") as tmp:
-        if not extract_src(args[0], os.path.join(tmp, "rev")):
+        if not extract_src(argv[0], os.path.join(tmp, "rev")):
             return 2
         srcs = {"rev": os.path.join(tmp, "rev", "src"), "tree": os.path.join(ROOT, "src")}
         corpora = [os.path.join(tmp, f"{name}-corpus") for name in srcs]
@@ -228,15 +211,7 @@ def main(argv) -> int:
         if failed:
             print(f"report_corpus.py failed for {', '.join(failed)}", file=sys.stderr)
             return 2
-        if len(argv) == 2:
-            return explain(*corpora)
-        diff = differences(*corpora)
-    if diff:
-        print(f"{len(diff)} files differ between {args[0]} and the working tree:",
-              *diff[:SHOWN], sep="\n  ")
-        return 1
-    print(f"the corpora of {args[0]} and the working tree are identical")
-    return 0
+        return explain(*corpora)
 
 
 if __name__ == "__main__":
