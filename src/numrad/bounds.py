@@ -19,8 +19,9 @@ so a right side is monotone in lam in every mode. fill_terms computes every
 term once, into one table per stack of inputs. _plan, memoized on a request's
 reads (one bound at one BoundParams in one of its modes each), checks them and
 gives one row per distinct read, holding its lam and its coefficients there;
-evaluate, the one evaluation path, fills the terms of (terms, plan) pairs and
-evaluates each plan in one stacked pass, per config or at k = 1.
+evaluate, the one evaluation path, plans the reads of (terms, reads) pairs,
+fills their terms and evaluates each plan in one stacked pass, per config or
+at k = 1.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class LambdaOptimum:
     mode: str
     infimum: float
     lambda_star: float | None
-    boundary: str  # "lambda->0" | "lambda->inf" | "flat"; golden-section also "interior"
+    boundary: str  # "lambda->0" | "lambda->inf" | "flat", read from the two end values;
+    # "interior" only where golden-section's point lies below both
 
 
 def resolve_implicit_quadratic(a, b):
@@ -192,7 +194,8 @@ def fill_terms(requests) -> None:
             x = np.concatenate([terms._input(key) for terms, key in jobs])
         finite = np.isfinite(x).all(axis=(1, 2))
         out = np.full(len(x), math.inf)
-        out[finite] = numerical_radius(x[finite])
+        if finite.any():  # the engine refuses an empty stack
+            out[finite] = numerical_radius(x[finite])
         ends = np.cumsum([len(terms.t) for terms, _ in jobs])
         for (terms, key), part in zip(jobs, np.split(out, ends[:-1])):
             terms.values[key] = part
@@ -436,10 +439,11 @@ Evaluation = namedtuple("Evaluation", "plan v w_power rhs slack holds")
 
 
 def evaluate(requests) -> list[Evaluation]:
-    """One Evaluation per request of [(terms, plan), ...], over its inputs:
-    every term in one fill_terms call, then each plan's rows in one stacked
-    pass; OverflowError for the first row whose right side or w-power leaves
-    the double range."""
+    """One Evaluation per request of [(terms, reads), ...], over its inputs:
+    each request's reads planned (_plan, memoized), every term in one
+    fill_terms call, then each plan's rows in one stacked pass; OverflowError
+    for the first row whose right side or w-power leaves the double range."""
+    requests = [(terms, _plan(tuple(reads))) for terms, reads in requests]
     fill_terms([(terms, plan.keys) for terms, plan in requests])
     out = []
     for terms, plan in requests:
@@ -464,7 +468,7 @@ def _evaluate_one(bound: BoundSpec, t, s, reads) -> Evaluation:
     same_dim(*ms)
     terms = MatrixTerms(np.array(ms))  # one SVD
     terms = PairTerms(terms, [0]) if bound.product else terms
-    return evaluate([(terms, _plan(tuple(reads)))])[0]
+    return evaluate([(terms, reads)])[0]
 
 
 def evaluate_bound(name: str, t, s=None, params: BoundParams | None = None,
@@ -530,7 +534,7 @@ def bound_cor_bomi(t, lam: float) -> BoundResult:
 # Lambda optimization
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-OPTIMIZE_METHODS = ("auto", "closed-form", "golden-section")
+OPTIMIZE_METHODS = ("auto", "golden-section")
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
@@ -559,10 +563,13 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     explicit bound). A resolved certificate is the root u of u^2 = a u + b
     with a = a0 + da t, b = b0 + db t; t(u) = (u^2 - a0 u - b0)/(da u + db)
     is single-valued (or da u + db = 0 and u is the root at every t), so the
-    root, continuous in t, is monotone. Methods "auto" and "closed-form"
-    therefore give the smaller end value, each from c(0) or c(inf) itself
-    ("flat" when they agree). "golden-section", an independent cross-check,
-    searches lam = exp(sigma), sigma in [-20, 20], to 1e-9 in sigma.
+    root, continuous in t, is monotone. Both methods therefore read the two
+    end values, from c(0) and c(inf) themselves: "flat" (lam* = 1) when they
+    agree within 1e-12 of their scale, else the smaller end, lam* None.
+    "golden-section", an independent cross-check of that monotonicity, also
+    searches lam = exp(sigma), sigma in [-20, 20], to 1e-9 in sigma, and
+    reports its point as "interior" only where its value lies more than
+    1e-12 of that scale below both ends.
     """
     bound = _spec(name)
     if method not in OPTIMIZE_METHODS:
@@ -570,27 +577,16 @@ def optimize_lambda(name: str, t, s=None, *, r: float = 1.0, n: int = 1,
     params = BoundParams(lam=1.0, r=r, n=n, alpha=alpha)
     mode = bound.modes[0] if mode is None else mode
     plan, v, *_ = _evaluate_one(bound, t, s, [Read(name, params, mode)])
-
-    def f(sigma: float) -> float:
-        c = interpolate(plan.c0, plan.cinf, math.exp(sigma)) if bound.uses_lambda else plan.c0
-        return float(_rhs(plan, v, c)[0, 0])
-
-    if method == "golden-section":
-        lo, hi = -20.0, 20.0
-        f_lo, f_hi, found = f(lo), f(hi), [_golden_min(f, lo, hi, 1e-9)]
-    else:  # sigma = log lam at -inf and inf, each end from c(0) or c(inf)
-        lo, hi, found = -math.inf, math.inf, []
-        f_lo, f_hi = (float(_rhs(plan, v, c)[0, 0]) for c in (plan.c0, plan.cinf))
-    # min keeps the first of equal values
-    s_star, f_star = min(found + [(lo, f_lo), (hi, f_hi)], key=lambda x: x[1])
-    scale = rel_scale(f_lo, f_hi)
-    if abs(f_lo - f_hi) <= 1e-12 * scale and abs(f(0.0) - f_star) <= 1e-12 * scale:
-        return LambdaOptimum(name, mode, f_star, 1.0, "flat")
-    if s_star <= lo + 1e-6:
-        return LambdaOptimum(name, mode, f_star, None, "lambda->0")
-    if s_star >= hi - 1e-6:
-        return LambdaOptimum(name, mode, f_star, None, "lambda->inf")
-    return LambdaOptimum(name, mode, f_star, math.exp(s_star), "interior")
+    f0, finf = (float(_rhs(plan, v, c)[0, 0]) for c in (plan.c0, plan.cinf))
+    f_end, tol = min(f0, finf), 1e-12 * rel_scale(f0, finf)
+    if method == "golden-section":  # the right side at lam = e^sigma
+        s_star, f_star = _golden_min(lambda sigma: float(_rhs(plan, v, interpolate(
+            plan.c0, plan.cinf, math.exp(sigma)))[0, 0]), -20.0, 20.0, 1e-9)
+        if f_star < f_end - tol:
+            return LambdaOptimum(name, mode, f_star, math.exp(s_star), "interior")
+    if abs(f0 - finf) <= tol:
+        return LambdaOptimum(name, mode, f_end, 1.0, "flat")
+    return LambdaOptimum(name, mode, f_end, None, "lambda->0" if f0 < finf else "lambda->inf")
 
 
 # --------------------------------------------------------------------------

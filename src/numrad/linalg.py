@@ -363,16 +363,16 @@ def numerical_radius_enclosure(m, tol: float = DEFAULT_RADIUS_TOL):
     lies in the wedge of the support lines at t0 and t1, so f <= |v| there
     for their corner v if -arg v lies in the cell, else f <= max(f0, f1).
     Cells bounded by lo (1 + tol) are dropped, the others split at -arg v
-    (clipped to their middle 80%) until none is left: hi - lo <= tol hi. Past
-    MAX_LIVE_CELLS live cells (W(M) near a disc) the bounds reached are
-    returned.
+    (clipped to their middle 80%) until none is left: hi - lo <= tol hi up to
+    the rounding of hi, within an ulp of hi. Past MAX_LIVE_CELLS live cells
+    (W(M) near a disc) the bounds reached are returned.
 
     Two kinds of M skip the refinement (_start_rule) and take one solve, at
     angle 0. If W(M) is a disc about 0 (M = 0 among them), f is constant and
     lo = hi. A near-Hermitian M = R + iS (R, S Hermitian) with ||S||_F <= tol
     ||R||_F / sqrt(n), so ||S||_F <= tol rho(R): w is a norm, so rho(R) <= w
     <= rho(R) + ||S||_F, and lo = max(f(0), f(pi)) = rho(R), the ends of the
-    spectrum of H(0) = R, hi = lo + ||S||_F.
+    spectrum of H(0) = R, hi = lo + ||S||_F, rounded.
 
     One matrix gives floats (OverflowError if w leaves the double range), a
     (k, n, n) stack arrays (inf there), run in lockstep: one eigvalsh per round

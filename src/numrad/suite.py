@@ -191,10 +191,11 @@ def run_suite(config: EnsembleConfig, bounds=None, chains=None,
                  if CATALOG[ch.refined].product == product]
         work.append((pairs if product else np.arange(config.trials), reads, links))
     kinds = [reads + [r for _, pair in links for r in pair] for _, reads, links in work]
-    plans = [_plan(tuple(kind)) for kind in kinds]  # checked before the ensemble is made
+    for kind in kinds:  # checked before the ensemble is made; evaluate finds the plans memoized
+        _plan(tuple(kind))
     terms = matrix_terms(np.array(generate_ensemble(config)))  # the config's one SVD
     paired = PairTerms(terms, pairs)
-    evs = evaluate(list(zip((terms, paired), plans)))  # one engine call
+    evs = evaluate(list(zip((terms, paired), kinds)))  # one engine call
 
     parts, chain_blocks = [], []  # (labels, evaluation, plan rows); (labels, chain, holds)
     for (labels, reads, links), ev in zip(work, evs):

@@ -254,7 +254,7 @@ def test_criterion_8_optimizer_cross_validation():
     for k in range(50):
         t = _ginibre(rng, 3)
         for name in ("th4", "th6", "cor_bomi"):
-            closed = optimize_lambda(name, t, method="closed-form")
+            closed = optimize_lambda(name, t, method="auto")
             golden = optimize_lambda(name, t, method="golden-section")
             if abs(closed.infimum - golden.infimum) > 1e-6 * max(1.0, abs(closed.infimum)):
                 failures.append(f"{name}@{k}: {closed.infimum} vs {golden.infimum}")

@@ -238,6 +238,24 @@ def test_bound_overflow_exits_two(tmp_path, capsys):
     assert "th6" in capsys.readouterr().err
 
 
+def test_bound_whose_every_engine_input_overflows_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    jsonio.save_matrix(1e200 * np.array([[0, 1], [1, 0]], dtype=complex), path)
+    code = cli.main(["bound", "--matrix", str(path), "--bound", "dragomir"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: bound 'dragomir' with r=1.0, n=1, alpha=0.5: "
+                                       "the right side or the w-power leaves the double range\n")
+
+
+def test_optimize_has_no_closed_form_method(jordan_file, capsys):
+    # "auto" reads the two end values; no second name runs the same code
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimize", "--matrix", jordan_file, "--bound", "th4",
+                  "--method", "closed-form"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'closed-form'" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--ensemble", "not-an-ensemble", "--dim", "3",

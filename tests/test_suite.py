@@ -171,7 +171,7 @@ def test_a_config_checks_its_lambda_grid_once(monkeypatch):
         post_init(params)
 
     def keep(requests, evaluate=bounds.evaluate):
-        calls.append([read for _, plan in requests for read in plan.rows])
+        calls.append([read for _, reads in requests for read in reads])
         return evaluate(requests)
 
     monkeypatch.setattr(BoundParams, "__post_init__", spy)
