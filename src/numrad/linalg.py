@@ -35,7 +35,7 @@ from .errors import (
 
 DEFAULT_RADIUS_TOL = 1e-10  # relative gap (hi - lo) / hi of the enclosure
 MAX_LIVE_CELLS = 4096  # a near-disc guard: generic input keeps a few dozen
-_START_CELLS = 16
+_START_CELLS = 8
 _ORACLE_STEPS = 100  # the sampling oracle's step cap
 
 
@@ -298,9 +298,10 @@ def _sweep(re: np.ndarray, im: np.ndarray, owner: np.ndarray, thetas: np.ndarray
     - sin(theta) im. H(theta + pi) = -H(theta), so the one solve gives f(theta) =
     lambda_max and f(theta + pi) = -lambda_min."""
     h, x = re[owner], im[owner]  # in place from here: a stack holds many cells
-    h *= np.cos(thetas)[:, None, None]
-    x *= np.sin(thetas)[:, None, None]
-    h -= x
+    hv, xv = h.view(np.float64), x.view(np.float64)  # real products, not complex x real ones
+    hv *= np.cos(thetas)[:, None, None]
+    xv *= np.sin(thetas)[:, None, None]
+    hv -= xv
     vals = _lapack("eigvalsh", h)
     return vals[:, 0], vals[:, -1]
 
@@ -308,21 +309,34 @@ def _sweep(re: np.ndarray, im: np.ndarray, owner: np.ndarray, thetas: np.ndarray
 def _rotation_invariant(a: np.ndarray) -> bool:
     """Whether levels k exist with k_i - k_j = 1 wherever a_ij != 0 (so the
     diagonal is zero). Then D a D* = e^{i phi} a for D = diag(e^{i phi k}),
-    so W(a) is a disc about 0: Jordan blocks, weighted shifts."""
-    level: dict[int, int] = {}
-    for root in range(a.shape[0]):
-        if root in level:
-            continue
-        level[root], todo = 0, [root]
-        while todo:
-            i = todo.pop()
-            for j, k in ([(j, level[i] - 1) for j in np.flatnonzero(a[i]).tolist()]
-                         + [(j, level[i] + 1) for j in np.flatnonzero(a[:, i]).tolist()]):
-                if j not in level:
-                    level[j] = k
-                    todo.append(j)
-                elif level[j] != k:
-                    return False
+    so W(a) is a disc about 0: Jordan blocks, weighted shifts.
+
+    One scan: np.nonzero reads the pattern once. Where levels exist, each
+    nonzero joins two consecutive level sets, so there are at most n^2 / 4 of
+    them (the sizes of the even-level and the odd-level indices multiplied),
+    and a denser pattern fails at once. Otherwise each nonzero (i, j) in turn
+    either joins the classes of i and j, or, when they share one, checks k_i -
+    k_j = 1 there; the first conflict fails. A class is a tree of its indices
+    (union by size, so finds are short), each holding its level relative to
+    its parent's."""
+    n = len(a)
+    rows, cols = np.nonzero(a)
+    if len(rows) > n * n // 4:
+        return False
+    parent, rel, size = list(range(n)), [0] * n, [1] * n  # k_i = k_parent[i] + rel[i]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ki = kj = 0  # i and j become their roots, ki and kj their levels above them
+        while parent[i] != i:
+            ki, i = ki + rel[i], parent[i]
+        while parent[j] != j:
+            kj, j = kj + rel[j], parent[j]
+        if i == j:
+            if ki - kj != 1:
+                return False
+        elif size[i] < size[j]:
+            parent[i], rel[i], size[j] = j, kj - ki + 1, size[i] + size[j]
+        else:
+            parent[j], rel[j], size[i] = i, ki - kj - 1, size[i] + size[j]
     return True
 
 

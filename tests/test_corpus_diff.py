@@ -69,6 +69,32 @@ def test_one_moved_float_exits_one(explain, tmp_path):
     assert "0 verdict changes" in out
 
 
+def test_a_slack_moves_on_the_scale_of_its_row(explain, tmp_path):
+    # a tight row: rhs falls two ulps, from one above w_power = 1.25 to one
+    # below, so the slack rhs - w_power changes sign; on max(|rhs|, |w_power|)
+    # that is a move of about 3.6e-16, where the slack's own size reads 2
+    ulp = 2.0 ** -52
+    sides = {}
+    for side, rhs in (("rev", 1.25 + ulp), ("tree", 1.25 - ulp)):
+        report = json.loads(json.dumps(REPORT))
+        report["bound_rows"][0].update(rhs=rhs, slack=rhs - 1.25)
+        report["tightness"][0]["min_rel_slack"] = (rhs - 1.25) / rhs
+        csv = CSV.replace("2.5,1.25", f"{rhs!r},{rhs - 1.25!r}")
+        sides[side] = write(tmp_path / side, report, csv)
+    code, out = explain(sides["rev"], sides["tree"])
+    assert code == 1
+    relative = {line.split(": ")[0]: float(line.split(", ")[-2].split()[0])
+                for line in out.splitlines() if "rows moved" in line}
+    move = 2 * ulp / (1.25 + ulp)  # printed to two digits
+    for column in ("r.json bound_rows.rhs", "r.json bound_rows.slack", "r.csv bound_rows.slack",
+                   "whole corpus bound_rows.slack"):
+        assert relative[column] == pytest.approx(move, rel=0.05, abs=0)
+    # a rel_slack is already on that scale: its move is absolute
+    assert relative["r.json tightness.min_rel_slack"] == pytest.approx(
+        ulp / (1.25 + ulp) + ulp / 1.25, rel=0.05, abs=0)
+    assert "0 verdict changes" in out
+
+
 def test_one_flipped_holds_exits_three(explain, tmp_path):
     flipped = json.loads(json.dumps(REPORT))
     flipped["chain_rows"][0]["holds"] = False

@@ -15,9 +15,12 @@ For each end-to-end metric of BENCHMARK.json it prints the median of each
 side, the interquartile range of REV's runs, in how many pairs the working
 tree did better, by the metric's `better` direction, how far the working
 tree's median moved from REV's, relative to REV's and signed so that positive
-is worse, and whether that move is inside the metric's `bound` (no worse than
-it). It exits 0 when every run was correct, 1 when some were not (each named,
-by side and seed), and 2 when REV cannot be extracted.
+is worse, whether that move is inside the metric's `bound` (no worse than it),
+and whether the pairs show a gain by the claim rule (`summary`): the working
+tree won at least 9 in 10 of the pairs, ties counting for neither side, and
+its median is better than REV's by more than REV's IQR. It exits 0 when every
+run was correct, 1 when some were not (each named, by side and seed), and 2
+when REV cannot be extracted.
 """
 
 import argparse
@@ -89,6 +92,24 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def summary(rev: list[float], tree: list[float], better: str, bound: float) -> dict:
+    """The figures of one metric over pairs (rev[i], tree[i]), ``better`` saying
+    whether "higher" or "lower" is better: each side's median, REV's IQR, the
+    pairs the tree won (a tie counts for neither side), the tree's median move
+    relative to REV's median, signed so that positive is worse, whether that
+    move is inside ``bound``, and whether the pairs show a gain by the claim
+    rule: the tree wins at least 9 in 10 of the pairs, and its median is
+    better than REV's by more than REV's IQR."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (t - r) > 0 for r, t in zip(rev, tree))
+    medians = statistics.median(rev), statistics.median(tree)
+    spread = iqr(rev)
+    worse = sign * (medians[0] - medians[1]) / medians[0]
+    return {"rev": medians[0], "tree": medians[1], "iqr": spread, "won": won,
+            "pairs": len(rev), "worse": worse, "inside": worse <= bound,
+            "gain": 10 * won >= 9 * len(rev) and sign * (medians[1] - medians[0]) > spread}
+
+
 def main(argv) -> int:
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -114,22 +135,22 @@ def main(argv) -> int:
     print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}; rev is {args.rev}, tree the working tree")
     print(f"{'metric':<22} {'better':<7} {'rev median':>12} {'tree median':>12} "
-          f"{'rev IQR':>10} {'tree won':>9} {'worse by':>9} {'bound':>6} {'inside':>6}")
+          f"{'rev IQR':>10} {'tree won':>9} {'worse by':>9} {'bound':>6} {'inside':>6} "
+          f"{'gain':>4}")
     good = [i for i in range(args.pairs)
             if all(results[side][i] and results[side][i]["correct"] for side in SIDES)]
     for metric in spec["end_to_end"]:
-        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        name = metric["name"]
         values = {side: [results[side][i]["metrics"][name]["value"] for i in good
                          if name in results[side][i]["metrics"]] for side in SIDES}
         if len(values["rev"]) != len(good) or len(values["tree"]) != len(good) or not good:
             print(f"{name:<22} {metric['better']:<7} {'(not in every run)':>12}")
             continue
-        won = sum(sign * (t - r) > 0 for r, t in zip(values["rev"], values["tree"]))
-        rev, tree = statistics.median(values["rev"]), statistics.median(values["tree"])
-        worse = sign * (rev - tree) / rev  # relative to REV's median; > 0 is worse
-        print(f"{name:<22} {metric['better']:<7} {rev:>12.6g} {tree:>12.6g} "
-              f"{iqr(values['rev']):>10.4g} {won:>4}/{len(good):<4} {worse:>+9.2%} "
-              f"{metric['bound']:>6.0%} {'yes' if worse <= metric['bound'] else 'NO':>6}")
+        row = summary(values["rev"], values["tree"], metric["better"], metric["bound"])
+        print(f"{name:<22} {metric['better']:<7} {row['rev']:>12.6g} {row['tree']:>12.6g} "
+              f"{row['iqr']:>10.4g} {row['won']:>4}/{row['pairs']:<4} {row['worse']:>+9.2%} "
+              f"{metric['bound']:>6.0%} {'yes' if row['inside'] else 'NO':>6} "
+              f"{'yes' if row['gain'] else 'no':>4}")
     for side, seed in bad:
         print(f"not correct: {side} seed {seed}")
     return 1 if bad else 0

@@ -14,11 +14,14 @@ Rows are matched by key: bound rows by (file, trial, bound, mode, lambda),
 chain rows by (file, trial, chain), tightness rows by (file, bound, mode) and
 the lines of runs.txt by name (the words before the exit code). Per file and
 column, and then per column over the whole corpus, it prints how many rows
-moved and the largest move in ulps, relative and absolute. It names every
-verdict that changed: a `holds` (a bound row's, a chain row's or a `bound`
-run's), a violation count, a run's exit code or error text, and a row or file
-that is in one corpus only. It names every other change that is not a number
-moving (an `optimize` boundary, a null) apart. It exits 0 when the corpora are
+moved and the largest move in ulps, relative and absolute. A move is relative
+to the larger of its two values, but a slack (rhs - w_power) moves relative
+to max(|rhs|, |w_power|) of its row, and a rel_slack, already divided by the
+verdict rule's scale max(1, |rhs|, |w_power|), by its absolute move. It
+names every verdict that changed: a `holds` (a bound row's, a chain row's or
+a `bound` run's), a violation count, a run's exit code or error text, and a
+row or file that is in one corpus only. It names every other change that is
+not a number moving (an `optimize` boundary, a null) apart. It exits 0 when the corpora are
 identical, 1 when they differ and no verdict changed, 3 when a verdict
 changed and 2 when a corpus cannot be made.
 """
@@ -122,11 +125,32 @@ def number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def scale(a: dict, b: dict, key: tuple, x: float, y: float) -> float:
+    """What a move x -> y of the leaf ``key`` of a and b is relative to. A
+    slack, rhs - w_power, is relative to max(|rhs|, |w_power|) of its row in
+    a and b: on a tight row it is a near-zero difference, so its own size
+    says nothing. A rel_slack is already a slack over max(1, |rhs|,
+    |w_power|), the verdict rule's scale, so 1: its move is absolute. Any
+    other leaf is relative to max(|x|, |y|)."""
+    column, row = key
+    head, _, last = column.rpartition(".")
+    if last.endswith("_rel_slack"):
+        return 1.0
+    if last == "slack":
+        sides = [(f"{head}.{name}" if head else name, row) for name in ("rhs", "w_power")]
+        top = max((abs(leaf[side]) for leaf in (a, b) for side in sides
+                   if number(leaf.get(side))), default=0.0)
+        if top:
+            return top
+    return max(abs(x), abs(y))
+
+
 def compare(a: dict, b: dict, moves: dict, changes: dict, where: str):
     """Add to ``moves`` {column: [rows, moved, largest ulps, relative,
-    absolute]} the numbers of the leaves a and b outside VERDICTS, and to
-    ``changes`` a line per changed verdict (or leaf in one of a and b only)
-    under "verdict", and per other change (text or null) under "other"."""
+    absolute]} the numbers of the leaves a and b outside VERDICTS (relative
+    by ``scale``), and to ``changes`` a line per changed verdict (or leaf in
+    one of a and b only) under "verdict", and per other change (text or
+    null) under "other"."""
     for key in [*a, *(key for key in b if key not in a)]:  # in file order
         column, row = key
         if key not in a or key not in b:
@@ -141,7 +165,7 @@ def compare(a: dict, b: dict, moves: dict, changes: dict, where: str):
             if x != y:
                 x, y = float(x), float(y)
                 stat[1:] = (stat[1] + 1, max(stat[2], abs(ordered(x) - ordered(y))),
-                            max(stat[3], abs(x - y) / max(abs(x), abs(y))),
+                            max(stat[3], abs(x - y) / scale(a, b, key, x, y)),
                             max(stat[4], abs(x - y)))
         elif x != y or type(x) is not type(y):
             changes["verdict" if verdict else "other"].append(
